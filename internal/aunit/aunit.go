@@ -61,13 +61,57 @@ func (s *Suite) Clone() *Suite {
 }
 
 // Run evaluates one test against a model. A test passes when the formula
-// evaluates without error to the expected boolean.
+// evaluates without error to the expected boolean. To run several tests
+// against one model, Prepare it once instead.
 func (t *Test) Run(mod *ast.Module) Result {
-	passed, err := t.eval(mod)
+	return Prepare(mod).Run(t)
+}
+
+// Model is a module lowered once for running tests against it. Lowering
+// clones and type-checks the whole module, and it is the same for every
+// test, so a suite run pays for it once. Evaluation only reads the lowered
+// module, so one Model may run any number of tests.
+type Model struct {
+	low  *ast.Module
+	info *types.Info
+	err  error
+}
+
+// Prepare lowers mod for test runs. A module that does not lower still
+// yields a Model: every test run against it fails with that error.
+func Prepare(mod *ast.Module) *Model {
+	low, info, err := types.Lower(mod)
+	return &Model{low: low, info: info, err: err}
+}
+
+// Err returns the lowering error, or nil when the model type-checks.
+func (m *Model) Err() error { return m.err }
+
+// Info returns the lowered model's type information (nil when Err is not).
+func (m *Model) Info() *types.Info { return m.info }
+
+// Run evaluates one test against the model.
+func (m *Model) Run(t *Test) Result {
+	passed, err := m.eval(t)
 	if err != nil {
 		return Result{Test: t, Passed: false, Err: err}
 	}
 	return Result{Test: t, Passed: passed}
+}
+
+// RunAll evaluates the whole suite, returning individual results and the
+// number of passing tests.
+func (m *Model) RunAll(s *Suite) ([]Result, int) {
+	results := make([]Result, 0, len(s.Tests))
+	passed := 0
+	for _, t := range s.Tests {
+		r := m.Run(t)
+		if r.Passed {
+			passed++
+		}
+		results = append(results, r)
+	}
+	return results, passed
 }
 
 // Instance materializes the test's valuation as a concrete instance over
@@ -132,12 +176,11 @@ func (t *Test) Instance(info *types.Info) (*instance.Instance, error) {
 	return inst, nil
 }
 
-func (t *Test) eval(mod *ast.Module) (bool, error) {
-	low, info, err := types.Lower(mod)
-	if err != nil {
-		return false, fmt.Errorf("test %s: model does not check: %w", t.Name, err)
+func (m *Model) eval(t *Test) (bool, error) {
+	if m.err != nil {
+		return false, fmt.Errorf("test %s: model does not check: %w", t.Name, m.err)
 	}
-	inst, err := t.Instance(info)
+	inst, err := t.Instance(m.info)
 	if err != nil {
 		return false, err
 	}
@@ -145,7 +188,7 @@ func (t *Test) eval(mod *ast.Module) (bool, error) {
 	var expr ast.Expr
 	if t.Formula == FactsFormula {
 		blk := &ast.Block{}
-		for _, f := range low.Facts {
+		for _, f := range m.low.Facts {
 			blk.Exprs = append(blk.Exprs, f.Body)
 		}
 		expr = blk
@@ -154,10 +197,10 @@ func (t *Test) eval(mod *ast.Module) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("test %s: parsing formula: %w", t.Name, err)
 		}
-		expr = types.RewriteCalls(low, expr)
+		expr = types.RewriteCalls(m.low, expr)
 	}
 
-	ev := &instance.Evaluator{Mod: low, Inst: inst}
+	ev := &instance.Evaluator{Mod: m.low, Inst: inst}
 	got, err := ev.EvalFormula(expr, nil)
 	if err != nil {
 		return false, fmt.Errorf("test %s: evaluating: %w", t.Name, err)
@@ -165,19 +208,10 @@ func (t *Test) eval(mod *ast.Module) (bool, error) {
 	return got == t.Expect, nil
 }
 
-// RunAll evaluates the whole suite, returning individual results and the
-// number of passing tests.
+// RunAll evaluates the whole suite against mod, lowering it once, and
+// returns individual results and the number of passing tests.
 func (s *Suite) RunAll(mod *ast.Module) ([]Result, int) {
-	results := make([]Result, 0, len(s.Tests))
-	passed := 0
-	for _, t := range s.Tests {
-		r := t.Run(mod)
-		if r.Passed {
-			passed++
-		}
-		results = append(results, r)
-	}
-	return results, passed
+	return Prepare(mod).RunAll(s)
 }
 
 // AllPass reports whether every test in the suite passes on the model.

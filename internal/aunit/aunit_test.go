@@ -6,6 +6,7 @@ import (
 
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/parser"
+	"specrepair/internal/alloy/printer"
 	"specrepair/internal/analyzer"
 )
 
@@ -175,4 +176,67 @@ func TestSuiteClone(t *testing.T) {
 	if s.Len() != 1 || c.Len() != 2 {
 		t.Error("clone should not share backing slice growth")
 	}
+}
+
+func TestModelThatDoesNotLowerFailsEveryTestByName(t *testing.T) {
+	mod := mustParse(t, `
+sig Node { next: set Node }
+fact Broken { some Unknown }
+`)
+	s := &Suite{}
+	for _, name := range []string{"first", "second", "third"} {
+		s.Add(&Test{Name: name, Valuation: map[string][][]string{"Node": {{"N0"}}}, Formula: FactsFormula, Expect: true})
+	}
+	if Prepare(mod).Err() == nil {
+		t.Fatal("model with an unknown relation lowered")
+	}
+	results, passed := s.RunAll(mod)
+	if passed != 0 || len(results) != s.Len() {
+		t.Fatalf("RunAll = %d results, %d passed; want %d, 0", len(results), passed, s.Len())
+	}
+	for i, r := range results {
+		want := "test " + s.Tests[i].Name + ": model does not check: "
+		if r.Passed || r.Err == nil || !strings.HasPrefix(r.Err.Error(), want) {
+			t.Errorf("result %d = passed %v, err %v; want an error starting %q", i, r.Passed, r.Err, want)
+		}
+	}
+}
+
+func TestPreparedModelRunsRepeatIdentically(t *testing.T) {
+	mod := mustParse(t, `
+sig Node { next: set Node }
+fact Acyclic { no n: Node | n in n.^next }
+pred hasSucc[n: Node] { some n.next }
+run hasSucc for 3
+`)
+	s := &Suite{}
+	s.Add(&Test{Name: "facts_hold", Valuation: map[string][][]string{"Node": {{"N0"}, {"N1"}}, "next": {{"N0", "N1"}}}, Formula: FactsFormula, Expect: true})
+	s.Add(&Test{Name: "facts_reject_cycle", Valuation: map[string][][]string{"Node": {{"N0"}}, "next": {{"N0", "N0"}}}, Formula: FactsFormula, Expect: false})
+	s.Add(&Test{Name: "call", Valuation: map[string][][]string{"Node": {{"N0"}, {"N1"}}, "next": {{"N0", "N1"}}}, Formula: "some n: Node | hasSucc[n]", Expect: true})
+	s.Add(&Test{Name: "wrong", Valuation: map[string][][]string{"Node": {{"N0"}}}, Formula: "some next", Expect: true})
+	s.Add(&Test{Name: "broken", Valuation: map[string][][]string{"Node": {{"N0"}}}, Formula: "some Unknown", Expect: true})
+
+	m := Prepare(mod)
+	before := printer.Module(m.low)
+	first, firstPassed := m.RunAll(s)
+	second, secondPassed := m.RunAll(s)
+	if firstPassed != 3 || secondPassed != firstPassed {
+		t.Fatalf("passed %d then %d, want 3 both times", firstPassed, secondPassed)
+	}
+	for i := range first {
+		if first[i].Passed != second[i].Passed || errText(first[i].Err) != errText(second[i].Err) {
+			t.Errorf("test %s: first run (%v, %v), second run (%v, %v)", s.Tests[i].Name,
+				first[i].Passed, first[i].Err, second[i].Passed, second[i].Err)
+		}
+	}
+	if after := printer.Module(m.low); after != before {
+		t.Errorf("running tests changed the lowered module:\n%s\n---\n%s", before, after)
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

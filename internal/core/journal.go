@@ -11,13 +11,14 @@ import (
 )
 
 // Journal is the append-only JSONL event log underlying every durable store
-// in the system: one marshaled record per line, flushed per append, so a
-// crash loses at most the record being written. The study checkpoint and the
-// repaird job store are both built on it — the checkpoint journals one
-// record type keyed by job coordinates, the job store journals typed
-// lifecycle events — and both inherit the same recovery contract: a
-// truncated final line (the signature of a crash mid-append) is dropped on
-// load, any other malformed content is an error.
+// in the system: one marshaled record per line, flushed to the operating
+// system per append (no fsync), so a process crash loses at most the record
+// being written. The study checkpoint and the repaird job store are both
+// built on it — the checkpoint journals one record type keyed by job
+// coordinates, the job store journals typed lifecycle events — and both
+// inherit the same recovery contract: a truncated final line (the signature
+// of a crash mid-append) is dropped on load, any other malformed content is
+// an error.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -81,7 +82,9 @@ func OpenJournal(path string, replay func(line []byte) error) (*Journal, error) 
 // Path is the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Append marshals one record, writes it as a line, and flushes it to disk.
+// Append marshals one record, writes it as a line, and flushes the write
+// buffer to the operating system. It does not fsync: an appended record
+// survives a kill of this process, but not an OS crash or power loss.
 func (j *Journal) Append(v any) error {
 	line, err := json.Marshal(v)
 	if err != nil {

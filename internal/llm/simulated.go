@@ -69,6 +69,7 @@ func (m *SimulatedModel) promptAgentReply(v conversationView) string {
 		return focusMarker + " re-examine the fact constraints."
 	}
 	val := v.valuations[len(v.valuations)-1]
+	model := aunit.Prepare(mod)
 	for i, f := range mod.Facts {
 		t := &aunit.Test{
 			Name:      "agent_probe",
@@ -76,7 +77,7 @@ func (m *SimulatedModel) promptAgentReply(v conversationView) string {
 			Formula:   printer.Expr(f.Body),
 			Expect:    false, // the counterexample should be excluded
 		}
-		r := t.Run(mod)
+		r := model.Run(t)
 		if r.Err == nil && !r.Passed {
 			// This fact accepted the counterexample: suspicious.
 			name := f.Name
@@ -238,15 +239,28 @@ func (m *SimulatedModel) generateProposals(mod *ast.Module, v conversationView, 
 		}
 	}
 
-	sort.SliceStable(abstract, func(i, j int) bool { return abstract[i].score > abstract[j].score })
+	// Rank by score, best first, ties in enumeration order. Sorting indices
+	// gives the same order as a stable sort without moving the edits.
+	order := make([]int, len(abstract))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		if abstract[i].score != abstract[j].score {
+			return abstract[i].score > abstract[j].score
+		}
+		return i < j
+	})
 
 	// Phase 2: materialize the shortlist, skipping prior proposals, and
 	// refine with counterexample reasoning.
 	var scored []proposal
-	for _, ae := range abstract {
+	for _, i := range order {
 		if len(scored) >= materializeWindow {
 			break
 		}
+		ae := abstract[i]
 		cand := m.materialize(eng, ae)
 		if cand == nil {
 			continue
@@ -298,12 +312,16 @@ func (m *SimulatedModel) cexAdjustment(cand *ast.Module, v conversationView, rng
 		return 0
 	}
 	adj := 0.0
+	var model *aunit.Model // lowered on first use: misread valuations skip it
 	for _, val := range v.valuations {
 		if rng.Float64() < 0.3 {
 			continue // misread the counterexample
 		}
+		if model == nil {
+			model = aunit.Prepare(cand)
+		}
 		t := &aunit.Test{Name: "model_probe", Valuation: val, Formula: aunit.FactsFormula, Expect: false}
-		r := t.Run(cand)
+		r := model.Run(t)
 		if r.Err != nil {
 			continue
 		}

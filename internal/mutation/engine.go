@@ -306,21 +306,29 @@ func (e *Engine) Candidates(s ScopedSite, budget Budget) []ast.Expr {
 		}
 	}
 
-	// Deduplicate by canonical printing and drop the original.
+	// Deduplicate by canonical printing, drop the original, and order by
+	// the printed form. Keys are unique after deduplication, so sorting on
+	// them needs no tie-break.
+	type keyed struct {
+		key  string
+		expr ast.Expr
+	}
 	seen := map[string]bool{printer.Expr(node): true}
-	var uniq []ast.Expr
+	var uniq []keyed
 	for _, c := range out {
 		key := printer.Expr(c)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		uniq = append(uniq, c)
+		uniq = append(uniq, keyed{key, c})
 	}
-	sort.SliceStable(uniq, func(i, j int) bool {
-		return printer.Expr(uniq[i]) < printer.Expr(uniq[j])
-	})
-	return uniq
+	sort.Slice(uniq, func(i, j int) bool { return uniq[i].key < uniq[j].key })
+	exprs := make([]ast.Expr, len(uniq))
+	for i, u := range uniq {
+		exprs[i] = u.expr
+	}
+	return exprs
 }
 
 func swapOps(op ast.BinOp) []ast.BinOp {

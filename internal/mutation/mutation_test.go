@@ -308,3 +308,27 @@ func TestMutatedModuleReparses(t *testing.T) {
 		t.Error("no mutants generated")
 	}
 }
+
+func TestCandidatesUniqueSortedWithoutOriginal(t *testing.T) {
+	eng := engine(t)
+	for _, budget := range []Budget{BudgetOperators, BudgetRelations, BudgetTemplates} {
+		for _, s := range eng.Sites() {
+			orig := printer.Expr(s.Node)
+			seen := map[string]bool{}
+			prev := ""
+			for i, c := range eng.Candidates(s, budget) {
+				key := printer.Expr(c)
+				switch {
+				case key == orig:
+					t.Errorf("budget %d, site %v: candidate %d is the original %q", budget, s.Site, i, key)
+				case seen[key]:
+					t.Errorf("budget %d, site %v: duplicate candidate %q", budget, s.Site, key)
+				case i > 0 && key < prev:
+					t.Errorf("budget %d, site %v: %q sorts after %q", budget, s.Site, key, prev)
+				}
+				seen[key] = true
+				prev = key
+			}
+		}
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"specrepair/internal/alloy/ast"
-	"specrepair/internal/alloy/types"
 	"specrepair/internal/aunit"
 	"specrepair/internal/faultloc"
 	"specrepair/internal/mutation"
@@ -122,19 +121,7 @@ func (t *Tool) improveOnce(ctx context.Context, mod *ast.Module, suite *aunit.Su
 	if err != nil {
 		return false, nil, 0, err
 	}
-	tried := 0
-
-	consider := func(cand *ast.Module) (bool, *ast.Module) {
-		tried++
-		if _, err := types.Check(cand.Clone()); err != nil {
-			return false, nil
-		}
-		_, passed := suite.RunAll(cand)
-		if passed > best {
-			return true, cand
-		}
-		return false, nil
-	}
+	g := &gate{suite: suite, best: best}
 
 	sites := 0
 	for _, r := range ranked {
@@ -142,7 +129,7 @@ func (t *Tool) improveOnce(ctx context.Context, mod *ast.Module, suite *aunit.Su
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return false, nil, tried, err
+			return false, nil, g.tried, err
 		}
 		sites++
 		// Mutate every node within the suspicious conjunct.
@@ -151,15 +138,15 @@ func (t *Tool) improveOnce(ctx context.Context, mod *ast.Module, suite *aunit.Su
 				continue
 			}
 			if err := ctx.Err(); err != nil {
-				return false, nil, tried, err
+				return false, nil, g.tried, err
 			}
 			for _, c := range eng.Candidates(s, t.opts.Budget) {
 				cand, err := eng.Apply(s.Site, c)
 				if err != nil {
 					continue
 				}
-				if ok, m := consider(cand); ok {
-					return true, m, tried, nil
+				if g.improves(cand) {
+					return true, cand, g.tried, nil
 				}
 			}
 		}
@@ -170,14 +157,33 @@ func (t *Tool) improveOnce(ctx context.Context, mod *ast.Module, suite *aunit.Su
 			drops, err := mutation.DropConjunct(eng.Mod, blockSite)
 			if err == nil {
 				for _, cand := range drops {
-					if ok, m := consider(cand); ok {
-						return true, m, tried, nil
+					if g.improves(cand) {
+						return true, cand, g.tried, nil
 					}
 				}
 			}
 		}
 	}
-	return false, nil, tried, nil
+	return false, nil, g.tried, nil
+}
+
+// gate judges the candidates of one improvement round against the suite.
+type gate struct {
+	suite *aunit.Suite
+	best  int // passing tests of the current model
+	tried int // candidates judged so far
+}
+
+// improves counts cand as tried and reports whether it passes more than
+// best tests. A candidate that does not type-check is never accepted.
+func (g *gate) improves(cand *ast.Module) bool {
+	g.tried++
+	model := aunit.Prepare(cand)
+	if model.Err() != nil {
+		return false
+	}
+	_, passed := model.RunAll(g.suite)
+	return passed > g.best
 }
 
 // within reports whether inner is the same site as outer or beneath it.
@@ -201,14 +207,14 @@ func within(outer, inner mutation.Site) bool {
 // valuation of an expect-true test should be accepted by the intended
 // specification, an expect-false one rejected.
 func (t *Tool) localize(mod *ast.Module, suite *aunit.Suite) ([]faultloc.RankedSite, error) {
-	_, info, err := types.Lower(mod)
-	if err != nil {
+	model := aunit.Prepare(mod)
+	if err := model.Err(); err != nil {
 		return nil, err
 	}
 	var failing, passing []faultloc.Observation
-	results, _ := suite.RunAll(mod)
+	results, _ := model.RunAll(suite)
 	for _, r := range results {
-		inst, err := r.Test.Instance(info)
+		inst, err := r.Test.Instance(model.Info())
 		if err != nil {
 			continue
 		}

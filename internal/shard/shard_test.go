@@ -213,8 +213,11 @@ func TestWorkerLoopRunsStudyOverHTTP(t *testing.T) {
 			Digest:  "digest-1",
 			Jobs:    jobs,
 			Run: func(ctx context.Context, start int, refs []core.JobRef, emit func(int, *core.CheckpointRecord) error) error {
+				// Key the result on the job's global index: a stolen
+				// remainder re-runs at another offset within its lease and
+				// must reproduce the same record.
 				for i, ref := range refs {
-					if err := emit(start+i, recordFor(ref, i%2)); err != nil {
+					if err := emit(start+i, recordFor(ref, (start+i)%2)); err != nil {
 						return err
 					}
 				}
