@@ -202,7 +202,7 @@ func run(args []string) error {
 		}
 		// Namespace this process's trace and span IDs by worker identity, so
 		// trace files from several workers merge without ID collisions
-		// (checktrace validates the merged set).
+		// (tracetool check validates the merged set).
 		h := fnv.New32a()
 		h.Write([]byte(id))
 		reg.SeedSpanIDs(uint64(h.Sum32()) << 32)

@@ -2,12 +2,18 @@
 //
 // Subcommands:
 //
+//	tracetool check      trace.jsonl [more.jsonl ...]   # validate, exit non-zero on a violation
 //	tracetool summary    trace.jsonl   # per-kind counts and totals, top jobs
 //	tracetool critical   trace.jsonl   # critical path of the most expensive jobs
 //	tracetool selftime   trace.jsonl   # top span kinds by self time (text flamegraph)
 //	tracetool stragglers trace.jsonl   # per-kind p99 outlier spans
 //
 // Flags after the subcommand: -top N bounds list lengths where applicable.
+//
+// check validates several files as one merged trace set (one file per
+// worker of a sharded study), which makes it usable as a CI assertion:
+//
+//	experiments -scale 400 -table1 -trace t.jsonl && tracetool check t.jsonl
 package main
 
 import (
@@ -31,9 +37,15 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: tracetool <summary|critical|selftime|stragglers> [-top N] <trace.jsonl>")
+		return fmt.Errorf("usage: tracetool <check|summary|critical|selftime|stragglers> [-top N] <trace.jsonl>")
 	}
 	cmd := args[0]
+	if cmd == "check" {
+		if len(args) < 2 {
+			return fmt.Errorf("usage: tracetool check <trace.jsonl> [more.jsonl ...]")
+		}
+		return check(args[1:])
+	}
 	fs := flag.NewFlagSet("tracetool "+cmd, flag.ContinueOnError)
 	top := fs.Int("top", 10, "how many rows/paths to print")
 	if err := fs.Parse(args[1:]); err != nil {
@@ -56,7 +68,7 @@ func run(args []string) error {
 	case "stragglers":
 		return t.stragglers(*top)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want summary, critical, selftime, or stragglers)", cmd)
+		return fmt.Errorf("unknown subcommand %q (want check, summary, critical, selftime, or stragglers)", cmd)
 	}
 }
 
@@ -71,28 +83,12 @@ type trace struct {
 func key(traceID, spanID string) string { return traceID + "/" + spanID }
 
 func load(path string) (*trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	t := &trace{children: map[string][]int{}}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		raw := sc.Bytes()
-		line++
-		if len(raw) == 0 {
-			continue
-		}
-		var sr telemetry.SpanRecord
-		if err := json.Unmarshal(raw, &sr); err != nil {
-			return nil, fmt.Errorf("line %d: invalid JSON: %w", line, err)
-		}
+	err := decode(path, func(_ []byte, sr telemetry.SpanRecord) error {
 		t.recs = append(t.recs, sr)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if len(t.recs) == 0 {
@@ -105,6 +101,34 @@ func load(path string) (*trace, error) {
 		}
 	}
 	return t, nil
+}
+
+// decode calls fn with each record of a JSONL trace file and its raw line,
+// prefixing any error with the record's "path:line" position.
+func decode(path string, fn func(raw []byte, sr telemetry.SpanRecord) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	line := 0
+	for sc.Scan() {
+		raw := sc.Bytes()
+		line++
+		if len(raw) == 0 {
+			continue
+		}
+		var sr telemetry.SpanRecord
+		if err := json.Unmarshal(raw, &sr); err != nil {
+			return fmt.Errorf("%s:%d: invalid JSON: %w", path, line, err)
+		}
+		if err := fn(raw, sr); err != nil {
+			return fmt.Errorf("%s:%d: %w", path, line, err)
+		}
+	}
+	return sc.Err()
 }
 
 // label renders a span's display name: the kind plus its most identifying

@@ -127,21 +127,25 @@ func BuildPromptAgentRequest(candidateSource string, failedCommands []string, ce
 // shared by feedback messages and instance parsing.
 func RenderInstance(inst *instance.Instance) string { return inst.String() }
 
+// Line and tuple patterns of RenderInstance output.
+var (
+	valuationLineRe  = regexp.MustCompile(`^\s*([A-Za-z_][A-Za-z0-9_']*)\s*=\s*\{(.*)\}\s*$`)
+	valuationTupleRe = regexp.MustCompile(`\(([^)]*)\)`)
+)
+
 // ParseValuation parses RenderInstance output back into an AUnit-style
 // valuation: relation name -> tuples of atom names. Unparseable lines are
 // skipped.
 func ParseValuation(text string) map[string][][]string {
 	out := map[string][][]string{}
-	lineRe := regexp.MustCompile(`^\s*([A-Za-z_][A-Za-z0-9_']*)\s*=\s*\{(.*)\}\s*$`)
-	tupleRe := regexp.MustCompile(`\(([^)]*)\)`)
 	for _, line := range strings.Split(text, "\n") {
-		m := lineRe.FindStringSubmatch(line)
+		m := valuationLineRe.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		rel := m[1]
 		var tuples [][]string
-		for _, tm := range tupleRe.FindAllStringSubmatch(m[2], -1) {
+		for _, tm := range valuationTupleRe.FindAllStringSubmatch(m[2], -1) {
 			parts := strings.Split(tm[1], ",")
 			tuple := make([]string, 0, len(parts))
 			for _, p := range parts {
@@ -213,17 +217,23 @@ func fencedBlocks(text string) []string {
 
 // conversationView is what the simulated model recovers from a transcript.
 type conversationView struct {
-	originalSpec   string
-	priorProposals []string
-	location       string
-	fixDescription string
-	passAssertion  string
-	focus          string
-	valuations     []map[string][][]string // counterexamples seen in feedback
-	isPromptAgent  bool
-	candidateSpec  string // for prompt-agent requests
-	failedCommands []string
-	roundsSeen     int
+	originalSpec    string
+	priorProposals  []string
+	location        string
+	fixDescription  string
+	passAssertion   string
+	focus           string
+	counterexamples []counterexample // seen in feedback, in transcript order
+	isPromptAgent   bool
+	candidateSpec   string // for prompt-agent requests
+	failedCommands  []string
+	roundsSeen      int
+}
+
+// counterexample is one counterexample quoted in the transcript.
+type counterexample struct {
+	text      string // the rendered instance as quoted: its identity
+	valuation map[string][][]string
 }
 
 // parseConversation recovers structured state from the raw transcript —
@@ -270,9 +280,8 @@ func parseConversation(msgs []Message) conversationView {
 			}
 			if strings.Contains(m.Content, cexMarker) {
 				after := m.Content[strings.Index(m.Content, cexMarker)+len(cexMarker):]
-				val := ParseValuation(after)
-				if len(val) > 0 {
-					v.valuations = append(v.valuations, val)
+				if val := ParseValuation(after); len(val) > 0 {
+					v.counterexamples = append(v.counterexamples, counterexample{text: after, valuation: val})
 				}
 			}
 		case RoleAssistant:

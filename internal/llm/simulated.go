@@ -16,6 +16,7 @@ import (
 
 // SimulatedModel is a deterministic stand-in for the study's GPT-4
 // endpoint. See the package documentation for the substitution rationale.
+// It is not safe for concurrent use.
 type SimulatedModel struct {
 	// Seed drives all stochastic behaviour; combined with a content hash
 	// of the conversation so each problem gets its own stream.
@@ -31,6 +32,9 @@ type SimulatedModel struct {
 	GarbageNoise float64
 
 	usage Usage
+	// memo caches the candidate space of the conversation in progress; see
+	// conversationMemo. EndConversation releases it.
+	memo *conversationMemo
 }
 
 // NewSimulatedModel returns a model with the calibration used in the
@@ -40,6 +44,11 @@ func NewSimulatedModel(seed int64) *SimulatedModel {
 }
 
 var _ Client = (*SimulatedModel)(nil)
+
+// EndConversation releases what the model keeps for the conversation in
+// progress. Repair loops call it once a conversation is over, so a model
+// that serves many problems holds no memo between them.
+func (m *SimulatedModel) EndConversation() { m.memo = nil }
 
 // Usage returns completion statistics.
 func (m *SimulatedModel) Usage() Usage { return m.usage }
@@ -65,10 +74,10 @@ func (m *SimulatedModel) Complete(msgs []Message) (string, error) {
 // exclude it, and names it.
 func (m *SimulatedModel) promptAgentReply(v conversationView) string {
 	mod, err := parser.Parse(v.candidateSpec)
-	if err != nil || len(v.valuations) == 0 {
+	if err != nil || len(v.counterexamples) == 0 {
 		return focusMarker + " re-examine the fact constraints."
 	}
-	val := v.valuations[len(v.valuations)-1]
+	val := v.counterexamples[len(v.counterexamples)-1].valuation
 	model := aunit.Prepare(mod)
 	for i, f := range mod.Facts {
 		t := &aunit.Test{
@@ -102,13 +111,13 @@ func (m *SimulatedModel) repairReply(v conversationView, rng *rand.Rand) string 
 		return "I believe the problem lies in the constraint logic, though the " +
 			"specification is largely reasonable. Could you clarify the intended behaviour?"
 	}
-	mod, err := parser.Parse(v.originalSpec)
-	if err != nil {
+	c := m.conversation(v.originalSpec)
+	if c.mod == nil {
 		return "The specification does not parse; here is my best guess.\n" + v.originalSpec
 	}
-	proposals := m.generateProposals(mod, v, rng)
+	proposals := c.proposals(m, v, rng)
 	if len(proposals) == 0 {
-		return format(rng, m.FormatNoise, printer.Module(mod))
+		return format(rng, m.FormatNoise, c.printed)
 	}
 	pick := 0
 	if rng.Float64() < m.WildNoise && len(proposals) > 1 {
@@ -124,18 +133,122 @@ func (m *SimulatedModel) repairReply(v conversationView, rng *rand.Rand) string 
 	return format(rng, m.FormatNoise, proposals[pick].source)
 }
 
-// abstractEdit is a candidate repair before materialization: one or two
-// site replacements, or a conjunct drop.
-type abstractEdit struct {
-	edits   []siteRepl
-	dropAt  *mutation.Site
-	dropIdx int
-	score   float64
+// conversation returns the memo for the conversation about spec, replacing
+// a memo kept for a different spec.
+func (m *SimulatedModel) conversation(spec string) *conversationMemo {
+	if m.memo == nil || m.memo.spec != spec {
+		m.memo = newConversationMemo(spec)
+	}
+	return m.memo
 }
 
-type siteRepl struct {
-	site mutation.ScopedSite
-	repl ast.Expr
+// conversationMemo holds what a repair reply derives from the faulty spec
+// alone, so the later rounds of a conversation reuse it instead of
+// rebuilding it: the parse, the mutation engine and its candidates, the
+// normalized prior proposals, each shortlisted edit's printed source, and
+// each (edit, counterexample) verdict. Every entry is a pure function of its
+// key — the spec text, site and candidate indices in the memo's own engine,
+// a proposal's text, a counterexample's text — never of a position in the
+// transcript, so a model answers exactly as a fresh one would whatever
+// conversations interleave on it. The rng draws stay in the same order
+// whether an entry is computed or reused.
+type conversationMemo struct {
+	spec    string      // the original spec text: the memo's key
+	mod     *ast.Module // the parsed spec; nil when it does not parse
+	printed string      // mod printed, the normalized original
+	eng     *mutation.Engine
+	sites   []memoSite // parallel to eng.Sites()
+
+	normalized map[string]string // prior proposal -> normalizeSpec of it
+	edits      map[editKey]*builtEdit
+	verdicts   map[verdictKey]float64
+}
+
+// memoSite caches one engine site's strings and candidates, each built on
+// first use.
+type memoSite struct {
+	container string
+	site      string
+	cands     []ast.Expr
+	candsDone bool
+}
+
+// editKey names an abstract edit: candidate cand at site, then, for a pair,
+// candidate cand2 at site2 (site2 is -1 for a single edit); for a conjunct
+// drop, cand is the index of the conjunct dropped from the block at site.
+type editKey struct {
+	site, cand   int
+	site2, cand2 int
+	drop         bool
+}
+
+// builtEdit is a materialized edit; mod is nil when the edit does not apply.
+type builtEdit struct {
+	mod *ast.Module
+	src string // mod printed
+}
+
+type verdictKey struct {
+	edit editKey
+	cex  string // the counterexample's text
+}
+
+func newConversationMemo(spec string) *conversationMemo {
+	c := &conversationMemo{
+		spec:       spec,
+		normalized: map[string]string{},
+		edits:      map[editKey]*builtEdit{},
+		verdicts:   map[verdictKey]float64{},
+	}
+	mod, err := parser.Parse(spec)
+	if err != nil {
+		return c
+	}
+	c.mod = mod
+	c.printed = printer.Module(mod)
+	if eng, err := mutation.NewEngine(mod); err == nil {
+		c.eng = eng
+		c.sites = make([]memoSite, len(eng.Sites()))
+	}
+	return c
+}
+
+func (c *conversationMemo) container(i int) string {
+	if c.sites[i].container == "" {
+		c.sites[i].container = c.eng.Sites()[i].Container.String()
+	}
+	return c.sites[i].container
+}
+
+func (c *conversationMemo) siteString(i int) string {
+	if c.sites[i].site == "" {
+		c.sites[i].site = c.eng.Sites()[i].Site.String()
+	}
+	return c.sites[i].site
+}
+
+func (c *conversationMemo) candidates(i int) []ast.Expr {
+	ms := &c.sites[i]
+	if !ms.candsDone {
+		ms.cands = c.eng.Candidates(c.eng.Sites()[i], mutation.BudgetTemplates)
+		ms.candsDone = true
+	}
+	return ms.cands
+}
+
+func (c *conversationMemo) normalize(src string) string {
+	n, ok := c.normalized[src]
+	if !ok {
+		n = normalizeSpec(src)
+		c.normalized[src] = n
+	}
+	return n
+}
+
+// abstractEdit is a candidate repair before materialization.
+type abstractEdit struct {
+	key   editKey
+	score float64
 }
 
 // materializeWindow bounds how many candidates are fully built, printed,
@@ -143,21 +256,20 @@ type siteRepl struct {
 // the whole mutation space.
 const materializeWindow = 32
 
-// generateProposals enumerates candidate repairs with the model's pattern
-// prior, applies hint/focus restrictions and counterexample reasoning, and
-// returns them best-first, excluding previously proposed candidates.
+// proposals enumerates candidate repairs with the model's pattern prior,
+// applies hint/focus restrictions and counterexample reasoning, and returns
+// them best-first, excluding previously proposed candidates.
 //
 // Ranking happens in two phases for speed: all edits are scored abstractly
 // first, then only a shortlist is materialized into full specifications and
 // refined with counterexample reasoning.
-func (m *SimulatedModel) generateProposals(mod *ast.Module, v conversationView, rng *rand.Rand) []proposal {
-	eng, err := mutation.NewEngine(mod)
-	if err != nil {
+func (c *conversationMemo) proposals(m *SimulatedModel, v conversationView, rng *rand.Rand) []proposal {
+	if c.eng == nil {
 		return nil
 	}
-	prior := map[string]bool{normalizeSpec(v.originalSpec): true}
+	prior := map[string]bool{c.printed: true}
 	for _, p := range v.priorProposals {
-		prior[normalizeSpec(p)] = true
+		prior[c.normalize(p)] = true
 	}
 
 	// An explicit location hint pins the edit site; Prompt-Agent focus
@@ -169,7 +281,7 @@ func (m *SimulatedModel) generateProposals(mod *ast.Module, v conversationView, 
 	// relations it mentions are likelier fix sites.
 	var passRels map[string]bool
 	if v.passAssertion != "" {
-		if as := mod.LookupAssert(v.passAssertion); as != nil {
+		if as := c.mod.LookupAssert(v.passAssertion); as != nil {
 			passRels = map[string]bool{}
 			ast.Walk(as.Body, func(e ast.Expr) bool {
 				if id, ok := e.(*ast.Ident); ok {
@@ -186,32 +298,37 @@ func (m *SimulatedModel) generateProposals(mod *ast.Module, v conversationView, 
 	if noise > 1.4 {
 		noise = 1.4
 	}
+	type single struct {
+		key     editKey
+		pattern float64 // scoreEdit of the edit
+	}
 	var abstract []abstractEdit
-	var singles []siteRepl
-	for _, s := range eng.Sites() {
-		if restrict != "" && s.Container.String() != restrict {
+	var singles []single
+	for si, s := range c.eng.Sites() {
+		if restrict != "" && c.container(si) != restrict {
 			continue
 		}
 		passBoost := 0.0
 		if passRels != nil && mentionsRel(s.Node, passRels) {
 			passBoost = 0.8
 		}
-		if focus != "" && s.Container.String() == focus {
+		if focus != "" && c.container(si) == focus {
 			passBoost += 2.0
 		}
-		for _, c := range eng.Candidates(s, mutation.BudgetTemplates) {
-			score := scoreEdit(s.Node, c) + m.hintBoost(s, c, v) + passBoost + rng.Float64()*noise
-			e := siteRepl{site: s, repl: c}
-			abstract = append(abstract, abstractEdit{edits: []siteRepl{e}, score: score})
+		for ci, repl := range c.candidates(si) {
+			pattern := scoreEdit(s.Node, repl)
+			score := pattern + m.hintBoost(s, repl, v) + passBoost + rng.Float64()*noise
+			k := editKey{site: si, cand: ci, site2: -1}
+			abstract = append(abstract, abstractEdit{key: k, score: score})
 			if len(singles) < 32 {
-				singles = append(singles, e)
+				singles = append(singles, single{k, pattern})
 			}
 		}
 		if blk, ok := s.Node.(*ast.Block); ok && len(blk.Exprs) >= 2 {
-			site := s.Site
 			for i := range blk.Exprs {
 				abstract = append(abstract, abstractEdit{
-					dropAt: &site, dropIdx: i, score: 2.0 + rng.Float64()*noise,
+					key:   editKey{site: si, cand: i, site2: -1, drop: true},
+					score: 2.0 + rng.Float64()*noise,
 				})
 			}
 		}
@@ -226,14 +343,13 @@ func (m *SimulatedModel) generateProposals(mod *ast.Module, v conversationView, 
 		}
 		for i := 0; i < limit; i++ {
 			for j := i + 1; j < limit; j++ {
-				if singles[i].site.Site.String() == singles[j].site.Site.String() {
+				a, b := singles[i], singles[j]
+				if c.siteString(a.key.site) == c.siteString(b.key.site) {
 					continue
 				}
-				score := (scoreEdit(singles[i].site.Node, singles[i].repl) +
-					scoreEdit(singles[j].site.Node, singles[j].repl)) / 2.5
 				abstract = append(abstract, abstractEdit{
-					edits: []siteRepl{singles[i], singles[j]},
-					score: score + rng.Float64()*0.45,
+					key:   editKey{site: a.key.site, cand: a.key.cand, site2: b.key.site, cand2: b.key.cand},
+					score: (a.pattern+b.pattern)/2.5 + rng.Float64()*0.45,
 				})
 			}
 		}
@@ -261,16 +377,12 @@ func (m *SimulatedModel) generateProposals(mod *ast.Module, v conversationView, 
 			break
 		}
 		ae := abstract[i]
-		cand := m.materialize(eng, ae)
-		if cand == nil {
+		b := c.build(ae.key)
+		if b.mod == nil || prior[b.src] {
 			continue
 		}
-		src := printer.Module(cand)
-		if prior[src] {
-			continue
-		}
-		prior[src] = true
-		scored = append(scored, proposal{source: src, score: ae.score + m.cexAdjustment(cand, v, rng)})
+		prior[b.src] = true
+		scored = append(scored, proposal{source: b.src, score: ae.score + c.cexAdjustment(ae.key, b, v, rng)})
 	}
 
 	sort.SliceStable(scored, func(i, j int) bool {
@@ -282,20 +394,35 @@ func (m *SimulatedModel) generateProposals(mod *ast.Module, v conversationView, 
 	return scored
 }
 
-func (m *SimulatedModel) materialize(eng *mutation.Engine, ae abstractEdit) *ast.Module {
-	if ae.dropAt != nil {
-		mods, err := mutation.DropConjunct(eng.Mod, *ae.dropAt)
-		if err != nil || ae.dropIdx >= len(mods) {
+// build returns the edit materialized and printed, building it on first use.
+func (c *conversationMemo) build(k editKey) *builtEdit {
+	if b, ok := c.edits[k]; ok {
+		return b
+	}
+	b := &builtEdit{mod: c.materialize(k)}
+	if b.mod != nil {
+		b.src = printer.Module(b.mod)
+	}
+	c.edits[k] = b
+	return b
+}
+
+func (c *conversationMemo) materialize(k editKey) *ast.Module {
+	sites := c.eng.Sites()
+	s := sites[k.site]
+	if k.drop {
+		drops, err := mutation.DropConjunct(c.eng.Mod, s.Site)
+		if err != nil || k.cand >= len(drops) {
 			return nil
 		}
-		return mods[ae.dropIdx]
+		return drops[k.cand]
 	}
-	cand, err := eng.Apply(ae.edits[0].site.Site, ae.edits[0].repl)
+	cand, err := c.eng.Apply(s.Site, c.candidates(k.site)[k.cand])
 	if err != nil {
 		return nil
 	}
-	for _, e := range ae.edits[1:] {
-		cand, err = mutation.Apply(cand, e.site.Site, e.repl)
+	if k.site2 >= 0 {
+		cand, err = mutation.Apply(cand, sites[k.site2].Site, c.candidates(k.site2)[k.cand2])
 		if err != nil {
 			return nil
 		}
@@ -306,32 +433,42 @@ func (m *SimulatedModel) materialize(eng *mutation.Engine, ae abstractEdit) *ast
 // cexAdjustment penalizes candidates whose facts still admit a reported
 // counterexample — the reasoning step feedback enables. Like a real model,
 // it sometimes misreads the instance and skips the check, and the signal
-// nudges rather than dictates the ranking.
-func (m *SimulatedModel) cexAdjustment(cand *ast.Module, v conversationView, rng *rand.Rand) float64 {
-	if len(v.valuations) == 0 {
-		return 0
-	}
+// nudges rather than dictates the ranking. Verdicts are memoized per
+// (edit, counterexample text).
+func (c *conversationMemo) cexAdjustment(k editKey, b *builtEdit, v conversationView, rng *rand.Rand) float64 {
 	adj := 0.0
-	var model *aunit.Model // lowered on first use: misread valuations skip it
-	for _, val := range v.valuations {
+	var model *aunit.Model // lowered on first use: misread or judged counterexamples skip it
+	for _, cex := range v.counterexamples {
 		if rng.Float64() < 0.3 {
 			continue // misread the counterexample
 		}
-		if model == nil {
-			model = aunit.Prepare(cand)
+		vk := verdictKey{edit: k, cex: cex.text}
+		d, ok := c.verdicts[vk]
+		if !ok {
+			if model == nil {
+				model = aunit.Prepare(b.mod)
+			}
+			d = verdict(model, cex.valuation)
+			c.verdicts[vk] = d
 		}
-		t := &aunit.Test{Name: "model_probe", Valuation: val, Formula: aunit.FactsFormula, Expect: false}
-		r := model.Run(t)
-		if r.Err != nil {
-			continue
-		}
-		if !r.Passed {
-			adj -= 2.5 // candidate still accepts the counterexample
-		} else {
-			adj += 0.6
-		}
+		adj += d
 	}
 	return adj
+}
+
+// verdict scores a candidate against one counterexample: a penalty if its
+// facts still accept it, a small reward if they rule it out, nothing if the
+// check fails to run.
+func verdict(model *aunit.Model, valuation map[string][][]string) float64 {
+	t := &aunit.Test{Name: "model_probe", Valuation: valuation, Formula: aunit.FactsFormula, Expect: false}
+	switch r := model.Run(t); {
+	case r.Err != nil:
+		return 0
+	case !r.Passed:
+		return -2.5 // candidate still accepts the counterexample
+	default:
+		return 0.6
+	}
 }
 
 // hintBoost rewards candidates matching an explicit fix suggestion of the

@@ -98,19 +98,6 @@ func containerBody(mod *ast.Module, c Container) (ast.Expr, error) {
 	}
 }
 
-func setContainerBody(mod *ast.Module, c Container, body ast.Expr) {
-	switch c.Kind {
-	case InFact:
-		mod.Facts[c.Index].Body = body
-	case InPred:
-		mod.Preds[c.Index].Body = body
-	case InAssert:
-		mod.Asserts[c.Index].Body = body
-	case InFun:
-		mod.Funs[c.Index].Body = body
-	}
-}
-
 // Resolve returns the node at the site's path within mod.
 func Resolve(mod *ast.Module, s Site) (ast.Expr, error) {
 	cur, err := containerBody(mod, s.Container)
@@ -155,11 +142,16 @@ func Sites(mod *ast.Module) []Site {
 	return out
 }
 
-// Apply returns a fresh module with the node at the site replaced by repl.
-// The input module is not modified.
+// Apply returns a module with the node at the site replaced by repl. The
+// input module is not modified.
+//
+// The result is copy-on-write: it shares every paragraph except the edited
+// one with mod, and the edited paragraph's new body shares every subtree off
+// the edited path. That is sound because modules are immutable once built:
+// code that must rewrite a module in place (types.Check, types.Lower,
+// NewEngine) works on a Clone, and so must any new caller.
 func Apply(mod *ast.Module, s Site, repl ast.Expr) (*ast.Module, error) {
-	out := mod.Clone()
-	body, err := containerBody(out, s.Container)
+	body, err := containerBody(mod, s.Container)
 	if err != nil {
 		return nil, err
 	}
@@ -167,8 +159,35 @@ func Apply(mod *ast.Module, s Site, repl ast.Expr) (*ast.Module, error) {
 	if err != nil {
 		return nil, fmt.Errorf("site %v: %w", s, err)
 	}
-	setContainerBody(out, s.Container, newBody)
-	return out, nil
+	out := *mod
+	i := s.Container.Index
+	switch s.Container.Kind {
+	case InFact:
+		f := *mod.Facts[i]
+		f.Body = newBody
+		out.Facts = replaceParagraph(mod.Facts, i, &f)
+	case InPred:
+		p := *mod.Preds[i]
+		p.Body = newBody
+		out.Preds = replaceParagraph(mod.Preds, i, &p)
+	case InAssert:
+		a := *mod.Asserts[i]
+		a.Body = newBody
+		out.Asserts = replaceParagraph(mod.Asserts, i, &a)
+	case InFun:
+		fn := *mod.Funs[i]
+		fn.Body = newBody
+		out.Funs = replaceParagraph(mod.Funs, i, &fn)
+	}
+	return &out, nil
+}
+
+// replaceParagraph returns a copy of list with element i replaced, leaving
+// list itself untouched.
+func replaceParagraph[T any](list []*T, i int, p *T) []*T {
+	out := append([]*T(nil), list...)
+	out[i] = p
+	return out
 }
 
 // replaceAt rebuilds the expression with the node at path replaced.

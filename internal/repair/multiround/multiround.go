@@ -77,6 +77,11 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	if t.opts.Client == nil {
 		return out, fmt.Errorf("multi-round: no LLM client configured")
 	}
+	// A client that keeps state for the conversation in progress (the
+	// simulated model's memo) releases it when this repair is over.
+	if e, ok := t.opts.Client.(interface{ EndConversation() }); ok {
+		defer e.EndConversation()
+	}
 
 	an := t.an.WithContext(ctx)
 

@@ -89,6 +89,11 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	if t.opts.Client == nil {
 		return out, fmt.Errorf("single-round: no LLM client configured")
 	}
+	// A client that keeps state for the conversation in progress (the
+	// simulated model's memo) releases it when this repair is over.
+	if e, ok := t.opts.Client.(interface{ EndConversation() }); ok {
+		defer e.EndConversation()
+	}
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}

@@ -56,10 +56,10 @@ type inproc struct {
 	nvars  int
 	frozen []bool
 
-	cls  []ipClause
-	occ  [][]int // literal -> clause indices (may contain stale entries)
-	asg  []Tribool
-	elim []bool
+	cls   []ipClause
+	occ   [][]int // literal -> clause indices (may contain stale entries)
+	asg   []Tribool
+	elim  []bool
 	unsat bool
 
 	units []Lit // propagation queue
