@@ -53,7 +53,7 @@ func run(args []string) error {
 	an := analyzer.New(analyzer.Options{MaxConflicts: *maxConflicts})
 	switch verb {
 	case "parse":
-		if _, err := types.Check(mod.Clone()); err != nil {
+		if _, err := types.Check(mod); err != nil {
 			return fmt.Errorf("type checking: %w", err)
 		}
 		fmt.Print(printer.Module(mod))

@@ -59,19 +59,12 @@ type Field struct {
 	Decls []*ast.Decl
 }
 
-// IdentKind classifies what an identifier resolved to.
-type IdentKind int
-
-// Identifier kinds.
-const (
-	KindVar IdentKind = iota + 1
-	KindSig
-	KindField
-	KindInt
-)
-
 // Info is the result of checking a module.
 type Info struct {
+	// Module is the checked module with its signature facts desugared: the
+	// input itself when it has none, otherwise a copy that shares every
+	// paragraph except the signatures that carried a fact, and appends one
+	// "S$fact" fact per such signature name.
 	Module *ast.Module
 	Sigs   map[string]*ast.Sig
 	// SigOrder lists signature names in declaration order.
@@ -79,10 +72,9 @@ type Info struct {
 	Fields   map[string]*Field
 	// FieldOrder lists field names in first-declaration order.
 	FieldOrder []string
-	// TypeOf maps every checked expression node to its type.
+	// TypeOf maps every checked expression node of Module to its type. Only
+	// CheckTyped fills it; it is nil after Check and Lower.
 	TypeOf map[ast.Expr]Type
-	// KindOf classifies every resolved identifier node.
-	KindOf map[*ast.Ident]IdentKind
 	// Primed lists the names of relations that appear primed anywhere in
 	// the module; the analyzer allocates shadow relations for them.
 	Primed map[string]bool
@@ -112,29 +104,39 @@ func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 	c.errs = append(c.errs, &CheckError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-// Check resolves and arity-checks the module in place. Bracket applications
-// of predicates and functions are rewritten to Call nodes and appended
-// signature facts are desugared into ordinary facts, so the returned Info's
-// Module may differ structurally from the input for those constructs. Pass a
-// clone if the original must stay untouched.
+// Check resolves and arity-checks the module. It never modifies mod:
+// appended signature facts are desugared into the returned Info's Module
+// (see Info.Module), and bracket applications of predicates and functions
+// are left as they are (Lower rewrites them into Call nodes).
 func Check(mod *ast.Module) (*Info, error) {
+	return check(mod, nil)
+}
+
+// CheckTyped is Check that also records the type of every expression node
+// in Info.TypeOf, for callers that read per-node types.
+func CheckTyped(mod *ast.Module) (*Info, error) {
+	return check(mod, map[ast.Expr]Type{})
+}
+
+// check runs the checker; a non-nil typeOf switches on per-node recording.
+func check(mod *ast.Module, typeOf map[ast.Expr]Type) (*Info, error) {
 	c := &checker{
 		mod: mod,
 		info: &Info{
 			Module: mod,
 			Sigs:   map[string]*ast.Sig{},
 			Fields: map[string]*Field{},
-			TypeOf: map[ast.Expr]Type{},
-			KindOf: map[*ast.Ident]IdentKind{},
+			TypeOf: typeOf,
 			Primed: map[string]bool{},
 		},
 	}
 	c.collectSigs()
 	c.collectFields()
-	c.desugarSigFacts()
 	if len(c.errs) > 0 {
+		// Desugaring walks extends chains, which may be cyclic here.
 		return c.info, errors.Join(c.errs...)
 	}
+	c.desugarSigFacts()
 	c.checkParagraphs()
 	if len(c.errs) > 0 {
 		return c.info, errors.Join(c.errs...)
@@ -215,11 +217,19 @@ func (c *checker) collectFields() {
 
 // desugarSigFacts rewrites each appended signature fact into an ordinary
 // fact "all this: S | body", with bare references to S's own fields f
-// replaced by this.f.
+// replaced by this.f. The input module is left alone: the result is a copy
+// with its own Sigs and Facts slices and a fact-less copy of each such
+// signature, which becomes c.mod and Info.Module.
 func (c *checker) desugarSigFacts() {
-	for _, s := range c.mod.Sigs {
+	var sigs []*ast.Sig
+	var facts []*ast.Fact
+	for i, s := range c.mod.Sigs {
 		if s.Fact == nil {
 			continue
+		}
+		if sigs == nil {
+			sigs = append([]*ast.Sig(nil), c.mod.Sigs...)
+			facts = append([]*ast.Fact(nil), c.mod.Facts...)
 		}
 		own := map[string]bool{}
 		for cur := s; cur != nil; cur = c.info.Sigs[cur.Parent] {
@@ -258,10 +268,23 @@ func (c *checker) desugarSigFacts() {
 				},
 				FactPos: s.Pos(),
 			}
-			c.mod.Facts = append(c.mod.Facts, fact)
+			facts = append(facts, fact)
 		}
-		s.Fact = nil
+		bare := *s
+		bare.Fact = nil
+		sigs[i] = &bare
+		for _, name := range s.Names {
+			if c.info.Sigs[name] == s {
+				c.info.Sigs[name] = &bare
+			}
+		}
 	}
+	if sigs == nil {
+		return
+	}
+	mod := *c.mod
+	mod.Sigs, mod.Facts = sigs, facts
+	c.mod, c.info.Module = &mod, &mod
 }
 
 func (c *checker) checkParagraphs() {
@@ -333,7 +356,9 @@ func copyEnv(env map[string]Type) map[string]Type {
 
 func (c *checker) checkExpr(e ast.Expr, env map[string]Type) Type {
 	t := c.check(e, env)
-	c.info.TypeOf[e] = t
+	if c.info.TypeOf != nil {
+		c.info.TypeOf[e] = t
+	}
 	return t
 }
 
@@ -341,20 +366,15 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 	switch x := e.(type) {
 	case *ast.Ident:
 		if t, ok := env[x.Name]; ok {
-			c.info.KindOf[x] = KindVar
 			return t
 		}
-		if s, ok := c.info.Sigs[x.Name]; ok {
-			_ = s
-			c.info.KindOf[x] = KindSig
+		if _, ok := c.info.Sigs[x.Name]; ok {
 			return Rel(1)
 		}
 		if f, ok := c.info.Fields[x.Name]; ok {
-			c.info.KindOf[x] = KindField
 			return Rel(f.Arity)
 		}
 		if x.Name == "Int" {
-			c.info.KindOf[x] = KindInt
 			return Rel(1)
 		}
 		c.errorf(x.Pos(), "unresolved name %q", x.Name)
@@ -375,7 +395,10 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 			return c.checkExpr(x.Sub, env)
 		}
 		t := c.checkExpr(x.Sub, env)
-		if c.info.KindOf[id] == KindField || c.info.KindOf[id] == KindSig {
+		_, isVar := env[id.Name]
+		_, isSig := c.info.Sigs[id.Name]
+		_, isField := c.info.Fields[id.Name]
+		if !isVar && (isSig || isField) {
 			c.info.Primed[id.Name] = true
 		} else {
 			c.errorf(x.Pos(), "prime (') applies only to signatures and fields, not %q", id.Name)
@@ -390,11 +413,11 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 		if id, ok := x.Target.(*ast.Ident); ok {
 			if _, isVar := env[id.Name]; !isVar {
 				if p := c.mod.LookupPred(id.Name); p != nil {
-					return c.checkApply(e, id, x.Args, len(flatParams(p.Params)), env, FormulaType)
+					return c.checkApply(id, x.Args, len(flatParams(p.Params)), env, FormulaType)
 				}
 				if f := c.mod.LookupFun(id.Name); f != nil {
 					rt := c.checkExpr(f.Result, map[string]Type{})
-					return c.checkApply(e, id, x.Args, len(flatParams(f.Params)), env, rt)
+					return c.checkApply(id, x.Args, len(flatParams(f.Params)), env, rt)
 				}
 			}
 		}
@@ -503,12 +526,10 @@ func flatParams(params []*ast.Decl) []string {
 	return names
 }
 
-// checkApply validates a pred/fun application and rewrites the BoxJoin into
-// a Call in the surrounding tree. Since the rewrite happens where the parent
-// holds the BoxJoin, we instead record the Call's type against the original
-// node and patch via RewriteCalls after checking; to keep a single pass, the
-// caller stores the type and the lowering rewrite happens in RewriteCalls.
-func (c *checker) checkApply(orig ast.Expr, id *ast.Ident, args []ast.Expr, want int, env map[string]Type, result Type) Type {
+// checkApply validates a bracket application of a predicate or function and
+// returns its result type. The BoxJoin node itself stays; Lower's
+// RewriteCalls turns it into a Call.
+func (c *checker) checkApply(id *ast.Ident, args []ast.Expr, want int, env map[string]Type, result Type) Type {
 	if len(args) != want {
 		c.errorf(id.Pos(), "%s expects %d arguments, got %d", id.Name, want, len(args))
 	}
@@ -518,7 +539,6 @@ func (c *checker) checkApply(orig ast.Expr, id *ast.Ident, args []ast.Expr, want
 			c.errorf(a.Pos(), "argument to %s must be an expression", id.Name)
 		}
 	}
-	_ = orig
 	return result
 }
 
@@ -541,38 +561,46 @@ func RewriteCalls(mod *ast.Module, expr ast.Expr) ast.Expr {
 	})
 }
 
-// Lower clones mod, desugars signature facts, rewrites pred/fun bracket
-// applications into Call nodes everywhere, checks the result, and returns
-// the lowered module with its Info.
+// Lower desugars signature facts, rewrites pred/fun bracket applications
+// into Call nodes everywhere, checks the result, and returns the lowered
+// module with its Info. It never modifies mod: a paragraph is copied only
+// when its body holds a call or it is a signature with a fact, and every
+// other paragraph of the lowered module is mod's own, by pointer.
 func Lower(mod *ast.Module) (*ast.Module, *Info, error) {
-	low := mod.Clone()
-	for _, f := range low.Facts {
-		f.Body = RewriteCalls(low, f.Body)
-	}
-	for _, p := range low.Preds {
-		p.Body = RewriteCalls(low, p.Body)
-	}
-	for _, fn := range low.Funs {
-		fn.Body = RewriteCalls(low, fn.Body)
-	}
-	for _, a := range low.Asserts {
-		a.Body = RewriteCalls(low, a.Body)
-	}
-	for _, s := range low.Sigs {
-		if s.Fact != nil {
-			s.Fact = RewriteCalls(low, s.Fact)
-		}
-	}
-	for _, cmd := range low.Commands {
-		if cmd.Block != nil {
-			cmd.Block = RewriteCalls(low, cmd.Block)
-		}
-	}
-	info, err := Check(low)
+	low := *mod
+	low.Sigs = lowerEach(mod, mod.Sigs, func(s *ast.Sig) *ast.Expr { return &s.Fact })
+	low.Facts = lowerEach(mod, mod.Facts, func(f *ast.Fact) *ast.Expr { return &f.Body })
+	low.Preds = lowerEach(mod, mod.Preds, func(p *ast.Pred) *ast.Expr { return &p.Body })
+	low.Funs = lowerEach(mod, mod.Funs, func(fn *ast.Fun) *ast.Expr { return &fn.Body })
+	low.Asserts = lowerEach(mod, mod.Asserts, func(a *ast.Assert) *ast.Expr { return &a.Body })
+	low.Commands = lowerEach(mod, mod.Commands, func(cmd *ast.Command) *ast.Expr { return &cmd.Block })
+	info, err := Check(&low)
 	if err != nil {
 		return nil, nil, err
 	}
-	return low, info, nil
+	return info.Module, info, nil
+}
+
+// lowerEach returns list with every paragraph whose body (the field that
+// body points into) holds a call replaced by a copy with the calls
+// rewritten. The list is copied on the first replacement; neither it nor
+// its paragraphs are written.
+func lowerEach[T any](mod *ast.Module, list []*T, body func(*T) *ast.Expr) []*T {
+	out, copied := list, false
+	for i, p := range list {
+		old := *body(p)
+		rewritten := RewriteCalls(mod, old)
+		if rewritten == old {
+			continue
+		}
+		if !copied {
+			out, copied = append([]*T(nil), list...), true
+		}
+		np := *p
+		*body(&np) = rewritten
+		out[i] = &np
+	}
+	return out
 }
 
 // checkUnary and checkBinary are split out to keep check readable.

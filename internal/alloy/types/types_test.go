@@ -74,9 +74,9 @@ pred ok[x: A] {
 run ok for 3
 `
 	mod := mustParse(t, src)
-	info, err := Check(mod)
+	info, err := CheckTyped(mod)
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckTyped: %v", err)
 	}
 	pred := mod.LookupPred("ok")
 	blk := pred.Body.(*ast.Block)
@@ -103,6 +103,7 @@ func TestCheckErrors(t *testing.T) {
 		{"closure unary", `sig A {} fact { some ^A } run {} for 2`, "binary relation"},
 		{"bad parent", `sig A extends Nope {} run {} for 2`, "unknown parent"},
 		{"cycle", `sig A extends B {} sig B extends A {} run {} for 2`, "cycle"},
+		{"cycle with sig fact", `sig A extends B {} { some A } sig B extends A {} run {} for 2`, "cycle"},
 		{"dup sig", `sig A {} sig A {} run {} for 2`, "duplicate signature"},
 		{"formula operand", `sig A {} fact { (some A) + A } run {} for 2`, ""},
 		{"int compare rel", `sig A {} fact { A > A } run {} for 2`, "Int operands"},

@@ -68,9 +68,9 @@ func (t *Test) Run(mod *ast.Module) Result {
 }
 
 // Model is a module lowered once for running tests against it. Lowering
-// clones and type-checks the whole module, and it is the same for every
-// test, so a suite run pays for it once. Evaluation only reads the lowered
-// module, so one Model may run any number of tests.
+// type-checks the whole module, and it is the same for every test, so a
+// suite run pays for it once. Evaluation only reads the lowered module, so
+// one Model may run any number of tests.
 type Model struct {
 	low  *ast.Module
 	info *types.Info

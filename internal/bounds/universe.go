@@ -132,16 +132,32 @@ func (ts TupleSet) Contains(t Tuple) bool {
 	return ok
 }
 
-// Tuples returns the tuples in deterministic (sorted-key) order.
-func (ts TupleSet) Tuples() []Tuple {
+// sortedKeys returns the tuple keys in ascending order.
+func (ts TupleSet) sortedKeys() []uint64 {
 	keys := make([]uint64, 0, len(ts.set))
 	for k := range ts.set {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+// Tuples returns the tuples in deterministic (sorted-key) order.
+func (ts TupleSet) Tuples() []Tuple {
+	keys := ts.sortedKeys()
 	out := make([]Tuple, len(keys))
 	for i, k := range keys {
 		out[i] = KeyToTuple(k)
+	}
+	return out
+}
+
+// Singletons returns one single-tuple set per tuple of ts, in Tuples order.
+func (ts TupleSet) Singletons() []TupleSet {
+	keys := ts.sortedKeys()
+	out := make([]TupleSet, len(keys))
+	for i, k := range keys {
+		out[i] = TupleSet{arity: ts.arity, set: map[uint64]struct{}{k: {}}}
 	}
 	return out
 }

@@ -428,6 +428,9 @@ func (ev *Evaluator) bindings(decls []*ast.Decl, env Env, fn func(Env) (bool, er
 			flat = append(flat, b)
 		}
 	}
+	// Each level copies its env once and rebinds its own name per tuple: fn
+	// and deeper levels read the copy but never keep or write it, and a
+	// deeper level that shadows the name writes its own copy.
 	var rec func(i int, env Env) (bool, error)
 	rec = func(i int, env Env) (bool, error) {
 		if i == len(flat) {
@@ -438,9 +441,8 @@ func (ev *Evaluator) bindings(decls []*ast.Decl, env Env, fn func(Env) (bool, er
 		if err != nil {
 			return false, err
 		}
-		for _, t := range dom.Tuples() {
-			single := bounds.NewTupleSet(dom.Arity())
-			single.Add(t)
+		var inner Env
+		for _, single := range dom.Singletons() {
 			if len(b.disj) > 0 {
 				distinct := true
 				for _, other := range b.disj {
@@ -453,7 +455,9 @@ func (ev *Evaluator) bindings(decls []*ast.Decl, env Env, fn func(Env) (bool, er
 					continue
 				}
 			}
-			inner := env.clone()
+			if inner == nil {
+				inner = env.clone()
+			}
 			inner[b.name] = single
 			cont, err := rec(i+1, inner)
 			if err != nil || !cont {

@@ -102,6 +102,34 @@ func TestEvalFormulas(t *testing.T) {
 		{"#{n: Node | some n.next} = 2", true},
 		{"univ = Node", true},
 		{"iden & next = none -> none", true},
+		// Quantifier bindings. A nested quantifier that shadows an outer
+		// name binds its own copy: the outer n is intact afterwards, and
+		// the inner domain sees the outer value.
+		{"all n: Mark | (some n: Node | no n.next) and n in Mark", true},
+		{"all n: Node | some n: n.next | n not in Mark", false},
+		{"all n: Node - Mark | one n: n.~next | n in Node", true},
+		// A later declaration's domain reads an earlier variable.
+		{"all x: Node, y: x.next | y in x.^next", true},
+		{"all x: Node, y: x.next | x in Mark", false},
+		{"some x: Node, y: x.next | no y.next", true},
+		{"#{x: Node, y: x.next | some y.next} = 1", true},
+		// disj skips assignments that repeat an earlier name's value.
+		{"some disj a, b: Node | b in a.next", true},
+		{"some disj a, b: Node | a in b.next and b in a.next", false},
+		{"no disj a, b: Mark | a = a", true},
+		{"some a, b: Mark | a = b", true},
+		{"#{disj a, b: Node | a in Node} = 6", true},
+		// Two-variable comprehensions.
+		{"{a: Node, b: Node | b in a.next} = next", true},
+		{"#{a: Node, b: a.^next | a in Mark} = 2", true},
+		{"{a: Mark, b: Node | b in a.next} = Mark -> Mark.next", true},
+		// Early stops. Domains are visited in atom order, so each of these
+		// decides on Node$0 and Node$1 before Node$2, whose body would
+		// fail on the unbound name Bogus.
+		{"lone n: Node | (no n.next) implies some Bogus else some n.next", false},
+		{"one n: Node | (no n.next) implies some Bogus else some n.next", false},
+		{"some n: Node | (no n.next) implies some Bogus else some n.next", true},
+		{"no n: Node | (no n.next) implies some Bogus else some n.next", false},
 	}
 	for _, tt := range tests {
 		if got := evalBool(t, ev, tt.src); got != tt.want {

@@ -11,7 +11,9 @@ import (
 // Engine enumerates sites with scope information and generates candidate
 // replacement expressions using the module's checked types.
 type Engine struct {
-	// Mod is the engine's private checked clone of the input module.
+	// Mod is the checked input module with its signature facts desugared
+	// (types.Info.Module). It shares paragraphs with the input, so like
+	// every module it must not be modified.
 	Mod  *ast.Module
 	Info *types.Info
 	// sites caches the enumeration.
@@ -30,15 +32,14 @@ type ScopedSite struct {
 	Arity int
 }
 
-// NewEngine clones and checks mod. It returns an error when the module does
-// not type-check (nothing can be mutated soundly then).
+// NewEngine type-checks mod, recording per-node types. It returns an error
+// when the module does not type-check (nothing can be mutated soundly then).
 func NewEngine(mod *ast.Module) (*Engine, error) {
-	clone := mod.Clone()
-	info, err := types.Check(clone)
+	info, err := types.CheckTyped(mod)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{Mod: clone, Info: info}
+	e := &Engine{Mod: info.Module, Info: info}
 	e.enumerate()
 	return e, nil
 }

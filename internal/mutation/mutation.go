@@ -148,8 +148,8 @@ func Sites(mod *ast.Module) []Site {
 // The result is copy-on-write: it shares every paragraph except the edited
 // one with mod, and the edited paragraph's new body shares every subtree off
 // the edited path. That is sound because modules are immutable once built:
-// code that must rewrite a module in place (types.Check, types.Lower,
-// NewEngine) works on a Clone, and so must any new caller.
+// types.Check, types.Lower and NewEngine build copies where they desugar or
+// rewrite, and no caller modifies a module it did not just allocate.
 func Apply(mod *ast.Module, s Site, repl ast.Expr) (*ast.Module, error) {
 	body, err := containerBody(mod, s.Container)
 	if err != nil {

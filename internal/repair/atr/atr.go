@@ -131,11 +131,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	if err != nil {
 		return out, err
 	}
-	low, _, err := types.Lower(p.Faulty)
-	if err != nil {
-		return out, err
-	}
-	_ = low
 
 	// Candidate sites: those mentioning a suspicious relation first, the
 	// rest after — the diff localizes, the template budget extends.
@@ -183,7 +178,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 				continue
 			}
 			seen[key] = true
-			if _, err := types.Check(candMod.Clone()); err != nil {
+			if _, err := types.Check(candMod); err != nil {
 				continue
 			}
 			if !t.survivesPruning(candMod, pairs) {

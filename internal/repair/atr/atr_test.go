@@ -1,0 +1,85 @@
+package atr_test
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+
+	"specrepair/internal/alloy/printer"
+	"specrepair/internal/bench"
+	"specrepair/internal/repair/atr"
+)
+
+// scale40Spec returns the named entry of the scale-40 A4F, ARepair or SYN
+// corpus.
+func scale40Spec(t *testing.T, g *bench.Generator, name string) *bench.Spec {
+	t.Helper()
+	for _, gen := range []func() (*bench.Suite, error){g.Alloy4Fun, g.ARepair, g.Synthetic} {
+		suite, err := gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range suite.Specs {
+			if sp.Name == name {
+				return sp
+			}
+		}
+	}
+	t.Fatalf("no scale-40 benchmark entry %q", name)
+	return nil
+}
+
+// TestRepairPinned pins ATR's outcome and effort on fixed benchmark entries
+// (A4F, ARepair, SYN, and one the template space cannot repair): whether it
+// repaired, a digest of the printed candidate with the lines it changed,
+// the candidates validated and the analyzer calls. A change to how
+// candidates are built, gated or pruned must not move any of them.
+func TestRepairPinned(t *testing.T) {
+	g := bench.NewGenerator(nil)
+	g.Scale = 40
+	for _, tc := range []struct {
+		spec         string
+		repaired     bool
+		tried, calls int
+		digest, edit string
+	}{
+		{"classroom/0000", true, 1, 15, "9a8a1be40e0e0846", "all t: Teacher, c: Class | c in teaches.t or t in c.assigned"},
+		{"bempl/0000", true, 149, 152, "17f22f2c76910c00", "all e, m: Employee | e in m.manages implies Branch = m.worksFor"},
+		{"library/0000", true, 9, 22, "8bcd71b4a459502d", "all m: Member, b: Book | b in m.waitlist implies some b.heldBy - m"},
+		{"addr/0000", false, 8, 11, "", ""},
+	} {
+		sp := scale40Spec(t, g, tc.spec)
+		out, err := atr.New(atr.Options{}).Repair(context.Background(), sp.Problem())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		digest, edit := "", ""
+		if out.Candidate != nil {
+			digest, edit = candidateDiff(printer.Module(sp.Faulty), printer.Module(out.Candidate))
+		}
+		if out.Repaired != tc.repaired || out.Stats.CandidatesTried != tc.tried || out.Stats.AnalyzerCalls != tc.calls ||
+			digest != tc.digest || edit != tc.edit {
+			t.Errorf("%s: repaired %v, tried %d, calls %d, candidate %s %q; want %v, %d, %d, %s %q",
+				tc.spec, out.Repaired, out.Stats.CandidatesTried, out.Stats.AnalyzerCalls, digest, edit,
+				tc.repaired, tc.tried, tc.calls, tc.digest, tc.edit)
+		}
+	}
+}
+
+// candidateDiff returns the first 16 hex digits of the candidate's SHA-256
+// and the trimmed candidate lines the faulty spec does not contain.
+func candidateDiff(faulty, cand string) (string, string) {
+	orig := map[string]bool{}
+	for _, l := range strings.Split(faulty, "\n") {
+		orig[l] = true
+	}
+	var edit []string
+	for _, l := range strings.Split(cand, "\n") {
+		if !orig[l] {
+			edit = append(edit, strings.TrimSpace(l))
+		}
+	}
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(cand)))[:16], strings.Join(edit, "\n")
+}

@@ -148,7 +148,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	oracle := an.Evaluator(p.Faulty)
 
 	// Breadth-first over mutation depth: each frontier entry is a module.
-	frontier := []*ast.Module{p.Faulty.Clone()}
+	frontier := []*ast.Module{p.Faulty}
 	seen := map[string]bool{printer.Module(p.Faulty): true}
 
 	// One trace span per BFS depth; candidate evaluations nest under the
@@ -191,7 +191,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 						continue
 					}
 					seen[key] = true
-					if _, err := types.Check(cand.Clone()); err != nil {
+					if _, err := types.Check(cand); err != nil {
 						continue
 					}
 					// Counterexample screening.
