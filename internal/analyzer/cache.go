@@ -21,7 +21,8 @@ import (
 // is a pure function of the key's preimage: serving it from the cache is
 // indistinguishable from recomputing it, which keeps shared concurrent use
 // deterministic regardless of which worker fills an entry first. Instances
-// are cloned on store and on load; cached values are never mutated.
+// are cloned on store and on load (a copy of the relation map; tuple sets
+// are immutable and shared); cached values are never mutated.
 
 // cachedResult is the module-independent part of one command's Result.
 type cachedResult struct {

@@ -8,6 +8,7 @@ package aunit
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/parser"
@@ -22,7 +23,9 @@ import (
 // by their own facts, exactly like an AUnit run command would be.
 const FactsFormula = "$facts"
 
-// Test is one AUnit test case.
+// Test is one AUnit test case. Its first run resolves the valuation and
+// every later run, against any model and from any goroutine, reuses it, so
+// a test must not be modified after its first run.
 type Test struct {
 	Name string `json:"name"`
 	// Valuation maps relation names to tuples of atom names. Relations of
@@ -34,6 +37,64 @@ type Test struct {
 	Formula string `json:"formula"`
 	// Expect is the required outcome of Formula under Valuation.
 	Expect bool `json:"expect"`
+
+	resolved atomic.Pointer[valuation]
+}
+
+// valuation is a test's Valuation resolved over its own universe. A
+// relation valued with no tuples is held as an empty set of unspecified
+// arity: Instance gives it the arity of the model it runs against.
+type valuation struct {
+	universe *bounds.Universe
+	rels     map[string]bounds.TupleSet
+	err      error
+}
+
+// prepared returns the test's resolved valuation, resolving it on first
+// use. Concurrent first runs may each resolve it; they build equal values,
+// and whichever is published last is kept.
+func (t *Test) prepared() *valuation {
+	if v := t.resolved.Load(); v != nil {
+		return v
+	}
+	v := t.resolve()
+	t.resolved.Store(v)
+	return v
+}
+
+func (t *Test) resolve() *valuation {
+	// Universe: all atoms mentioned anywhere in the valuation, sorted for
+	// determinism.
+	atomSet := map[string]bool{}
+	for _, tuples := range t.Valuation {
+		for _, tu := range tuples {
+			for _, a := range tu {
+				atomSet[a] = true
+			}
+		}
+	}
+	atoms := make([]string, 0, len(atomSet))
+	for a := range atomSet {
+		atoms = append(atoms, a)
+	}
+	sort.Strings(atoms)
+	u, err := bounds.NewUniverse(atoms)
+	if err != nil {
+		return &valuation{err: fmt.Errorf("test %s: %w", t.Name, err)}
+	}
+	rels := make(map[string]bounds.TupleSet, len(t.Valuation))
+	for name, tuples := range t.Valuation {
+		var ts bounds.TupleSet
+		for _, tu := range tuples {
+			idx := make(bounds.Tuple, len(tu))
+			for i, a := range tu {
+				idx[i] = u.IndexOf(a)
+			}
+			ts.Add(idx)
+		}
+		rels[name] = ts
+	}
+	return &valuation{universe: u, rels: rels}
 }
 
 // Result is the outcome of running one test.
@@ -117,63 +178,42 @@ func (m *Model) RunAll(s *Suite) ([]Result, int) {
 // Instance materializes the test's valuation as a concrete instance over
 // the model's relations (absent relations are empty).
 func (t *Test) Instance(info *types.Info) (*instance.Instance, error) {
-	// Universe: all atoms mentioned anywhere in the valuation, sorted for
-	// determinism.
-	atomSet := map[string]bool{}
-	for _, tuples := range t.Valuation {
-		for _, tu := range tuples {
-			for _, a := range tu {
-				atomSet[a] = true
-			}
+	v := t.prepared()
+	if v.err != nil {
+		return nil, v.err
+	}
+	rels := make(map[string]bounds.TupleSet, len(info.SigOrder)+len(info.FieldOrder)+len(info.Primed)+len(v.rels))
+	// Every model relation is bound, with its checked arity unless the
+	// valuation gives it tuples, so the evaluator never sees an unbound name.
+	seed := func(name string, arity int) {
+		if ts := v.rels[name]; !ts.IsEmpty() {
+			rels[name] = ts
+		} else {
+			rels[name] = bounds.NewTupleSet(arity)
 		}
 	}
-	atoms := make([]string, 0, len(atomSet))
-	for a := range atomSet {
-		atoms = append(atoms, a)
-	}
-	sort.Strings(atoms)
-	u, err := bounds.NewUniverse(atoms)
-	if err != nil {
-		return nil, fmt.Errorf("test %s: %w", t.Name, err)
-	}
-
-	inst := instance.New(u)
-	// Seed every model relation as empty with its checked arity, so the
-	// evaluator never sees an unbound name.
 	for _, name := range info.SigOrder {
-		inst.Rels[name] = bounds.NewTupleSet(1)
+		seed(name, 1)
 	}
 	for _, name := range info.FieldOrder {
-		inst.Rels[name] = bounds.NewTupleSet(info.Fields[name].Arity)
+		seed(name, info.Fields[name].Arity)
 	}
 	for name := range info.Primed {
 		if f, ok := info.Fields[name]; ok {
-			inst.Rels[name+"'"] = bounds.NewTupleSet(f.Arity)
+			seed(name+"'", f.Arity)
 		} else {
-			inst.Rels[name+"'"] = bounds.NewTupleSet(1)
+			seed(name+"'", 1)
 		}
 	}
-	for name, tuples := range t.Valuation {
-		var arity int
-		switch {
-		case len(tuples) > 0:
-			arity = len(tuples[0])
-		case inst.Rels[name].Arity() > 0:
-			arity = inst.Rels[name].Arity()
-		default:
-			arity = 1
-		}
-		ts := bounds.NewTupleSet(arity)
-		for _, tu := range tuples {
-			idx := make(bounds.Tuple, len(tu))
-			for i, a := range tu {
-				idx[i] = u.IndexOf(a)
+	for name, ts := range v.rels {
+		if _, ok := rels[name]; !ok {
+			if ts.IsEmpty() {
+				ts = bounds.NewTupleSet(1)
 			}
-			ts.Add(idx)
+			rels[name] = ts
 		}
-		inst.Rels[name] = ts
 	}
-	return inst, nil
+	return &instance.Instance{Universe: v.universe, Rels: rels}, nil
 }
 
 func (m *Model) eval(t *Test) (bool, error) {

@@ -2,83 +2,133 @@ package bounds
 
 import "fmt"
 
+// The operations below work on packed keys directly: atom i of a tuple is
+// the 8-bit lane i of its key (holding the atom index plus one) and the
+// arity is the top byte, so ascending keys order tuples by their last atom
+// first. Operations whose output is not a sorted subsequence of an operand
+// collect keys and normalise them once through FromKeys.
+
+// header returns the arity byte of a key of the given arity.
+func header(arity int) uint64 { return uint64(arity) << 56 }
+
+// lanes returns the mask of the n lowest atom lanes.
+func lanes(n int) uint64 { return 1<<(8*n) - 1 }
+
+// lane returns atom lane i of a key (atom index plus one).
+func lane(k uint64, i int) uint64 { return k >> (8 * i) & 0xff }
+
+// mergeKeys returns the sorted union of two ascending key slices. When one
+// side is empty it returns the other without copying.
+func mergeKeys(a, b []uint64) []uint64 {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]uint64, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// sieve returns, in order, the keys of a that are (in) or are not (!in)
+// keys of b. Both slices ascend, so one merge pass decides every key.
+func sieve(a, b []uint64, in bool) []uint64 {
+	var out []uint64
+	j := 0
+	for _, k := range a {
+		for j < len(b) && b[j] < k {
+			j++
+		}
+		if (j < len(b) && b[j] == k) == in {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// filter returns the keys of ts for which keep holds, in order.
+func (ts TupleSet) filter(keep func(k uint64) bool) []uint64 {
+	var out []uint64
+	for _, k := range ts.keys {
+		if keep(k) {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // Union returns ts ∪ o. Arity must match (empty sets adapt).
 func (ts TupleSet) Union(o TupleSet) TupleSet {
 	arity := ts.arity
 	if ts.IsEmpty() {
 		arity = o.arity
 	}
-	out := NewTupleSet(arity)
-	for k := range ts.set {
-		out.set[k] = struct{}{}
-	}
-	for k := range o.set {
-		out.set[k] = struct{}{}
-	}
-	return out
+	return TupleSet{arity: arity, keys: mergeKeys(ts.keys, o.keys)}
 }
 
 // Intersect returns ts ∩ o.
 func (ts TupleSet) Intersect(o TupleSet) TupleSet {
-	out := NewTupleSet(ts.arity)
-	for k := range ts.set {
-		if _, ok := o.set[k]; ok {
-			out.set[k] = struct{}{}
-		}
-	}
-	return out
+	return TupleSet{arity: ts.arity, keys: sieve(ts.keys, o.keys, true)}
 }
 
 // Diff returns ts ∖ o.
 func (ts TupleSet) Diff(o TupleSet) TupleSet {
-	out := NewTupleSet(ts.arity)
-	for k := range ts.set {
-		if _, ok := o.set[k]; !ok {
-			out.set[k] = struct{}{}
-		}
+	if o.IsEmpty() {
+		return ts
 	}
-	return out
+	return TupleSet{arity: ts.arity, keys: sieve(ts.keys, o.keys, false)}
 }
 
 // Product returns the cross product ts × o.
 func (ts TupleSet) Product(o TupleSet) TupleSet {
-	if ts.arity+o.arity > MaxArity {
-		panic(fmt.Sprintf("bounds: product arity %d exceeds max %d", ts.arity+o.arity, MaxArity))
+	n, m := ts.arity, o.arity
+	if n+m > MaxArity {
+		panic(fmt.Sprintf("bounds: product arity %d exceeds max %d", n+m, MaxArity))
 	}
-	out := NewTupleSet(ts.arity + o.arity)
-	for _, a := range ts.Tuples() {
-		for _, b := range o.Tuples() {
-			t := make(Tuple, 0, len(a)+len(b))
-			t = append(t, a...)
-			t = append(t, b...)
-			out.Add(t)
+	keys := make([]uint64, 0, len(ts.keys)*len(o.keys))
+	for _, b := range o.keys {
+		hi := header(n+m) | (b&lanes(m))<<(8*n)
+		for _, a := range ts.keys {
+			keys = append(keys, hi|a&lanes(n))
 		}
 	}
-	return out
+	return FromKeys(n+m, keys)
 }
 
 // Join returns the relational join ts.o: tuples (a1..an-1, b2..bm) for each
 // (a..an) in ts and (b1..bm) in o with an == b1.
 func (ts TupleSet) Join(o TupleSet) TupleSet {
-	if ts.arity+o.arity-2 < 1 {
+	n, m := ts.arity, o.arity
+	if n+m-2 < 1 {
 		panic("bounds: join arity underflow")
 	}
-	out := NewTupleSet(ts.arity + o.arity - 2)
-	// Index o by first atom.
-	byFirst := map[int][]Tuple{}
-	for _, b := range o.Tuples() {
-		byFirst[b[0]] = append(byFirst[b[0]], b)
-	}
-	for _, a := range ts.Tuples() {
-		last := a[len(a)-1]
-		for _, b := range byFirst[last] {
-			t := make(Tuple, 0, len(a)+len(b)-2)
-			t = append(t, a[:len(a)-1]...)
-			t = append(t, b[1:]...)
-			out.Add(t)
+	var keys []uint64
+	for _, a := range ts.keys {
+		last := lane(a, n-1)
+		prefix := header(n+m-2) | a&lanes(n-1)
+		for _, b := range o.keys {
+			if b&0xff == last {
+				keys = append(keys, prefix|(b&lanes(m))>>8<<(8*(n-1)))
+			}
 		}
 	}
-	return out
+	return FromKeys(n+m-2, keys)
 }
 
 // Transpose returns ~ts for a binary set.
@@ -86,11 +136,11 @@ func (ts TupleSet) Transpose() TupleSet {
 	if ts.arity != 2 {
 		panic("bounds: transpose of non-binary set")
 	}
-	out := NewTupleSet(2)
-	for _, t := range ts.Tuples() {
-		out.Add(Tuple{t[1], t[0]})
+	keys := make([]uint64, len(ts.keys))
+	for i, k := range ts.keys {
+		keys[i] = header(2) | lane(k, 0)<<8 | lane(k, 1)
 	}
-	return out
+	return FromKeys(2, keys)
 }
 
 // Closure returns the transitive closure ^ts of a binary set.
@@ -98,7 +148,7 @@ func (ts TupleSet) Closure() TupleSet {
 	if ts.arity != 2 {
 		panic("bounds: closure of non-binary set")
 	}
-	cur := ts.Clone()
+	cur := ts
 	for {
 		next := cur.Union(cur.Join(cur))
 		if next.Len() == cur.Len() {
@@ -110,30 +160,26 @@ func (ts TupleSet) Closure() TupleSet {
 
 // ReflClosure returns *ts = ^ts ∪ iden over the atoms listed.
 func (ts TupleSet) ReflClosure(univAtoms []int) TupleSet {
-	out := ts.Closure()
-	for _, a := range univAtoms {
-		out.Add(Tuple{a, a})
-	}
-	return out
+	return ts.Closure().Union(Iden(univAtoms))
 }
 
 // Override returns ts ++ o: o's tuples plus those of ts whose first atom is
 // not a first atom of any o tuple.
 func (ts TupleSet) Override(o TupleSet) TupleSet {
-	dom := map[int]bool{}
-	for _, t := range o.Tuples() {
-		dom[t[0]] = true
+	arity := o.arity
+	if o.IsEmpty() && ts.arity != 0 {
+		arity = ts.arity
 	}
-	out := o.Clone()
-	if out.set == nil || (out.IsEmpty() && ts.arity != 0) {
-		out = NewTupleSet(ts.arity)
+	var dom [4]uint64 // bitset of the first lanes of o
+	for _, k := range o.keys {
+		f := lane(k, 0)
+		dom[f/64] |= 1 << (f % 64)
 	}
-	for _, t := range ts.Tuples() {
-		if !dom[t[0]] {
-			out.Add(t)
-		}
-	}
-	return out
+	kept := ts.filter(func(k uint64) bool {
+		f := lane(k, 0)
+		return dom[f/64]&(1<<(f%64)) == 0
+	})
+	return TupleSet{arity: arity, keys: mergeKeys(o.keys, kept)}
 }
 
 // DomRestr returns s <: ts — tuples whose first atom is in the unary set s.
@@ -141,13 +187,9 @@ func (ts TupleSet) DomRestr(s TupleSet) TupleSet {
 	if s.arity != 1 {
 		panic("bounds: domain restriction by non-unary set")
 	}
-	out := NewTupleSet(ts.arity)
-	for _, t := range ts.Tuples() {
-		if s.Contains(Tuple{t[0]}) {
-			out.Add(t)
-		}
-	}
-	return out
+	return TupleSet{arity: ts.arity, keys: ts.filter(func(k uint64) bool {
+		return s.hasKey(header(1) | lane(k, 0))
+	})}
 }
 
 // RanRestr returns ts :> s — tuples whose last atom is in the unary set s.
@@ -155,60 +197,52 @@ func (ts TupleSet) RanRestr(s TupleSet) TupleSet {
 	if s.arity != 1 {
 		panic("bounds: range restriction by non-unary set")
 	}
-	out := NewTupleSet(ts.arity)
-	for _, t := range ts.Tuples() {
-		if s.Contains(Tuple{t[len(t)-1]}) {
-			out.Add(t)
-		}
-	}
-	return out
+	return TupleSet{arity: ts.arity, keys: ts.filter(func(k uint64) bool {
+		return s.hasKey(header(1) | lane(k, ts.arity-1))
+	})}
 }
 
 // Project returns the unary set of atoms at the given column.
 func (ts TupleSet) Project(col int) TupleSet {
-	out := NewTupleSet(1)
-	for _, t := range ts.Tuples() {
-		out.Add(Tuple{t[col]})
+	keys := make([]uint64, len(ts.keys))
+	for i, k := range ts.keys {
+		keys[i] = header(1) | lane(k, col)
 	}
-	return out
+	return FromKeys(1, keys)
 }
 
 // Iden returns the identity relation over the given atom indices.
 func Iden(atoms []int) TupleSet {
-	out := NewTupleSet(2)
-	for _, a := range atoms {
-		out.Add(Tuple{a, a})
+	keys := make([]uint64, len(atoms))
+	for i, a := range atoms {
+		keys[i] = header(2) | uint64(a+1)<<8 | uint64(a+1)
 	}
-	return out
+	return FromKeys(2, keys)
 }
 
 // AllTuples returns every tuple of the given arity over the atom indices.
 func AllTuples(atoms []int, arity int) TupleSet {
-	out := NewTupleSet(arity)
 	if arity == 0 {
-		return out
+		return NewTupleSet(0)
 	}
-	t := make(Tuple, arity)
-	var rec func(col int)
-	rec = func(col int) {
-		if col == arity {
-			out.Add(append(Tuple(nil), t...))
-			return
+	keys := []uint64{header(arity)}
+	for col := 0; col < arity; col++ {
+		next := make([]uint64, 0, len(keys)*len(atoms))
+		for _, k := range keys {
+			for _, a := range atoms {
+				next = append(next, k|uint64(a+1)<<(8*col))
+			}
 		}
-		for _, a := range atoms {
-			t[col] = a
-			rec(col + 1)
-		}
+		keys = next
 	}
-	rec(0)
-	return out
+	return FromKeys(arity, keys)
 }
 
 // UnarySet builds a unary tuple set from atom indices.
 func UnarySet(atoms ...int) TupleSet {
-	out := NewTupleSet(1)
-	for _, a := range atoms {
-		out.Add(Tuple{a})
+	keys := make([]uint64, len(atoms))
+	for i, a := range atoms {
+		keys[i] = header(1) | uint64(a+1)
 	}
-	return out
+	return FromKeys(1, keys)
 }

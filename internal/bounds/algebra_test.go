@@ -200,12 +200,19 @@ func TestUniverse(t *testing.T) {
 	}
 }
 
-func TestTupleSetCloneIndependent(t *testing.T) {
-	a := setOf(Tuple{0, 1})
-	b := a.Clone()
-	b.Add(Tuple{1, 1})
-	if a.Len() != 1 {
-		t.Error("clone shares storage")
+// TestTupleSetCopyIndependent: a copy of a set, and a singleton taken from
+// it, never alias it.
+func TestTupleSetCopyIndependent(t *testing.T) {
+	a := setOf(Tuple{0, 1}, Tuple{1, 2})
+	singles := a.Singletons()
+	b := a
+	b.Add(Tuple{2, 0})
+	singles[0].Add(Tuple{0, 0})
+	if a.Len() != 2 || a.Contains(Tuple{2, 0}) || a.Contains(Tuple{0, 0}) {
+		t.Errorf("adding to a copy changed the original: %v", a.Tuples())
+	}
+	if b.Len() != 3 || singles[0].Len() != 2 || singles[1].Len() != 1 {
+		t.Errorf("copies lost additions: b %v, singletons %v %v", b.Tuples(), singles[0].Tuples(), singles[1].Tuples())
 	}
 }
 

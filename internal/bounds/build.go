@@ -155,9 +155,9 @@ func Build(info *types.Info, scope ast.Scope) (*Bounds, error) {
 		sc := b.Sigs[name]
 		if b.TopOf[name] == name && len(info.Sigs[name].Subset) == 0 && sc.Exact {
 			// Exact top-level sigs pin the whole block.
-			lower = upper.Clone()
+			lower = upper
 		}
-		b.Rels[name] = RelBound{Name: name, Arity: 1, Lower: lower, Upper: upper.Clone()}
+		b.Rels[name] = RelBound{Name: name, Arity: 1, Lower: lower, Upper: upper}
 	}
 
 	// Field relation bounds: union over declaring sigs of
@@ -186,8 +186,8 @@ func Build(info *types.Info, scope ast.Scope) (*Bounds, error) {
 		b.Rels[shadow] = RelBound{
 			Name:  shadow,
 			Arity: base.Arity,
-			Lower: base.Lower.Clone(),
-			Upper: base.Upper.Clone(),
+			Lower: base.Lower,
+			Upper: base.Upper,
 		}
 	}
 
@@ -210,7 +210,7 @@ func resolveTop(info *types.Info, scope ast.Scope, top string, def int) int {
 
 func (b *Bounds) sigUpper(name string) TupleSet {
 	if r, ok := b.Rels[name]; ok {
-		return r.Upper.Clone()
+		return r.Upper
 	}
 	return UnarySet(b.Block[b.TopOf[name]]...)
 }
@@ -236,7 +236,7 @@ func (b *Bounds) EvalUpper(e ast.Expr, info *types.Info) (TupleSet, error) {
 		}
 		if f, ok := info.Fields[x.Name]; ok {
 			if r, ok := b.Rels[x.Name]; ok {
-				return r.Upper.Clone(), nil
+				return r.Upper, nil
 			}
 			_ = f
 		}

@@ -5,7 +5,7 @@ package bounds
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -90,104 +90,94 @@ func (t Tuple) String(u *Universe) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-// TupleSet is a set of same-arity tuples. The zero value is an empty set of
-// unspecified arity; use NewTupleSet to fix the arity up front.
+// TupleSet is an immutable set of same-arity tuples, stored as their packed
+// keys (Tuple.Key) in ascending order. No operation modifies its operands,
+// and Add gives its receiver a fresh key slice, so copies of a set never see
+// each other's additions and results may share their operands' keys. The
+// zero value is an empty set of unspecified arity; use NewTupleSet to fix
+// the arity up front.
 type TupleSet struct {
 	arity int
-	set   map[uint64]struct{}
+	keys  []uint64
 }
 
 // NewTupleSet returns an empty tuple set of the given arity.
 func NewTupleSet(arity int) TupleSet {
-	return TupleSet{arity: arity, set: map[uint64]struct{}{}}
+	return TupleSet{arity: arity}
+}
+
+// FromKeys returns the set of the given arity holding the tuples whose
+// Tuple.Key values are keys, in any order and with repeats. The set takes
+// ownership of keys.
+func FromKeys(arity int, keys []uint64) TupleSet {
+	slices.Sort(keys)
+	return TupleSet{arity: arity, keys: slices.Compact(keys)}
 }
 
 // Arity returns the tuple arity.
 func (ts TupleSet) Arity() int { return ts.arity }
 
 // Len returns the number of tuples.
-func (ts TupleSet) Len() int { return len(ts.set) }
+func (ts TupleSet) Len() int { return len(ts.keys) }
 
 // IsEmpty reports whether the set has no tuples.
-func (ts TupleSet) IsEmpty() bool { return len(ts.set) == 0 }
+func (ts TupleSet) IsEmpty() bool { return len(ts.keys) == 0 }
 
-// Add inserts a tuple; the tuple's length must match the set's arity.
+// Add inserts a tuple; the tuple's length must match the set's arity. An
+// empty set of unspecified arity takes the tuple's.
 func (ts *TupleSet) Add(t Tuple) {
-	if ts.set == nil {
-		ts.set = map[uint64]struct{}{}
+	if ts.arity == 0 && len(ts.keys) == 0 {
 		ts.arity = len(t)
 	}
 	if len(t) != ts.arity {
 		panic(fmt.Sprintf("bounds: adding arity-%d tuple to arity-%d set", len(t), ts.arity))
 	}
-	ts.set[t.Key()] = struct{}{}
+	k := t.Key()
+	if i, found := slices.BinarySearch(ts.keys, k); !found {
+		// Inserting into a clipped slice always copies, leaving the keys
+		// other copies of the set share untouched.
+		ts.keys = slices.Insert(slices.Clip(ts.keys), i, k)
+	}
 }
 
 // Contains reports membership.
-func (ts TupleSet) Contains(t Tuple) bool {
-	if ts.set == nil {
-		return false
-	}
-	_, ok := ts.set[t.Key()]
-	return ok
+func (ts TupleSet) Contains(t Tuple) bool { return ts.hasKey(t.Key()) }
+
+func (ts TupleSet) hasKey(k uint64) bool {
+	_, found := slices.BinarySearch(ts.keys, k)
+	return found
 }
 
-// sortedKeys returns the tuple keys in ascending order.
-func (ts TupleSet) sortedKeys() []uint64 {
-	keys := make([]uint64, 0, len(ts.set))
-	for k := range ts.set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// Tuples returns the tuples in deterministic (sorted-key) order.
+// Tuples returns the tuples in ascending-key order.
 func (ts TupleSet) Tuples() []Tuple {
-	keys := ts.sortedKeys()
-	out := make([]Tuple, len(keys))
-	for i, k := range keys {
+	out := make([]Tuple, len(ts.keys))
+	for i, k := range ts.keys {
 		out[i] = KeyToTuple(k)
 	}
 	return out
 }
 
 // Singletons returns one single-tuple set per tuple of ts, in Tuples order.
+// Each shares its key with ts.
 func (ts TupleSet) Singletons() []TupleSet {
-	keys := ts.sortedKeys()
-	out := make([]TupleSet, len(keys))
-	for i, k := range keys {
-		out[i] = TupleSet{arity: ts.arity, set: map[uint64]struct{}{k: {}}}
+	out := make([]TupleSet, len(ts.keys))
+	for i := range ts.keys {
+		out[i] = TupleSet{arity: ts.arity, keys: ts.keys[i : i+1 : i+1]}
 	}
 	return out
 }
 
-// Clone returns an independent copy.
-func (ts TupleSet) Clone() TupleSet {
-	c := NewTupleSet(ts.arity)
-	for k := range ts.set {
-		c.set[k] = struct{}{}
-	}
-	return c
-}
-
 // Equal reports whether two sets contain the same tuples.
-func (ts TupleSet) Equal(o TupleSet) bool {
-	if ts.Len() != o.Len() {
-		return false
-	}
-	for k := range ts.set {
-		if _, ok := o.set[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
+func (ts TupleSet) Equal(o TupleSet) bool { return slices.Equal(ts.keys, o.keys) }
 
 // SubsetOf reports whether every tuple of ts is in o.
 func (ts TupleSet) SubsetOf(o TupleSet) bool {
-	for k := range ts.set {
-		if _, ok := o.set[k]; !ok {
+	j := 0
+	for _, k := range ts.keys {
+		for j < len(o.keys) && o.keys[j] < k {
+			j++
+		}
+		if j == len(o.keys) || o.keys[j] != k {
 			return false
 		}
 	}

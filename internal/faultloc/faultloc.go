@@ -136,7 +136,9 @@ func CollectInstances(a *analyzer.Analyzer, mod *ast.Module) (failing, passing [
 		}
 		// A passing witness: facts plus the assertion itself.
 		if as := mod.LookupAssert(cmd.Target); as != nil {
-			witness := mod.Clone()
+			// A header copy: the module is immutable, so the witness
+			// shares every paragraph and swaps in its own command list.
+			witness := *mod
 			witness.Commands = []*ast.Command{{
 				Kind:   ast.CmdRun,
 				Name:   "witness$" + cmd.Target,
@@ -144,7 +146,7 @@ func CollectInstances(a *analyzer.Analyzer, mod *ast.Module) (failing, passing [
 				Scope:  cmd.Scope.Clone(),
 				Expect: -1,
 			}}
-			wres, werr := a.ExecuteAll(witness)
+			wres, werr := a.ExecuteAll(&witness)
 			if werr == nil && len(wres) == 1 && wres[0].Sat {
 				passing = append(passing, Accept(wres[0].Instance))
 			}

@@ -142,6 +142,23 @@ check NoSelf for 3
 	}
 }
 
+// TestCollectInstancesLeavesModuleUnchanged: the witness runs swap their
+// own command into a header copy of the module, never into the module.
+func TestCollectInstancesLeavesModuleUnchanged(t *testing.T) {
+	mod, err := parser.Parse(buggyModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, cmds := printer.Module(mod), mod.Commands
+	a := analyzer.New(analyzer.Options{})
+	if _, passing, err := CollectInstances(a, mod); err != nil || len(passing) == 0 {
+		t.Fatalf("passing %d, err %v", len(passing), err)
+	}
+	if after := printer.Module(mod); after != before || len(mod.Commands) != 1 || mod.Commands[0] != cmds[0] {
+		t.Errorf("module changed:\n%s\nwant:\n%s", after, before)
+	}
+}
+
 func TestLocalizeEndToEnd(t *testing.T) {
 	// End-to-end: collect instances from the module's own commands, then
 	// localize. The self-loop fact is the bug.

@@ -7,6 +7,7 @@ package instance
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -25,12 +26,11 @@ func New(u *bounds.Universe) *Instance {
 	return &Instance{Universe: u, Rels: map[string]bounds.TupleSet{}}
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy whose Rels map is independent of the original's.
+// Tuple sets are immutable values, so the copy shares them.
 func (in *Instance) Clone() *Instance {
-	c := New(in.Universe)
-	for k, v := range in.Rels {
-		c.Rels[k] = v.Clone()
-	}
+	c := &Instance{Universe: in.Universe, Rels: make(map[string]bounds.TupleSet, len(in.Rels))}
+	maps.Copy(c.Rels, in.Rels)
 	return c
 }
 
@@ -517,11 +517,11 @@ func (ev *Evaluator) evalComprehension(x *ast.Comprehension, env Env) (any, erro
 	for _, d := range x.Decls {
 		total += len(d.Names)
 	}
-	out := bounds.NewTupleSet(total)
 	var names []string
 	for _, d := range x.Decls {
 		names = append(names, d.Names...)
 	}
+	var keys []uint64
 	err := ev.bindings(x.Decls, env, func(inner Env) (bool, error) {
 		b, err := ev.EvalFormula(x.Body, inner)
 		if err != nil {
@@ -533,12 +533,12 @@ func (ev *Evaluator) evalComprehension(x *ast.Comprehension, env Env) (any, erro
 				tuples := inner[n].Tuples()
 				t = append(t, tuples[0]...)
 			}
-			out.Add(t)
+			keys = append(keys, t.Key())
 		}
 		return true, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return bounds.FromKeys(total, keys), nil
 }

@@ -214,7 +214,9 @@ func (t *Tool) refineSuite(an *analyzer.Analyzer, mod *ast.Module, suite *aunit.
 		// Witness: an instance satisfying facts and assertion must stay
 		// accepted.
 		if as := mod.LookupAssert(cmd.Target); as != nil {
-			witness := mod.Clone()
+			// A header copy: the module is immutable, so the witness
+			// shares every paragraph and swaps in its own command list.
+			witness := *mod
 			witness.Commands = []*ast.Command{{
 				Kind:   ast.CmdRun,
 				Name:   "witness",
@@ -222,7 +224,7 @@ func (t *Tool) refineSuite(an *analyzer.Analyzer, mod *ast.Module, suite *aunit.
 				Scope:  cmd.Scope.Clone(),
 				Expect: -1,
 			}}
-			wres, werr := an.ExecuteAll(witness)
+			wres, werr := an.ExecuteAll(&witness)
 			if werr == nil && len(wres) == 1 && wres[0].Sat {
 				test := aunit.FromInstance(
 					fmt.Sprintf("icebar_wit_%s_r%d", cmd.Name, round),

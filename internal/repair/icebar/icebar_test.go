@@ -68,6 +68,22 @@ func TestRepairPinned(t *testing.T) {
 	}
 }
 
+// TestRepairLeavesFaultyUnchanged: refining the suite runs witness
+// commands on header copies of the spec, so the faulty module the problem
+// hands in prints the same afterwards.
+func TestRepairLeavesFaultyUnchanged(t *testing.T) {
+	g := bench.NewGenerator(nil)
+	g.Scale = 40
+	p := scale40Spec(t, g, "library/0006").Problem()
+	before := printer.Module(p.Faulty)
+	if _, err := icebar.New(icebar.Options{}).Repair(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	if after := printer.Module(p.Faulty); after != before {
+		t.Errorf("faulty spec changed:\n%s\nwant:\n%s", after, before)
+	}
+}
+
 // candidateDiff returns the first 16 hex digits of the candidate's SHA-256
 // and the trimmed candidate lines the faulty spec does not contain.
 func candidateDiff(faulty, cand string) (string, string) {

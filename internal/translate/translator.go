@@ -701,13 +701,13 @@ func (tr *Translator) translateComprehension(x *ast.Comprehension, env Env) (any
 func (tr *Translator) Decode(model []sat.Tribool) *instance.Instance {
 	inst := instance.New(tr.Bounds.Universe)
 	for name, rb := range tr.Bounds.Rels {
-		ts := rb.Lower.Clone()
+		var keys []uint64
 		for key, v := range tr.relVars[name] {
 			if v < len(model) && model[v] == sat.True {
-				ts.Add(bounds.KeyToTuple(key))
+				keys = append(keys, key)
 			}
 		}
-		inst.Rels[name] = ts
+		inst.Rels[name] = rb.Lower.Union(bounds.FromKeys(rb.Lower.Arity(), keys))
 	}
 	return inst
 }
