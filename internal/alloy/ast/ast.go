@@ -60,7 +60,7 @@ const (
 	BinIff                        // iff / <=>
 )
 
-var binOpNames = map[BinOp]string{
+var binOpNames = [...]string{
 	BinJoin:      ".",
 	BinProduct:   "->",
 	BinUnion:     "+",
@@ -85,10 +85,17 @@ var binOpNames = map[BinOp]string{
 
 // String returns the Alloy spelling of the operator.
 func (op BinOp) String() string {
-	if s, ok := binOpNames[op]; ok {
-		return s
+	return name(binOpNames[:], op, "badop")
+}
+
+// name returns names[i], or bad when i has no name. The name tables are
+// arrays indexed by the enum value, so printing an operator costs no map
+// lookup.
+func name[T ~int](names []string, i T, bad string) string {
+	if i > 0 && int(i) < len(names) && names[i] != "" {
+		return names[i]
 	}
-	return "badop"
+	return bad
 }
 
 // IsLogical reports whether the operator combines formulas rather than
@@ -130,7 +137,7 @@ const (
 	UnSet                       // set  (declaration multiplicity only)
 )
 
-var unOpNames = map[UnOp]string{
+var unOpNames = [...]string{
 	UnTranspose: "~",
 	UnClosure:   "^",
 	UnReflClose: "*",
@@ -145,10 +152,7 @@ var unOpNames = map[UnOp]string{
 
 // String returns the Alloy spelling of the operator.
 func (op UnOp) String() string {
-	if s, ok := unOpNames[op]; ok {
-		return s
-	}
-	return "badop"
+	return name(unOpNames[:], op, "badop")
 }
 
 // Quant enumerates quantifiers. The zero value is invalid.
@@ -163,7 +167,7 @@ const (
 	QuantOne
 )
 
-var quantNames = map[Quant]string{
+var quantNames = [...]string{
 	QuantAll:  "all",
 	QuantSome: "some",
 	QuantNo:   "no",
@@ -173,10 +177,7 @@ var quantNames = map[Quant]string{
 
 // String returns the Alloy spelling of the quantifier.
 func (q Quant) String() string {
-	if s, ok := quantNames[q]; ok {
-		return s
-	}
-	return "badquant"
+	return name(quantNames[:], q, "badquant")
 }
 
 // Mult enumerates declaration multiplicities (x: one S, field: set S, ...).
@@ -193,7 +194,7 @@ const (
 	MultSet
 )
 
-var multNames = map[Mult]string{
+var multNames = [...]string{
 	MultDefault: "",
 	MultOne:     "one",
 	MultLone:    "lone",
@@ -202,7 +203,7 @@ var multNames = map[Mult]string{
 }
 
 // String returns the Alloy spelling of the multiplicity (empty for default).
-func (m Mult) String() string { return multNames[m] }
+func (m Mult) String() string { return name(multNames[:], m, "") }
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -236,7 +237,7 @@ const (
 	ConstIden                      // iden: identity binary relation
 )
 
-var constNames = map[ConstKind]string{
+var constNames = [...]string{
 	ConstNone: "none",
 	ConstUniv: "univ",
 	ConstIden: "iden",
@@ -244,10 +245,7 @@ var constNames = map[ConstKind]string{
 
 // String returns the Alloy spelling of the constant.
 func (k ConstKind) String() string {
-	if s, ok := constNames[k]; ok {
-		return s
-	}
-	return "badconst"
+	return name(constNames[:], k, "badconst")
 }
 
 // Const is one of the built-in constants none, univ, iden.

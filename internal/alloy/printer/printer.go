@@ -4,11 +4,17 @@
 // yields a structurally identical tree. Repair tools produce ASTs; the
 // similarity metrics (Token Match, Syntax Match) consume this printer's
 // output, so canonical form matters more than preserving source layout.
+//
+// Every entry point streams its whole rendering into one strings.Builder:
+// a node's precedence is known before its children are written (precOf),
+// so parentheses are decided up front and no subtree is rendered into a
+// string of its own.
 package printer
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"specrepair/internal/alloy/ast"
@@ -17,44 +23,52 @@ import (
 // Module renders an entire module.
 func Module(m *ast.Module) string {
 	var b strings.Builder
+	// Printed paragraphs average about 60 bytes, so this sizes the buffer
+	// once for most modules instead of growing it by doubling.
+	b.Grow(80 * (1 + len(m.Sigs) + len(m.Facts) + len(m.Funs) + len(m.Preds) + len(m.Asserts) + len(m.Commands)))
 	if m.Name != "" {
-		fmt.Fprintf(&b, "module %s\n\n", m.Name)
+		put(&b, "module ", m.Name, "\n\n")
 	}
 	for _, s := range m.Sigs {
-		b.WriteString(sig(s))
+		writeSig(&b, s)
 		b.WriteString("\n")
 	}
 	for _, f := range m.Facts {
 		if f.Name != "" {
-			fmt.Fprintf(&b, "fact %s {\n", f.Name)
+			put(&b, "fact ", f.Name, " {\n")
 		} else {
 			b.WriteString("fact {\n")
 		}
-		writeBody(&b, f.Body, 1)
+		writeBody(&b, f.Body)
 		b.WriteString("}\n\n")
 	}
 	for _, fn := range m.Funs {
-		fmt.Fprintf(&b, "fun %s[%s]: %s {\n", fn.Name, decls(fn.Params), Expr(fn.Result))
-		writeIndent(&b, 1)
-		b.WriteString(Expr(fn.Body))
+		put(&b, "fun ", fn.Name, "[")
+		writeDecls(&b, fn.Params)
+		b.WriteString("]: ")
+		writeExpr(&b, fn.Result, precQuant)
+		b.WriteString(" {\n  ")
+		writeExpr(&b, fn.Body, precQuant)
 		b.WriteString("\n}\n\n")
 	}
 	for _, p := range m.Preds {
-		if len(p.Params) == 0 {
-			fmt.Fprintf(&b, "pred %s {\n", p.Name)
-		} else {
-			fmt.Fprintf(&b, "pred %s[%s] {\n", p.Name, decls(p.Params))
+		put(&b, "pred ", p.Name)
+		if len(p.Params) > 0 {
+			b.WriteString("[")
+			writeDecls(&b, p.Params)
+			b.WriteString("]")
 		}
-		writeBody(&b, p.Body, 1)
+		b.WriteString(" {\n")
+		writeBody(&b, p.Body)
 		b.WriteString("}\n\n")
 	}
 	for _, a := range m.Asserts {
-		fmt.Fprintf(&b, "assert %s {\n", a.Name)
-		writeBody(&b, a.Body, 1)
+		put(&b, "assert ", a.Name, " {\n")
+		writeBody(&b, a.Body)
 		b.WriteString("}\n\n")
 	}
 	for _, c := range m.Commands {
-		b.WriteString(command(c))
+		writeCommand(&b, c)
 		b.WriteString("\n")
 	}
 	return b.String()
@@ -63,33 +77,34 @@ func Module(m *ast.Module) string {
 // Sig renders a single signature declaration in canonical form. The
 // incremental analyzer fingerprints modules on this rendering to detect
 // bounds-affecting differences between repair candidates.
-func Sig(s *ast.Sig) string { return sig(s) }
-
-func sig(s *ast.Sig) string {
+func Sig(s *ast.Sig) string {
 	var b strings.Builder
+	writeSig(&b, s)
+	return b.String()
+}
+
+func writeSig(b *strings.Builder, s *ast.Sig) {
 	if s.Abstract {
 		b.WriteString("abstract ")
 	}
 	if s.Mult != ast.MultDefault && s.Mult.String() != "" {
-		b.WriteString(s.Mult.String())
-		b.WriteString(" ")
+		put(b, s.Mult.String(), " ")
 	}
 	b.WriteString("sig ")
-	b.WriteString(strings.Join(s.Names, ", "))
+	writeJoined(b, s.Names, ", ")
 	if s.Parent != "" {
-		b.WriteString(" extends ")
-		b.WriteString(s.Parent)
+		put(b, " extends ", s.Parent)
 	} else if len(s.Subset) > 0 {
 		b.WriteString(" in ")
-		b.WriteString(strings.Join(s.Subset, " + "))
+		writeJoined(b, s.Subset, " + ")
 	}
 	if len(s.Fields) == 0 {
 		b.WriteString(" {}")
 	} else {
 		b.WriteString(" {\n")
 		for i, f := range s.Fields {
-			writeIndent(&b, 1)
-			b.WriteString(decl(f))
+			b.WriteString("  ")
+			writeDecl(b, f)
 			if i < len(s.Fields)-1 {
 				b.WriteString(",")
 			}
@@ -99,13 +114,10 @@ func sig(s *ast.Sig) string {
 	}
 	if s.Fact != nil {
 		b.WriteString(" {\n")
-		var tmp strings.Builder
-		writeBody(&tmp, s.Fact, 1)
-		b.WriteString(tmp.String())
+		writeBody(b, s.Fact)
 		b.WriteString("}")
 	}
 	b.WriteString("\n")
-	return b.String()
 }
 
 // Command renders a single command in canonical form. The analysis cache
@@ -113,103 +125,135 @@ func sig(s *ast.Sig) string {
 // command carries both a target and an inline block (as rewritten oracle
 // commands can), both are included.
 func Command(c *ast.Command) string {
-	s := command(c)
+	var b strings.Builder
+	writeCommand(&b, c)
 	if c.Target != "" && c.Block != nil {
-		s += " {" + exprPrec(c.Block, 0) + "}"
+		b.WriteString(" {")
+		writeExpr(&b, c.Block, 0)
+		b.WriteString("}")
 	}
-	return s
+	return b.String()
 }
 
-func command(c *ast.Command) string {
-	var b strings.Builder
+// writeCommand writes a command as it appears in a module: the target, or
+// the inline block when there is no target.
+func writeCommand(b *strings.Builder, c *ast.Command) {
 	if c.Name != "" && c.Name != c.Target {
-		fmt.Fprintf(&b, "%s: ", c.Name)
+		put(b, c.Name, ": ")
 	}
-	b.WriteString(c.Kind.String())
-	b.WriteString(" ")
+	put(b, c.Kind.String(), " ")
 	if c.Target != "" {
 		b.WriteString(c.Target)
 	} else if c.Block != nil {
-		b.WriteString(exprPrec(c.Block, 0))
+		writeExpr(b, c.Block, 0)
 	}
-	b.WriteString(scopeStr(c.Scope))
+	writeScope(b, c.Scope)
 	if c.Expect >= 0 {
-		fmt.Fprintf(&b, " expect %d", c.Expect)
+		b.WriteString(" expect ")
+		writeInt(b, c.Expect)
 	}
-	return b.String()
 }
 
-func scopeStr(s ast.Scope) string {
-	var parts []string
-	add := func(m map[string]int, prefix string) {
-		names := make([]string, 0, len(m))
-		for k := range m {
-			names = append(names, k)
+// writeScope writes " for N", " for N but P, ...", " for P, ..." or
+// nothing, where the parts P are the bitwidth, then the exact and then the
+// per-sig bounds, each group in name order.
+func writeScope(b *strings.Builder, s ast.Scope) {
+	parts := 0
+	part := func() {
+		switch {
+		case parts > 0:
+			b.WriteString(", ")
+		case s.Default > 0:
+			b.WriteString(" for ")
+			writeInt(b, s.Default)
+			b.WriteString(" but ")
+		default:
+			b.WriteString(" for ")
+		}
+		parts++
+	}
+	if s.Bitwidth > 0 {
+		part()
+		writeInt(b, s.Bitwidth)
+		b.WriteString(" Int")
+	}
+	for _, group := range [2]struct {
+		bounds map[string]int
+		prefix string
+	}{{s.Exact, "exactly "}, {s.PerSig, ""}} {
+		names := make([]string, 0, len(group.bounds))
+		for n := range group.bounds {
+			names = append(names, n)
 		}
 		sort.Strings(names)
 		for _, n := range names {
-			parts = append(parts, fmt.Sprintf("%s%d %s", prefix, m[n], n))
+			part()
+			b.WriteString(group.prefix)
+			writeInt(b, group.bounds[n])
+			put(b, " ", n)
 		}
 	}
-	if s.Bitwidth > 0 {
-		parts = append(parts, fmt.Sprintf("%d Int", s.Bitwidth))
-	}
-	add(s.Exact, "exactly ")
-	add(s.PerSig, "")
-	switch {
-	case s.Default > 0 && len(parts) > 0:
-		return fmt.Sprintf(" for %d but %s", s.Default, strings.Join(parts, ", "))
-	case s.Default > 0:
-		return fmt.Sprintf(" for %d", s.Default)
-	case len(parts) > 0:
-		return " for " + strings.Join(parts, ", ")
-	default:
-		return ""
+	if parts == 0 && s.Default > 0 {
+		b.WriteString(" for ")
+		writeInt(b, s.Default)
 	}
 }
 
-func decls(ds []*ast.Decl) string {
-	parts := make([]string, len(ds))
+// put writes each string in turn.
+func put(b *strings.Builder, ss ...string) {
+	for _, s := range ss {
+		b.WriteString(s)
+	}
+}
+
+func writeInt(b *strings.Builder, n int) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], int64(n), 10))
+}
+
+func writeJoined(b *strings.Builder, parts []string, sep string) {
+	for i, p := range parts {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.WriteString(p)
+	}
+}
+
+func writeDecls(b *strings.Builder, ds []*ast.Decl) {
 	for i, d := range ds {
-		parts[i] = decl(d)
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeDecl(b, d)
 	}
-	return strings.Join(parts, ", ")
 }
 
-func decl(d *ast.Decl) string {
-	var b strings.Builder
+func writeDecl(b *strings.Builder, d *ast.Decl) {
 	if d.Disj {
 		b.WriteString("disj ")
 	}
-	b.WriteString(strings.Join(d.Names, ", "))
+	writeJoined(b, d.Names, ", ")
 	b.WriteString(": ")
 	if d.Mult != ast.MultDefault && d.Mult.String() != "" {
-		b.WriteString(d.Mult.String())
-		b.WriteString(" ")
+		put(b, d.Mult.String(), " ")
 	}
-	b.WriteString(exprPrec(d.Expr, precUnion))
-	return b.String()
+	writeExpr(b, d.Expr, precUnion)
 }
 
-func writeIndent(b *strings.Builder, depth int) {
-	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
-	}
-}
-
-// writeBody writes a block body one formula per line; non-block bodies are
-// written as a single line.
-func writeBody(b *strings.Builder, e ast.Expr, depth int) {
+// writeBody writes a paragraph body indented one level, a block one formula
+// per line and anything else as a single line.
+func writeBody(b *strings.Builder, e ast.Expr) {
 	if blk, ok := e.(*ast.Block); ok {
 		for _, x := range blk.Exprs {
-			writeIndent(b, depth)
-			b.WriteString(Expr(x))
+			b.WriteString("  ")
+			writeExpr(b, x, precQuant)
 			b.WriteString("\n")
 		}
 		return
 	}
-	writeIndent(b, depth)
-	b.WriteString(Expr(e))
+	b.WriteString("  ")
+	writeExpr(b, e, precQuant)
 	b.WriteString("\n")
 }
 
@@ -279,98 +323,147 @@ func unPrec(op ast.UnOp) int {
 	}
 }
 
-// Expr renders an expression with minimal parentheses.
-func Expr(e ast.Expr) string { return exprPrec(e, precQuant) }
-
-func exprPrec(e ast.Expr, ctx int) string {
-	s, prec := render(e)
-	if prec < ctx {
-		return "(" + s + ")"
+// precOf returns the precedence level at which e renders.
+func precOf(e ast.Expr) int {
+	switch x := e.(type) {
+	case *ast.Unary:
+		return unPrec(x.Op)
+	case *ast.Binary:
+		return binPrec(x.Op)
+	case *ast.BoxJoin:
+		return precJoin
+	case *ast.Quantified, *ast.Let:
+		return precQuant
+	case *ast.IfElse:
+		return precImplies
+	default:
+		return precAtom
 	}
-	return s
 }
 
-func render(e ast.Expr) (string, int) {
+// Expr renders an expression with minimal parentheses.
+func Expr(e ast.Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e, precQuant)
+	return b.String()
+}
+
+// writeExpr writes e, parenthesized when its level is below ctx.
+func writeExpr(b *strings.Builder, e ast.Expr, ctx int) {
+	if precOf(e) < ctx {
+		b.WriteString("(")
+		writeBare(b, e)
+		b.WriteString(")")
+		return
+	}
+	writeBare(b, e)
+}
+
+// writeBare writes e without enclosing parentheses.
+func writeBare(b *strings.Builder, e ast.Expr) {
 	switch x := e.(type) {
 	case *ast.Ident:
 		if x.NoImplicit {
-			return "@" + x.Name, precAtom
+			b.WriteString("@")
 		}
-		return x.Name, precAtom
+		b.WriteString(x.Name)
 	case *ast.Const:
-		return x.Kind.String(), precAtom
+		b.WriteString(x.Kind.String())
 	case *ast.IntLit:
-		return fmt.Sprintf("%d", x.Value), precAtom
+		writeInt(b, x.Value)
 	case *ast.Prime:
-		return exprPrec(x.Sub, precAtom) + "'", precAtom
+		writeExpr(b, x.Sub, precAtom)
+		b.WriteString("'")
 	case *ast.Unary:
-		p := unPrec(x.Op)
-		sep := " "
-		if x.Op == ast.UnTranspose || x.Op == ast.UnClosure || x.Op == ast.UnReflClose || x.Op == ast.UnCard {
-			sep = ""
+		b.WriteString(x.Op.String())
+		switch x.Op {
+		case ast.UnTranspose, ast.UnClosure, ast.UnReflClose, ast.UnCard:
+		default:
+			b.WriteString(" ")
 		}
 		// not binds looser than its operand level; keep children at same level.
-		return x.Op.String() + sep + exprPrec(x.Sub, p+1), p
+		writeExpr(b, x.Sub, unPrec(x.Op)+1)
 	case *ast.Binary:
 		p := binPrec(x.Op)
-		op := x.Op.String()
-		if x.Op == ast.BinProduct {
-			if x.LeftMult != 0 && x.LeftMult.String() != "" {
-				op = x.LeftMult.String() + " " + op
-			}
-			if x.RightMult != 0 && x.RightMult.String() != "" {
-				op = op + " " + x.RightMult.String()
-			}
-		}
 		if x.Op == ast.BinJoin {
-			return exprPrec(x.Left, p) + "." + exprPrec(x.Right, p+1), p
+			writeExpr(b, x.Left, p)
+			b.WriteString(".")
+			writeExpr(b, x.Right, p+1)
+			return
 		}
-		// Left associative: right child needs one level tighter.
-		rctx := p + 1
-		if x.Op == ast.BinImplies { // right associative
-			return exprPrec(x.Left, p+1) + " " + op + " " + exprPrec(x.Right, p), p
+		// Left associative: the right child needs one level tighter;
+		// implies is right associative.
+		lctx, rctx := p, p+1
+		if x.Op == ast.BinImplies {
+			lctx, rctx = p+1, p
 		}
-		return exprPrec(x.Left, p) + " " + op + " " + exprPrec(x.Right, rctx), p
+		writeExpr(b, x.Left, lctx)
+		b.WriteString(" ")
+		if x.Op == ast.BinProduct && x.LeftMult != 0 && x.LeftMult.String() != "" {
+			put(b, x.LeftMult.String(), " ")
+		}
+		b.WriteString(x.Op.String())
+		if x.Op == ast.BinProduct && x.RightMult != 0 && x.RightMult.String() != "" {
+			put(b, " ", x.RightMult.String())
+		}
+		b.WriteString(" ")
+		writeExpr(b, x.Right, rctx)
 	case *ast.BoxJoin:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = exprPrec(a, precUnion)
-		}
-		return exprPrec(x.Target, precJoin) + "[" + strings.Join(args, ", ") + "]", precJoin
+		writeExpr(b, x.Target, precJoin)
+		writeArgs(b, x.Args)
 	case *ast.Call:
-		args := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = exprPrec(a, precUnion)
-		}
-		return x.Name + "[" + strings.Join(args, ", ") + "]", precAtom
+		b.WriteString(x.Name)
+		writeArgs(b, x.Args)
 	case *ast.Quantified:
-		ds := make([]string, len(x.Decls))
-		for i, d := range x.Decls {
-			ds[i] = decl(d)
-		}
-		return x.Quant.String() + " " + strings.Join(ds, ", ") + " | " + exprPrec(x.Body, precQuant), precQuant
+		put(b, x.Quant.String(), " ")
+		writeDecls(b, x.Decls)
+		b.WriteString(" | ")
+		writeExpr(b, x.Body, precQuant)
 	case *ast.Comprehension:
-		ds := make([]string, len(x.Decls))
-		for i, d := range x.Decls {
-			ds[i] = decl(d)
-		}
-		return "{" + strings.Join(ds, ", ") + " | " + exprPrec(x.Body, precQuant) + "}", precAtom
+		b.WriteString("{")
+		writeDecls(b, x.Decls)
+		b.WriteString(" | ")
+		writeExpr(b, x.Body, precQuant)
+		b.WriteString("}")
 	case *ast.Let:
-		binds := make([]string, len(x.Names))
+		b.WriteString("let ")
 		for i, n := range x.Names {
-			binds[i] = n + " = " + exprPrec(x.Values[i], precUnion)
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			put(b, n, " = ")
+			writeExpr(b, x.Values[i], precUnion)
 		}
-		return "let " + strings.Join(binds, ", ") + " | " + exprPrec(x.Body, precQuant), precQuant
+		b.WriteString(" | ")
+		writeExpr(b, x.Body, precQuant)
 	case *ast.IfElse:
-		return exprPrec(x.Cond, precImplies+1) + " implies " + exprPrec(x.Then, precImplies+1) +
-			" else " + exprPrec(x.Else, precImplies), precImplies
+		writeExpr(b, x.Cond, precImplies+1)
+		b.WriteString(" implies ")
+		writeExpr(b, x.Then, precImplies+1)
+		b.WriteString(" else ")
+		writeExpr(b, x.Else, precImplies)
 	case *ast.Block:
-		parts := make([]string, len(x.Exprs))
+		b.WriteString("{ ")
 		for i, sub := range x.Exprs {
-			parts[i] = exprPrec(sub, precQuant)
+			if i > 0 {
+				b.WriteString(" ")
+			}
+			writeExpr(b, sub, precQuant)
 		}
-		return "{ " + strings.Join(parts, " ") + " }", precAtom
+		b.WriteString(" }")
 	default:
-		return fmt.Sprintf("<?%T>", e), precAtom
+		fmt.Fprintf(b, "<?%T>", e)
 	}
+}
+
+// writeArgs writes a bracketed argument list.
+func writeArgs(b *strings.Builder, args []ast.Expr) {
+	b.WriteString("[")
+	for i, a := range args {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeExpr(b, a, precUnion)
+	}
+	b.WriteString("]")
 }

@@ -142,19 +142,20 @@ func TestScopeRendering(t *testing.T) {
 		{ast.Scope{Bitwidth: 5}, " for 5 Int"},
 	}
 	for _, tt := range tests {
-		if got := scopeStr(tt.scope); got != tt.want {
-			t.Errorf("scopeStr(%+v) = %q, want %q", tt.scope, got, tt.want)
+		cmd := &ast.Command{Kind: ast.CmdRun, Name: "show", Target: "show", Scope: tt.scope, Expect: -1}
+		if got, want := Command(cmd), "run show"+tt.want; got != want {
+			t.Errorf("Command with scope %+v = %q, want %q", tt.scope, got, want)
 		}
 	}
 }
 
 func TestCommandLabel(t *testing.T) {
 	cmd := &ast.Command{Kind: ast.CmdCheck, Name: "sanity", Target: "NoSelf", Expect: -1}
-	if got := command(cmd); got != "sanity: check NoSelf" {
-		t.Errorf("command = %q", got)
+	if got := Command(cmd); got != "sanity: check NoSelf" {
+		t.Errorf("Command = %q", got)
 	}
 	cmd2 := &ast.Command{Kind: ast.CmdCheck, Name: "NoSelf", Target: "NoSelf", Expect: -1}
-	if got := command(cmd2); got != "check NoSelf" {
-		t.Errorf("command = %q", got)
+	if got := Command(cmd2); got != "check NoSelf" {
+		t.Errorf("Command = %q", got)
 	}
 }

@@ -186,14 +186,21 @@ func stripMults(e ast.Expr) ast.Expr {
 func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, error) {
 	var parts []Node
 
-	rowOf := func(srcAtom int) Matrix {
-		row := NewMatrix(fm.Arity() - 1)
-		for _, t := range fm.Tuples() {
-			if t[0] == srcAtom {
-				row.orInto(t[1:].Key(), fm.Get(t))
+	// group returns the sub-matrix of fm's entries that keep selects, each
+	// re-keyed by proj.
+	group := func(arity int, keep func(t bounds.Tuple) bool, proj func(t bounds.Tuple) bounds.Tuple) Matrix {
+		var es []entry
+		for i, t := range fm.Tuples() {
+			if keep(t) {
+				es = append(es, entry{proj(t).Key(), fm.nodes[i]})
 			}
 		}
-		return row
+		return collect(arity, es)
+	}
+	rowOf := func(srcAtom int) Matrix {
+		return group(fm.Arity()-1,
+			func(t bounds.Tuple) bool { return t[0] == srcAtom },
+			func(t bounds.Tuple) bounds.Tuple { return t[1:] })
 	}
 
 	applyMult := func(guard Node, m Matrix, mult ast.Mult) {
@@ -240,28 +247,22 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 	if prod.RightMult != 0 && prod.RightMult != ast.MultSet && leftM.Arity() == 1 {
 		for _, src := range owner.Tuples() {
 			for _, lt := range leftM.Tuples() {
-				group := NewMatrix(rightM.Arity())
-				for _, t := range fm.Tuples() {
-					if t[0] == src[0] && t[1] == lt[0] {
-						group.orInto(t[2:].Key(), fm.Get(t))
-					}
-				}
+				g := group(rightM.Arity(),
+					func(t bounds.Tuple) bool { return t[0] == src[0] && t[1] == lt[0] },
+					func(t bounds.Tuple) bounds.Tuple { return t[2:] })
 				guard := And(owner.Get(src), leftM.Get(lt))
-				applyMult(guard, group, prod.RightMult)
+				applyMult(guard, g, prod.RightMult)
 			}
 		}
 	}
 	if prod.LeftMult != 0 && prod.LeftMult != ast.MultSet && rightM.Arity() == 1 {
 		for _, src := range owner.Tuples() {
 			for _, rt := range rightM.Tuples() {
-				group := NewMatrix(leftM.Arity())
-				for _, t := range fm.Tuples() {
-					if t[0] == src[0] && t[len(t)-1] == rt[0] {
-						group.orInto(t[1:len(t)-1].Key(), fm.Get(t))
-					}
-				}
+				g := group(leftM.Arity(),
+					func(t bounds.Tuple) bool { return t[0] == src[0] && t[len(t)-1] == rt[0] },
+					func(t bounds.Tuple) bounds.Tuple { return t[1 : len(t)-1] })
 				guard := And(owner.Get(src), rightM.Get(rt))
-				applyMult(guard, group, prod.LeftMult)
+				applyMult(guard, g, prod.LeftMult)
 			}
 		}
 	}

@@ -100,10 +100,10 @@ func New(info *types.Info, b *bounds.Bounds) *Translator {
 			continue
 		}
 		vars := map[uint64]int{}
-		m := NewMatrix(rb.Arity)
+		m := Matrix{arity: rb.Arity, keys: make([]uint64, 0, rb.Upper.Len()), nodes: make([]Node, 0, rb.Upper.Len())}
 		for _, t := range rb.Upper.Tuples() {
 			if rb.Lower.Contains(t) {
-				m.Set(t, TrueNode)
+				m.add(t.Key(), TrueNode)
 				continue
 			}
 			v := tr.numVars
@@ -111,7 +111,7 @@ func New(info *types.Info, b *bounds.Bounds) *Translator {
 			tr.varRel = append(tr.varRel, name)
 			tr.varTuple = append(tr.varTuple, t.Key())
 			vars[t.Key()] = v
-			m.Set(t, Var(v))
+			m.add(t.Key(), Var(v))
 		}
 		tr.relVars[name] = vars
 		tr.matrices[name] = m
@@ -289,9 +289,9 @@ func (tr *Translator) univMatrix() Matrix {
 
 func (tr *Translator) idenMatrix() Matrix {
 	u := tr.univMatrix()
-	out := NewMatrix(2)
-	for _, t := range u.Tuples() {
-		out.Set(bounds.Tuple{t[0], t[0]}, u.Get(t))
+	out := Matrix{arity: 2, keys: make([]uint64, 0, u.Len()), nodes: make([]Node, 0, u.Len())}
+	for i, k := range u.keys {
+		out.add(header(2)|(k&0xff)<<8|k&0xff, u.nodes[i])
 	}
 	return out
 }
@@ -555,29 +555,35 @@ type groundBinding struct {
 // bounds. Each decl bound is re-translated under the partial environment so
 // dependent bounds (y: x.f) work.
 func (tr *Translator) ground(decls []*ast.Decl, env Env) ([]groundBinding, error) {
+	// slot is one quantified variable; disj lists the flat positions of the
+	// earlier variables of its decl when the decl is disjoint.
 	type slot struct {
 		name string
 		expr ast.Expr
-		disj []string
+		disj []int
 	}
 	var flat []slot
 	for _, d := range decls {
 		if d.Mult == ast.MultSet {
 			return nil, fmt.Errorf("%s: higher-order (set) quantification is not supported", d.Pos())
 		}
-		var earlier []string
+		first := len(flat)
 		for _, n := range d.Names {
 			s := slot{name: n, expr: d.Expr}
 			if d.Disj {
-				s.disj = append([]string(nil), earlier...)
+				for p := first; p < len(flat); p++ {
+					s.disj = append(s.disj, p)
+				}
 			}
-			earlier = append(earlier, n)
 			flat = append(flat, s)
 		}
 	}
 	out := []groundBinding{}
-	var rec func(i int, env Env, guard Node, chosen map[string]uint64) error
-	rec = func(i int, env Env, guard Node, chosen map[string]uint64) error {
+	// chosen[p] is the tuple key bound at flat position p; rec(i) reads only
+	// positions below i, which its callers have set.
+	chosen := make([]uint64, len(flat))
+	var rec func(i int, env Env, guard Node) error
+	rec = func(i int, env Env, guard Node) error {
 		if err := tr.ctxErr(); err != nil {
 			return err
 		}
@@ -590,33 +596,23 @@ func (tr *Translator) ground(decls []*ast.Decl, env Env) ([]groundBinding, error
 		if err != nil {
 			return err
 		}
-		for _, t := range dom.Tuples() {
-			if len(s.disj) > 0 {
-				dup := false
-				for _, other := range s.disj {
-					if chosen[other] == t.Key() {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
+	tuples:
+		for j, k := range dom.keys {
+			for _, p := range s.disj {
+				if chosen[p] == k {
+					continue tuples
 				}
 			}
 			inner := env.clone()
-			inner[s.name] = SingletonMatrix(t)
-			nextChosen := make(map[string]uint64, len(chosen)+1)
-			for k, v := range chosen {
-				nextChosen[k] = v
-			}
-			nextChosen[s.name] = t.Key()
-			if err := rec(i+1, inner, And(guard, dom.Get(t)), nextChosen); err != nil {
+			inner[s.name] = singletonKey(k)
+			chosen[i] = k
+			if err := rec(i+1, inner, And(guard, dom.nodes[j])); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := rec(0, env, TrueNode, map[string]uint64{}); err != nil {
+	if err := rec(0, env, TrueNode); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -681,20 +677,23 @@ func (tr *Translator) translateComprehension(x *ast.Comprehension, env Env) (any
 		names = append(names, d.Names...)
 		total += len(d.Names)
 	}
-	out := NewMatrix(total)
+	es := make([]entry, 0, len(bindings))
 	for _, b := range bindings {
 		body, err := tr.Formula(x.Body, b.env)
 		if err != nil {
 			return nil, err
 		}
-		t := make(bounds.Tuple, 0, total)
+		// The binding's tuple concatenates each variable's singleton tuple.
+		var key uint64
+		arity := 0
 		for _, n := range names {
-			tuples := b.env[n].Tuples()
-			t = append(t, tuples[0]...)
+			k := b.env[n].keys[0]
+			key |= (k & lanes(keyArity(k))) << (8 * arity)
+			arity += keyArity(k)
 		}
-		out.orInto(t.Key(), And(b.guard, body))
+		es = append(es, entry{header(arity) | key, And(b.guard, body)})
 	}
-	return out, nil
+	return collect(total, es), nil
 }
 
 // Decode extracts a concrete instance from a SAT model.
