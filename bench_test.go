@@ -10,8 +10,7 @@ package specrepair
 //	BenchmarkFigure3           Pearson correlation matrix
 //	BenchmarkTableII           hybrid combinations
 //	BenchmarkFigure4           hybrid Venn regions
-//	BenchmarkAblationSAT       CDCL vs no-learning vs naive DPLL, plus
-//	                           portfolio/inprocessing arms on a split instance
+//	BenchmarkAblationSAT       CDCL vs no-reduce vs no-learning vs naive DPLL
 //	BenchmarkAblationPruning   BeAFix with vs without pruning
 //	BenchmarkAblationFaultLoc  localized vs exhaustive mutation ordering
 //	BenchmarkAblationRounds    Multi-Round REP as rounds grow
@@ -230,76 +229,6 @@ func BenchmarkAblationSAT(b *testing.B) {
 			}
 		}
 	})
-
-	// The split arms run the same hard instance through a Tseitin-style
-	// clause splitting (the redundancy-heavy shape circuit translation
-	// emits): auxiliaries double the clause count and pollute clause
-	// learning. Inprocessing eliminates every auxiliary and recovers the
-	// core, which is what the portfolio arm races on.
-	encVars, encoded := splitThreeSAT(130)
-	b.Run("cdcl-split", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := sat.NewSolver(sat.Options{})
-			for _, cl := range encoded {
-				s.AddClause(cl...)
-			}
-			if s.Solve() != sat.StatusUnsat {
-				b.Fatal("expected UNSAT")
-			}
-		}
-	})
-	b.Run("inprocess-split", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ip := sat.Inprocess(encVars, encoded, nil, sat.InprocessOptions{})
-			if ip.Unsat {
-				continue // refuted during simplification: even better
-			}
-			if ip.Stats.FinalClauses >= ip.Stats.OrigClauses {
-				b.Fatal("inprocessing failed to shrink the split encoding")
-			}
-			s := sat.NewSolver(sat.Options{})
-			s.Grow(encVars)
-			for _, cl := range ip.Clauses {
-				s.AddClause(cl...)
-			}
-			if s.Solve() != sat.StatusUnsat {
-				b.Fatal("expected UNSAT")
-			}
-			b.ReportMetric(float64(ip.Stats.OrigClauses-ip.Stats.FinalClauses), "clauses-removed/op")
-			b.ReportMetric(float64(ip.Stats.VarsEliminated), "vars-elim/op")
-		}
-	})
-	b.Run("portfolio-split", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			p := sat.NewPortfolio(sat.PortfolioOptions{Workers: 2, FreeRace: true})
-			for _, cl := range encoded {
-				p.AddClause(cl...)
-			}
-			if p.Solve() != sat.StatusUnsat {
-				b.Fatal("expected UNSAT")
-			}
-		}
-	})
-}
-
-// splitThreeSAT Tseitin-splits each ternary clause of the hard instance into
-// a (a ∨ b ∨ g) ∧ (¬g ∨ c) pair chained through a fresh auxiliary variable.
-// The instance is equisatisfiable (and UNSAT like the core); each auxiliary
-// occurs exactly once per polarity, so bounded variable elimination can undo
-// the encoding.
-func splitThreeSAT(numVars int) (int, [][]sat.Lit) {
-	cnf := unsatThreeSAT(numVars)
-	next := numVars
-	out := make([][]sat.Lit, 0, 2*len(cnf))
-	for _, cl := range cnf {
-		g := next
-		next++
-		out = append(out,
-			[]sat.Lit{cl[0], cl[1], sat.PosLit(g)},
-			[]sat.Lit{sat.NegLit(g), cl[2]},
-		)
-	}
-	return next, out
 }
 
 const ablationFaultySrc = `

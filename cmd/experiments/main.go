@@ -33,27 +33,6 @@ func main() {
 	}
 }
 
-// portfolioWorkers resolves the -portfolio/-sat-workers pair into a worker
-// count: an explicit -sat-workers wins, bare -portfolio sizes itself to the
-// machine (at least 2, at most 8 — more configurations than cores just adds
-// scheduling overhead).
-func portfolioWorkers(portfolio bool, satWorkers int) int {
-	if satWorkers > 1 {
-		return satWorkers
-	}
-	if !portfolio {
-		return 0
-	}
-	n := runtime.NumCPU()
-	if n > 8 {
-		n = 8
-	}
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	seed := fs.Int64("seed", 1, "simulated-LLM seed")
@@ -78,8 +57,6 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock limit; a timed-out (technique, spec) job errors and the run continues")
 	checkpointPath := fs.String("checkpoint", "", "journal completed jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal, skipping already-completed jobs")
-	portfolio := fs.Bool("portfolio", false, "race a portfolio of SAT solver configurations on hard queries (identical outputs)")
-	satWorkers := fs.Int("sat-workers", 0, "portfolio size; implies -portfolio when > 1 (0 = auto with -portfolio)")
 	serveAddr := fs.String("serve", "", "run as sharded-study coordinator, serving the lease protocol on this address (e.g. 127.0.0.1:7070)")
 	workerURL := fs.String("worker", "", "run as sharded-study worker against this coordinator URL (e.g. http://127.0.0.1:7070)")
 	leaseSize := fs.Int("lease", 0, "coordinator: jobs per lease (0 = 16)")
@@ -88,7 +65,6 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	workersSAT := portfolioWorkers(*portfolio, *satWorkers)
 	if *all {
 		*table1, *fig2, *fig3, *table2, *fig4 = true, true, true, true, true
 	}
@@ -190,7 +166,6 @@ func run(args []string) error {
 		Timeout:            *timeout,
 		CheckpointPath:     *checkpointPath,
 		Resume:             *resume,
-		SATWorkers:         workersSAT,
 		Progress:           progress,
 	}
 

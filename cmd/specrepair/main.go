@@ -56,12 +56,9 @@ func run(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-leg wall-clock limit; a timed-out technique leg errors")
 	checkpointPath := fs.String("checkpoint", "", "journal completed technique legs to this JSONL file")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal, replaying already-completed legs")
-	portfolio := fs.Bool("portfolio", false, "race a portfolio of SAT solver configurations on hard queries (identical outputs)")
-	satWorkers := fs.Int("sat-workers", 0, "portfolio size; implies -portfolio when > 1 (0 = auto with -portfolio)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	workersSAT := portfolioWorkers(*portfolio, *satWorkers)
 	if *resume && *checkpointPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
@@ -218,7 +215,6 @@ func run(args []string) error {
 		factory, err := core.FactoryByNameWith(*seed, name, core.FactoryOptions{
 			Cache:              cache,
 			DisableIncremental: *noincremental,
-			SATWorkers:         workersSAT,
 		})
 		if err != nil {
 			return err
@@ -300,27 +296,6 @@ func run(args []string) error {
 		}
 	}
 	return fmt.Errorf("no technique repaired %s", path)
-}
-
-// portfolioWorkers resolves the -portfolio/-sat-workers pair into a worker
-// count: an explicit -sat-workers wins, bare -portfolio sizes itself to the
-// machine (at least 2, at most 8 — more configurations than cores just adds
-// scheduling overhead).
-func portfolioWorkers(portfolio bool, satWorkers int) int {
-	if satWorkers > 1 {
-		return satWorkers
-	}
-	if !portfolio {
-		return 0
-	}
-	n := runtime.NumCPU()
-	if n > 8 {
-		n = 8
-	}
-	if n < 2 {
-		n = 2
-	}
-	return n
 }
 
 // lookupLeg fetches a journaled leg, tolerating a nil checkpoint.

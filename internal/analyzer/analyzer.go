@@ -45,22 +45,6 @@ type Options struct {
 	// session — the A/B baseline for the incremental evaluation layer.
 	// Verdicts are identical either way.
 	DisableIncremental bool
-	// SATWorkers, when > 1, races that many differently-configured CDCL
-	// workers (with clause sharing and CNF inprocessing) on each hard
-	// verdict-only query — the equisatisfiability checks behind REP scoring.
-	// Model-bearing executions (RunCommand, ExecuteAll, PassesAll) and
-	// incremental sessions keep a single solver, so instances and repair
-	// trajectories are bit-identical to a single-solver run; the portfolio's
-	// deterministic mode guarantees the verdicts are too. SATWorkers is
-	// therefore deliberately absent from cache keys.
-	SATWorkers int
-	// SATHardThreshold overrides the conflict budget the portfolio's
-	// reference solver spends alone before a query counts as hard and
-	// escalates to racing (0 = the portfolio default). Mainly for tests
-	// that need to force racing on easy instances; like SATWorkers it can
-	// only change time-to-verdict, never verdicts, and is absent from
-	// cache keys.
-	SATHardThreshold int64
 }
 
 // DefaultMaxConflicts bounds SAT search per command so that pathological
@@ -127,22 +111,13 @@ func New(opts Options) *Analyzer {
 	return &Analyzer{opts: opts, optsKey: fmt.Sprintf("maxconflicts=%d", opts.MaxConflicts)}
 }
 
-// Stats reports translation and solving effort for one command. Under a
-// portfolio engine the solver counters aggregate every racing worker's
-// effort (so Conflicts is total work spent, not the winner's share), and the
-// shared-pool counters report clause-sharing traffic.
+// Stats reports translation and solving effort for one command.
 type Stats struct {
 	RelVars    int
 	SolverVars int
 	Clauses    int
 	Conflicts  int64
 	Decisions  int64
-	// SatWorkers counts the solver instances behind the counters above (1
-	// for a plain engine). SharedExported/SharedImported count clauses
-	// published to and attached from the portfolio's shared pool.
-	SatWorkers     int
-	SharedExported int64
-	SharedImported int64
 }
 
 // Result is the outcome of one command execution.
@@ -228,10 +203,8 @@ type session struct {
 	info    *types.Info
 	byScope map[string]*scopeState
 	// verdictOnly marks sessions whose callers consume only SAT/UNSAT
-	// verdicts, never instances (the equisatisfiability checks). Those are
-	// the queries eligible for portfolio racing: a deterministic-mode race
-	// returns the same verdicts as a single solver, while models — which
-	// could differ by winner — are never decoded.
+	// verdicts, never instances (the equisatisfiability checks), so models
+	// are never decoded.
 	verdictOnly bool
 	// span parents the session's solver spans (nil when tracing is off).
 	span *telemetry.Span
@@ -240,7 +213,7 @@ type session struct {
 type scopeState struct {
 	bounds *bounds.Bounds
 	tr     *translate.Translator
-	solver sat.Engine
+	solver *sat.Solver
 	cb     *translate.CNFBuilder
 	err    error
 }
@@ -251,17 +224,6 @@ func (a *Analyzer) newSession(mod *ast.Module) (*session, error) {
 		return nil, fmt.Errorf("analyzing: %w", err)
 	}
 	return &session{an: a, low: low, info: info, byScope: map[string]*scopeState{}}, nil
-}
-
-// newVerdictSession is newSession for verdict-only callers, enabling the
-// portfolio engine when Options.SATWorkers asks for it.
-func (a *Analyzer) newVerdictSession(mod *ast.Module) (*session, error) {
-	s, err := a.newSession(mod)
-	if err != nil {
-		return nil, err
-	}
-	s.verdictOnly = true
-	return s, nil
 }
 
 func scopeKey(sc ast.Scope) string {
@@ -312,20 +274,11 @@ func (s *session) state(sc ast.Scope) *scopeState {
 		}
 		parts = append(parts, n)
 	}
-	base := sat.Options{
+	st.solver = sat.NewSolver(sat.Options{
 		MaxConflicts: s.an.opts.MaxConflicts,
 		Context:      s.an.ctx,
 		Telemetry:    s.an.opts.Telemetry,
-	}
-	if s.verdictOnly && s.an.opts.SATWorkers > 1 {
-		st.solver = sat.NewPortfolio(sat.PortfolioOptions{
-			Workers:       s.an.opts.SATWorkers,
-			Base:          base,
-			HardThreshold: s.an.opts.SATHardThreshold,
-		})
-	} else {
-		st.solver = sat.NewSolver(base)
-	}
+	})
 	st.solver.SetSpan(s.span)
 	st.cb = translate.NewCNFBuilder(st.solver, st.tr.NumVars())
 	st.cb.AddAssert(translate.And(parts...))
@@ -360,20 +313,16 @@ func (s *session) run(cmd *ast.Command) (*Result, error) {
 			return nil, fmt.Errorf("%s %s: %w", cmd.Kind, cmd.Name, err)
 		}
 	}
-	ss := st.solver.Stats()
 	res := &Result{
 		Command: cmd,
 		Status:  status,
 		Sat:     status == sat.StatusSat,
 		Stats: Stats{
-			RelVars:        st.tr.NumVars(),
-			SolverVars:     st.solver.NumVars(),
-			Clauses:        st.solver.NumClauses(),
-			Conflicts:      ss.Conflicts,
-			Decisions:      ss.Decisions,
-			SatWorkers:     ss.Workers,
-			SharedExported: ss.Exported,
-			SharedImported: ss.Imported,
+			RelVars:    st.tr.NumVars(),
+			SolverVars: st.solver.NumVars(),
+			Clauses:    st.solver.NumClauses(),
+			Conflicts:  st.solver.Conflicts,
+			Decisions:  st.solver.Decisions,
 		},
 	}
 	if res.Sat && !s.verdictOnly {
@@ -569,10 +518,11 @@ func (a *Analyzer) EquisatBaseline(gtCommands []*ast.Command, verdicts []bool, c
 }
 
 func (a *Analyzer) equisatBaselineUncached(gtCommands []*ast.Command, verdicts []bool, candidate *ast.Module) (bool, error) {
-	s, err := a.newVerdictSession(candidate)
+	s, err := a.newSession(candidate)
 	if err != nil {
 		return false, nil // malformed candidate: not a repair
 	}
+	s.verdictOnly = true
 	s.span = a.span.Child("analyzer.equisat")
 	defer s.span.End()
 	for i, cmd := range gtCommands {

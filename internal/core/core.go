@@ -75,12 +75,6 @@ type FactoryOptions struct {
 	// incremental evaluation session. Verdicts — and therefore study
 	// results — are identical either way; this is the A/B baseline.
 	DisableIncremental bool
-	// SATWorkers, when > 1, enables portfolio-parallel SAT solving for the
-	// analyzers' verdict-only queries: that many differently-configured
-	// CDCL workers race each hard query with clause sharing and CNF
-	// inprocessing. Deterministic winner selection keeps study artifacts
-	// byte-identical to a single-solver run.
-	SATWorkers int
 }
 
 // StudyFactories returns the twelve techniques with the study's
@@ -109,7 +103,6 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 			Cache:              cache,
 			Telemetry:          col,
 			DisableIncremental: o.DisableIncremental,
-			SATWorkers:         o.SATWorkers,
 		})
 	}
 	fs := []Factory{
@@ -302,9 +295,6 @@ type Runner struct {
 	// re-running them — the resume path after an interrupt or crash. Jobs
 	// abandoned because the whole run was cancelled are never journaled.
 	Checkpoint *Checkpoint
-	// SATWorkers configures portfolio-parallel SAT solving in the scoring
-	// analyzers (see FactoryOptions.SATWorkers); <= 1 keeps single solvers.
-	SATWorkers int
 }
 
 // PanicError wraps a panic recovered from a repair technique, attributing it
@@ -466,7 +456,7 @@ func (r *Runner) runPool(ctx context.Context, workers int, pending []execJob) <-
 			// solver and cache work of this worker's analyzers and
 			// techniques to exactly that job.
 			col := telemetry.NewCollector(r.Telemetry)
-			an := analyzer.New(analyzer.Options{Cache: r.Cache, Telemetry: col, SATWorkers: r.SATWorkers})
+			an := analyzer.New(analyzer.Options{Cache: r.Cache, Telemetry: col})
 			tools := map[string]repair.Technique{}
 			for j := range jobs {
 				tool, ok := tools[j.factory.Name]

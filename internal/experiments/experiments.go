@@ -90,11 +90,6 @@ type Config struct {
 	// jobs it records, so an interrupted run continues where it stopped and
 	// produces the same final artifacts an uninterrupted run would.
 	Resume bool
-	// SATWorkers, when > 1, races that many differently-configured CDCL
-	// workers per hard verdict-only SAT query with clause sharing and CNF
-	// inprocessing. Deterministic winner selection keeps study artifacts
-	// byte-identical to a single-solver run (SATWorkers <= 1).
-	SATWorkers int
 }
 
 // Run executes the full study: generate both benchmarks (scaled down by
@@ -184,7 +179,6 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
 		Cache:              cache,
 		DisableIncremental: cfg.DisableIncremental,
-		SATWorkers:         cfg.SATWorkers,
 	})
 	runner := &core.Runner{
 		Workers:    cfg.Workers,
@@ -193,7 +187,6 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 		Telemetry:  reg,
 		Timeout:    cfg.Timeout,
 		Checkpoint: checkpoint,
-		SATWorkers: cfg.SATWorkers,
 	}
 	if progress != nil {
 		runner.Progress = func(tech, spec string, done, total int, cs anacache.Stats, tel telemetry.Brief) {

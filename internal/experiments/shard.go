@@ -110,7 +110,6 @@ func RunCoordinator(ctx context.Context, cfg Config, opt CoordinatorOptions) (*S
 	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
 		Cache:              cache,
 		DisableIncremental: cfg.DisableIncremental,
-		SATWorkers:         cfg.SATWorkers,
 	})
 	techniques := factoryNames(factories)
 	digest := shard.StudyDigest(cfg.Seed, techniques, a4f, ar)
@@ -267,7 +266,6 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
 		Cache:              cache,
 		DisableIncremental: cfg.DisableIncremental,
-		SATWorkers:         cfg.SATWorkers,
 	})
 	techniques := factoryNames(factories)
 	suites := []*bench.Suite{a4f, ar}
@@ -275,12 +273,11 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 	jobs := shard.JobList(suites, techniques)
 
 	runner := &core.Runner{
-		Workers:    cfg.Workers,
-		Seed:       cfg.Seed,
-		Cache:      cache,
-		Telemetry:  reg,
-		Timeout:    cfg.Timeout,
-		SATWorkers: cfg.SATWorkers,
+		Workers:   cfg.Workers,
+		Seed:      cfg.Seed,
+		Cache:     cache,
+		Telemetry: reg,
+		Timeout:   cfg.Timeout,
 	}
 
 	w := &shard.Worker{

@@ -34,29 +34,6 @@ type Options struct {
 	// effort (conflicts, decisions, propagations, budget exhaustion). Nil
 	// disables recording with no per-solve overhead.
 	Telemetry *telemetry.Collector
-	// RestartBase is the Luby restart unit: restart r runs luby(r)*RestartBase
-	// conflicts. 0 selects the default of 100. Portfolio workers diverge on
-	// this to cover both rapid-restart and long-run search styles.
-	RestartBase int64
-	// VarDecay is the VSIDS activity decay factor in (0,1); 0 selects the
-	// default 0.95. Lower values chase the current conflict locality harder.
-	VarDecay float64
-	// ClauseDecay is the learnt-clause activity decay factor in (0,1); 0
-	// selects the default 0.999.
-	ClauseDecay float64
-	// DefaultPhase is the initial saved polarity of fresh variables (phase
-	// saving overwrites it as soon as a variable is assigned). The default
-	// false matches classic MiniSat; portfolio workers flip it to explore the
-	// complementary half of the space first.
-	DefaultPhase bool
-	// ReduceFloor is the minimum learnt-clause budget before reduceDB
-	// triggers; 0 selects the default 4000.
-	ReduceFloor int
-	// Share, when non-nil, connects this solver to a shared clause pool:
-	// short/low-LBD learnt clauses are exported as they are learnt, and pool
-	// clauses from other workers are imported at restart boundaries (for
-	// streaming connections) or via ImportShared (for buffered ones).
-	Share *ShareConn
 }
 
 type clause struct {
@@ -75,12 +52,19 @@ type watcher struct {
 	blocker  Lit
 }
 
-// Default values selected by zero-valued Options fields.
+// Search constants. Fresh variables start with saved phase false, as in
+// classic MiniSat.
 const (
-	defaultRestartBase = 100
-	defaultVarDecay    = 0.95
-	defaultClauseDecay = 0.999
-	defaultReduceFloor = 4000
+	// restartBase is the Luby restart unit: restart r runs
+	// luby(r)*restartBase conflicts.
+	restartBase = 100
+	// varDecay is the VSIDS activity decay factor.
+	varDecay = 0.95
+	// clauseDecay is the learnt-clause activity decay factor.
+	clauseDecay = 0.999
+	// reduceFloor is the minimum learnt-clause budget before reduceDB
+	// triggers.
+	reduceFloor = 4000
 )
 
 // Solver is a CDCL SAT solver. It is not safe for concurrent use.
@@ -88,12 +72,6 @@ type Solver struct {
 	opts Options
 	// span, when non-nil, parents one "sat.solve" trace span per Solve call.
 	span *telemetry.Span
-
-	// Normalized knobs (zero Options fields replaced by defaults).
-	restartBase int64
-	varDecay    float64
-	clauseDecay float64
-	reduceFloor int
 
 	numVars int
 	clauses []*clause
@@ -124,11 +102,6 @@ type Solver struct {
 	// Removed counts learnt clauses deleted by reduceDB; Learned-Removed
 	// (minus learnt units) is the live learnt-database size.
 	Removed int64
-	// Exported counts learnt clauses this solver published to the shared
-	// pool (accepted, not deduplicated away); Imported counts pool clauses
-	// from other workers attached to this solver's database.
-	Exported int64
-	Imported int64
 
 	// learntCount tracks attached learnt clauses; maxLearnts is the budget
 	// that triggers reduceDB (0 until initialized on first check).
@@ -152,76 +125,14 @@ type Solver struct {
 // NewSolver returns a solver with the given options.
 func NewSolver(opts Options) *Solver {
 	s := &Solver{opts: opts, varInc: 1.0, clauseInc: 1.0}
-	s.restartBase = opts.RestartBase
-	if s.restartBase <= 0 {
-		s.restartBase = defaultRestartBase
-	}
-	s.varDecay = opts.VarDecay
-	if s.varDecay <= 0 || s.varDecay >= 1 {
-		s.varDecay = defaultVarDecay
-	}
-	s.clauseDecay = opts.ClauseDecay
-	if s.clauseDecay <= 0 || s.clauseDecay >= 1 {
-		s.clauseDecay = defaultClauseDecay
-	}
-	s.reduceFloor = opts.ReduceFloor
-	if s.reduceFloor <= 0 {
-		s.reduceFloor = defaultReduceFloor
-	}
 	s.order = newVarHeap(&s.activity)
 	return s
 }
-
-// SetContext replaces the solver's cancellation context. The portfolio uses
-// this to hand each racing worker a per-query context derived from the
-// caller's without rebuilding the solver.
-func (s *Solver) SetContext(ctx context.Context) { s.opts.Context = ctx }
 
 // SetSpan parents subsequent solves' trace spans to sp: each Solve call then
 // emits one "sat.solve" child carrying its conflict/decision/propagation
 // deltas. Nil (the default) keeps solving span-free at zero cost.
 func (s *Solver) SetSpan(sp *telemetry.Span) { s.span = sp }
-
-// Stats is a point-in-time snapshot of solver effort, aggregatable across
-// the workers of a portfolio.
-type Stats struct {
-	Conflicts    int64
-	Decisions    int64
-	Propagations int64
-	Learned      int64
-	Removed      int64
-	// Exported/Imported count clause-sharing traffic (0 without a pool).
-	Exported int64
-	Imported int64
-	// Workers counts the solver instances folded into this snapshot.
-	Workers int
-}
-
-// Add folds another snapshot into s.
-func (s *Stats) Add(o Stats) {
-	s.Conflicts += o.Conflicts
-	s.Decisions += o.Decisions
-	s.Propagations += o.Propagations
-	s.Learned += o.Learned
-	s.Removed += o.Removed
-	s.Exported += o.Exported
-	s.Imported += o.Imported
-	s.Workers += o.Workers
-}
-
-// Stats returns a snapshot of this solver's cumulative effort counters.
-func (s *Solver) Stats() Stats {
-	return Stats{
-		Conflicts:    s.Conflicts,
-		Decisions:    s.Decisions,
-		Propagations: s.Propagations,
-		Learned:      s.Learned,
-		Removed:      s.Removed,
-		Exported:     s.Exported,
-		Imported:     s.Imported,
-		Workers:      1,
-	}
-}
 
 // Grow reserves capacity for at least n variables, reallocating each
 // per-variable slice once in bulk. Translators that know the problem size
@@ -271,7 +182,7 @@ func (s *Solver) NewVar() int {
 	s.reason = s.reason[:v+1]
 	s.reason[v] = -1
 	s.polarity = s.polarity[:v+1]
-	s.polarity[v] = s.opts.DefaultPhase
+	s.polarity[v] = false
 	s.activity = s.activity[:v+1]
 	s.activity[v] = 0
 	s.seen = s.seen[:v+1]
@@ -608,27 +519,14 @@ func luby(i int64) int64 {
 // assumption literals. With telemetry configured, each call records its
 // latency and the conflict/decision/propagation effort it spent.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	return s.solveInstrumented(assumptions, s.opts.MaxConflicts)
-}
-
-// SolveBudget is Solve with a per-call conflict budget overriding
-// Options.MaxConflicts (0 = unlimited). Portfolio workers in deterministic
-// mode run barrier-synced rounds of a fixed conflict quantum through it; the
-// search state carries over between calls exactly as for an incremental
-// solver.
-func (s *Solver) SolveBudget(budget int64, assumptions ...Lit) Status {
-	return s.solveInstrumented(assumptions, budget)
-}
-
-func (s *Solver) solveInstrumented(assumptions []Lit, maxConflicts int64) Status {
 	col, parent := s.opts.Telemetry, s.span
 	if col == nil && parent == nil {
-		return s.solve(assumptions, maxConflicts)
+		return s.solve(assumptions)
 	}
 	child := parent.Child("sat.solve")
 	start := time.Now()
 	c0, d0, p0 := s.Conflicts, s.Decisions, s.Propagations
-	st := s.solve(assumptions, maxConflicts)
+	st := s.solve(assumptions)
 	if col != nil {
 		col.RecordSolve(time.Since(start), s.Conflicts-c0, s.Decisions-d0, s.Propagations-p0,
 			st == StatusUnknown)
@@ -653,7 +551,7 @@ func (s *Solver) cancelled() bool {
 	return s.opts.Context != nil && s.opts.Context.Err() != nil
 }
 
-func (s *Solver) solve(assumptions []Lit, maxConflicts int64) Status {
+func (s *Solver) solve(assumptions []Lit) Status {
 	if s.unsatisfiable {
 		return StatusUnsat
 	}
@@ -666,27 +564,18 @@ func (s *Solver) solve(assumptions []Lit, maxConflicts int64) Status {
 	// incremental solver answers thousands of queries, each of which gets
 	// the full budget.
 	s.conflictLimit = 0
-	if maxConflicts > 0 {
-		s.conflictLimit = s.Conflicts + maxConflicts
+	if s.opts.MaxConflicts > 0 {
+		s.conflictLimit = s.Conflicts + s.opts.MaxConflicts
 	}
 
 	var restartNum int64
 	for {
 		restartNum++
-		budget := luby(restartNum) * s.restartBase
+		budget := luby(restartNum) * restartBase
 		if s.opts.DisableLearning {
 			// Without learning a restart would discard all progress and the
 			// search could cycle forever; run restart-free instead.
 			budget = 0
-		}
-		if s.opts.Share != nil && s.opts.Share.streaming() && restartNum > 1 {
-			// Restart boundary: pull in clauses other workers published since
-			// the last restart. Buffered (barrier-mode) connections are
-			// drained externally via ImportShared instead.
-			s.importShared()
-			if s.unsatisfiable {
-				return StatusUnsat
-			}
 		}
 		s.maybeReduce()
 		st := s.search(assumptions, budget)
@@ -702,71 +591,6 @@ func (s *Solver) solve(assumptions []Lit, maxConflicts int64) Status {
 	}
 }
 
-// ImportShared drains the solver's share connection (if any) into the clause
-// database at decision level zero. Portfolio coordinators call it between
-// barrier-synced rounds; streaming connections are drained automatically at
-// restart boundaries instead. Imported clauses are sound to attach because
-// every pool clause is a learnt clause of some worker solving the same CNF —
-// implied by the clause database alone, independent of any assumptions.
-func (s *Solver) ImportShared() {
-	if s.opts.Share == nil || s.unsatisfiable {
-		return
-	}
-	s.importShared()
-}
-
-func (s *Solver) importShared() {
-	s.cancelUntil(0)
-	s.opts.Share.Drain(func(lits []Lit, lbd int) {
-		s.addSharedClause(lits, lbd)
-	})
-	if !s.unsatisfiable && s.propagate() != -1 {
-		s.unsatisfiable = true
-	}
-}
-
-// addSharedClause attaches one pool clause as a learnt clause, simplifying
-// it against the root-level assignment first (so the watch invariants hold:
-// after filtering, no remaining literal is root-falsified, and any literal a
-// pending unit later falsifies is fixed up by the final propagate pass).
-func (s *Solver) addSharedClause(lits []Lit, lbd int) {
-	if s.unsatisfiable {
-		return
-	}
-	out := make([]Lit, 0, len(lits))
-	for _, l := range lits {
-		if l.Var() >= s.numVars {
-			// Pool clause mentions a variable this worker never allocated
-			// (should not happen across same-CNF workers); skip defensively.
-			return
-		}
-		switch {
-		case s.value(l) == True && s.level[l.Var()] == 0:
-			return // satisfied at root
-		case s.value(l) == False && s.level[l.Var()] == 0:
-			continue // root-falsified literal drops out
-		}
-		out = append(out, l)
-	}
-	switch len(out) {
-	case 0:
-		s.unsatisfiable = true
-	case 1:
-		if s.value(out[0]) != True {
-			s.uncheckedEnqueue(out[0], -1)
-		}
-		s.Imported++
-	default:
-		if lbd >= len(out) {
-			lbd = len(out) - 1
-		}
-		s.attachClause(&clause{lits: out, learnt: true, lbd: lbd})
-		s.Learned++
-		s.learntCount++
-		s.Imported++
-	}
-}
-
 // maybeReduce runs learnt-clause database reduction when the learnt count
 // exceeds the current budget; the budget then grows geometrically so
 // reductions stay rare relative to search.
@@ -776,8 +600,8 @@ func (s *Solver) maybeReduce() {
 	}
 	if s.maxLearnts == 0 {
 		s.maxLearnts = (len(s.clauses) - s.learntCount) / 3
-		if s.maxLearnts < s.reduceFloor {
-			s.maxLearnts = s.reduceFloor
+		if s.maxLearnts < reduceFloor {
+			s.maxLearnts = reduceFloor
 		}
 	}
 	if s.learntCount <= s.maxLearnts {
@@ -906,11 +730,6 @@ func (s *Solver) search(assumptions []Lit, budget int64) Status {
 			// UNSAT if one of them has become false.
 			learnt, backLevel := s.analyze(conflictID)
 			lbd := s.computeLBD(learnt)
-			if s.opts.Share != nil && s.opts.Share.want(len(learnt), lbd) {
-				if s.opts.Share.Export(learnt, lbd) {
-					s.Exported++
-				}
-			}
 			s.cancelUntil(backLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], -1)
@@ -921,10 +740,10 @@ func (s *Solver) search(assumptions []Lit, budget int64) Status {
 				s.bumpClause(s.clauses[id])
 				s.uncheckedEnqueue(learnt[0], id)
 			}
-			s.varInc /= s.varDecay
+			s.varInc /= varDecay
 			// Clause-activity decay: bumping with a growing increment makes
 			// recently useful learnt clauses outrank stale ones in reduceDB.
-			s.clauseInc /= s.clauseDecay
+			s.clauseInc /= clauseDecay
 			continue
 		}
 
@@ -978,13 +797,6 @@ func (s *Solver) ModelValue(v int) bool {
 		return s.model[v] == True
 	}
 	return false
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -64,64 +63,6 @@ func TestSolverSpan(t *testing.T) {
 	}
 	if _, ok := sr.Metrics["decisions"]; !ok {
 		t.Fatalf("no decisions metric: %v", sr.Metrics)
-	}
-}
-
-// TestPortfolioSpans forces the deterministic race (HardThreshold 1) and
-// checks the span shape: a portfolio.race span with one portfolio.worker
-// child per racer, workers nested inside the race, and a winner attribute.
-func TestPortfolioSpans(t *testing.T) {
-	sink := &traceSink{}
-	reg := telemetry.New()
-	reg.SetSink(sink)
-	parent := reg.StartSpan("candidate.eval")
-
-	rng := rand.New(rand.NewSource(7))
-	numVars := 18
-	cnf := randomCNF(rng, numVars, 80, 3)
-	p := buildPortfolio(PortfolioOptions{Workers: 4, HardThreshold: 1, Quantum: 64}, numVars, cnf)
-	p.SetSpan(parent)
-	p.Solve()
-	parent.End()
-
-	races := sink.byKind("portfolio.race")
-	if len(races) == 0 {
-		t.Fatal("no portfolio.race span despite HardThreshold 1")
-	}
-	race := races[0]
-	if race.ParentID != parent.ID() {
-		t.Fatalf("race parent %s, want %s", race.ParentID, parent.ID())
-	}
-	if race.Attrs["winner"] == "" {
-		t.Fatal("race has no winner attribute")
-	}
-	workers := sink.byKind("portfolio.worker")
-	if len(workers) == 0 {
-		t.Fatal("no portfolio.worker spans")
-	}
-	for _, w := range workers {
-		if w.ParentID != race.SpanID {
-			t.Fatalf("worker parent %s, want race %s", w.ParentID, race.SpanID)
-		}
-		if w.Attrs["config"] == "" {
-			t.Fatal("worker has no config attribute")
-		}
-		if w.StartUnixNs < race.StartUnixNs ||
-			w.StartUnixNs+w.DurationNs > race.StartUnixNs+race.DurationNs {
-			t.Fatalf("worker interval [%d,+%d] not nested in race [%d,+%d]",
-				w.StartUnixNs, w.DurationNs, race.StartUnixNs, race.DurationNs)
-		}
-	}
-	// Every sat.solve parents either to the portfolio's own span (solo
-	// stage-1 solves) or to a racing worker's span.
-	workerIDs := map[string]bool{}
-	for _, w := range workers {
-		workerIDs[w.SpanID] = true
-	}
-	for _, s := range sink.byKind("sat.solve") {
-		if s.ParentID != parent.ID() && !workerIDs[s.ParentID] {
-			t.Fatalf("sat.solve parent %s is neither the portfolio span %s nor a worker", s.ParentID, parent.ID())
-		}
 	}
 }
 

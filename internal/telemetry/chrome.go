@@ -10,8 +10,8 @@ import (
 
 // ChromeTraceWriter is a SpanSink emitting Chrome trace_event JSON (the
 // format chrome://tracing and Perfetto load directly): one "X" complete
-// event per span, with span lanes rendered as threads so portfolio workers
-// and runner workers each get their own track. The output is a single JSON
+// event per span, with span lanes rendered as threads so each runner worker
+// gets its own track. The output is a single JSON
 // array; Close terminates it.
 //
 // Like TraceWriter, a write failure never fails the observed run — the

@@ -26,9 +26,8 @@ func TestChromeTraceGolden(t *testing.T) {
 			StartUnixNs: 1_002_000_000, DurationNs: 1_500_000,
 			Attrs:   map[string]string{"status": "SAT"},
 			Metrics: map[string]int64{"conflicts": 12, "decisions": 34}},
-		{Name: "portfolio.worker", TraceID: "1", SpanID: "4", ParentID: "2", Lane: 101,
-			StartUnixNs: 1_004_000_000, DurationNs: 900_000,
-			Attrs: map[string]string{"config": "ref"}},
+		{Name: "job", Technique: "BeAFix", Spec: "A4F/cv/0001", TraceID: "1", SpanID: "4", ParentID: "1",
+			Lane: 2, StartUnixNs: 1_004_000_000, DurationNs: 900_000, Outcome: OutcomeFailed},
 	}
 	for _, r := range recs {
 		cw.Record(r)

@@ -251,32 +251,6 @@ func (c *Collector) RecordIncrementalCarryover(learnts int64) {
 	c.job.incCarried.Add(learnts)
 }
 
-// RecordPortfolioSolve folds one portfolio-raced SAT query into the
-// registry: the clause-sharing traffic and, when a worker was definitive,
-// a win for its configuration ("portfolio.wins|<config>").
-func (c *Collector) RecordPortfolioSolve(winner string, exported, imported int64) {
-	if c == nil {
-		return
-	}
-	c.reg.Counter(CtrPortfolioSolves).Inc()
-	c.reg.Counter(CtrPortfolioExported).Add(exported)
-	c.reg.Counter(CtrPortfolioImported).Add(imported)
-	if winner != "" {
-		c.reg.Counter(CtrPortfolioWins + labelSep + winner).Inc()
-	}
-}
-
-// RecordInprocess folds one CNF inprocessing run into the registry.
-func (c *Collector) RecordInprocess(varsEliminated, clausesRemoved, clausesAdded int64) {
-	if c == nil {
-		return
-	}
-	c.reg.Counter(CtrInprocessRuns).Inc()
-	c.reg.Counter(CtrInprocessVarsElim).Add(varsEliminated)
-	c.reg.Counter(CtrInprocessRemoved).Add(clausesRemoved)
-	c.reg.Counter(CtrInprocessAdded).Add(clausesAdded)
-}
-
 // TechCounter returns a live counter labeled with a technique name
 // ("technique.<metric>|<technique>"), for search loops that want their
 // progress visible mid-run (candidates enumerated, rounds completed).

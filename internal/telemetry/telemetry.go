@@ -55,19 +55,6 @@ const (
 	CtrIncFallbacks = "incremental.fallbacks"
 	CtrIncCarried   = "incremental.carried_learnts"
 
-	// Portfolio SAT solving: queries answered through the racing engine, the
-	// clause-sharing traffic between its workers, and per-config win counts
-	// ("portfolio.wins|<config>"). Inprocessing counters summarize the CNF
-	// simplification runs in front of the helper workers.
-	CtrPortfolioSolves   = "portfolio.solves"
-	CtrPortfolioExported = "portfolio.clauses_exported"
-	CtrPortfolioImported = "portfolio.clauses_imported"
-	CtrPortfolioWins     = "portfolio.wins"
-	CtrInprocessRuns     = "inprocess.runs"
-	CtrInprocessVarsElim = "inprocess.vars_eliminated"
-	CtrInprocessRemoved  = "inprocess.clauses_removed"
-	CtrInprocessAdded    = "inprocess.clauses_added"
-
 	// Sharded study runs: coordinator-side counters for the lease protocol.
 	// Leases granted to workers, leases reaped after their TTL lapsed without
 	// a heartbeat, straggler ranges handed to a second worker (work

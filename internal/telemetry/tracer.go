@@ -10,8 +10,8 @@
 // ID scheme: the registry allocates span IDs from one atomic counter; a root
 // span's ID doubles as the trace ID, and children inherit it. IDs are
 // rendered as lowercase hex in SpanRecord. Child is safe to call
-// concurrently on one parent (portfolio workers fan out under one race
-// span), but SetAttr/SetMetric/SetLane must only be called by the goroutine
+// concurrently on one parent (runner workers open their job spans under one
+// study span), but SetAttr/SetMetric/SetLane must only be called by the goroutine
 // that owns the span, and only before End.
 package telemetry
 

@@ -122,12 +122,13 @@ func TestSpanTree(t *testing.T) {
 }
 
 // TestSpanConcurrentChildren fans out child spans from many goroutines on
-// one parent (the portfolio-race shape); run with -race.
+// one parent (the runner's shape: each pool worker opens its job spans under
+// the shared study span); run with -race.
 func TestSpanConcurrentChildren(t *testing.T) {
 	sink := &captureSink{}
 	reg := New()
 	reg.SetSink(sink)
-	root := reg.StartSpan("portfolio.race")
+	root := reg.StartSpan("study")
 
 	const n = 32
 	var wg sync.WaitGroup
@@ -135,7 +136,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := root.Child("portfolio.worker")
+			c := root.Child("job")
 			c.SetMetric("idx", int64(i))
 			c.End()
 		}(i)
@@ -143,7 +144,7 @@ func TestSpanConcurrentChildren(t *testing.T) {
 	wg.Wait()
 	root.End()
 
-	workers := sink.byKind("portfolio.worker")
+	workers := sink.byKind("job")
 	if len(workers) != n {
 		t.Fatalf("got %d worker spans, want %d", len(workers), n)
 	}

@@ -10,26 +10,19 @@ package specrepair
 //   - kill-and-restart: a journaled run hard-stopped mid-flight must resume
 //     on restart and converge to byte-identical results with an
 //     uninterrupted reference run.
-//
-// The committed BENCH_REPAIRD.json is regenerated with:
-//
-//	BENCH_JSON=1 go test . -run TestRepairdLoadConcurrent -v
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"specrepair/internal/bench"
 	"specrepair/internal/service"
 )
 
@@ -148,29 +141,6 @@ func TestRepairdLoadConcurrent(t *testing.T) {
 	jobsPerSec := float64(jobs) / elapsed.Seconds()
 	t.Logf("%d jobs in %v (%.0f jobs/s, submit burst %v, cache hits %d)",
 		jobs, elapsed, jobsPerSec, submitDone.Sub(start), st.Cache.Hits)
-
-	if os.Getenv("BENCH_JSON") != "" {
-		file := bench.BenchFile{
-			Benchmark: "repaird_load",
-			Note: fmt.Sprintf("%d concurrent HTTP submissions, shared cache, %v wall",
-				jobs, elapsed.Round(time.Millisecond)),
-			Results: []bench.BenchResult{{
-				Name:       "submit_to_terminal",
-				Iterations: jobs,
-				NsPerOp:    elapsed.Nanoseconds() / jobs,
-				Extra: map[string]float64{
-					"jobs_per_sec":   jobsPerSec,
-					"accepted":       float64(accepted.Load()),
-					"cache_hits":     float64(st.Cache.Hits),
-					"cache_misses":   float64(st.Cache.Misses),
-					"submit_burst_s": submitDone.Sub(start).Seconds(),
-				},
-			}},
-		}
-		if err := bench.WriteBenchJSON("BENCH_REPAIRD.json", file); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestRepairdLoadOverflow drowns a tiny queue: the excess must bounce with
