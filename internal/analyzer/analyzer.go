@@ -111,7 +111,11 @@ func New(opts Options) *Analyzer {
 	return &Analyzer{opts: opts, optsKey: fmt.Sprintf("maxconflicts=%d", opts.MaxConflicts)}
 }
 
-// Stats reports translation and solving effort for one command.
+// Stats reports translation and solving effort for one command. Commands
+// of one scope share a solver: SolverVars and Clauses are its size once
+// this command's goal has been added, RelVars the size of the scope's
+// translation, and Conflicts and Decisions what this command's solve alone
+// spent.
 type Stats struct {
 	RelVars    int
 	SolverVars int
@@ -304,6 +308,7 @@ func (s *session) run(cmd *ast.Command) (*Result, error) {
 	}
 	gate := st.cb.Lit(goalNode)
 
+	conflicts, decisions := st.solver.Conflicts, st.solver.Decisions
 	status := st.solver.Solve(gate)
 	if status == sat.StatusUnknown {
 		// Unknown from a cancelled context is nondeterministic — it depends
@@ -321,8 +326,8 @@ func (s *session) run(cmd *ast.Command) (*Result, error) {
 			RelVars:    st.tr.NumVars(),
 			SolverVars: st.solver.NumVars(),
 			Clauses:    st.solver.NumClauses(),
-			Conflicts:  st.solver.Conflicts,
-			Decisions:  st.solver.Decisions,
+			Conflicts:  st.solver.Conflicts - conflicts,
+			Decisions:  st.solver.Decisions - decisions,
 		},
 	}
 	if res.Sat && !s.verdictOnly {

@@ -486,3 +486,37 @@ run { some next } for 3
 		t.Errorf("stats not populated: %+v", res.Stats)
 	}
 }
+
+// TestStatsArePerCommand runs two identical checks of one scope, which
+// share a solver: each result reports its own solve's conflicts and
+// decisions, so they sum to the solver's totals.
+func TestStatsArePerCommand(t *testing.T) {
+	src := `
+sig Node { next: lone Node }
+fact Links { all n: Node | n not in n.next }
+assert NoSelf { no n: Node | n in n.next }
+check NoSelf for 5
+check NoSelf for 5
+`
+	s, err := New(Options{}).newSession(mustParse(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conflicts, decisions int64
+	for _, cmd := range s.low.Commands {
+		r, err := s.run(cmd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Stats.Conflicts == 0 {
+			t.Fatalf("%s spent no conflicts; the check proves nothing", cmd.Name)
+		}
+		conflicts += r.Stats.Conflicts
+		decisions += r.Stats.Decisions
+	}
+	solver := s.state(s.low.Commands[0].Scope).solver
+	if conflicts != solver.Conflicts || decisions != solver.Decisions {
+		t.Errorf("per-command stats sum to %d conflicts and %d decisions, solver spent %d and %d",
+			conflicts, decisions, solver.Conflicts, solver.Decisions)
+	}
+}

@@ -42,8 +42,9 @@ type Test struct {
 }
 
 // valuation is a test's Valuation resolved over its own universe. A
-// relation valued with no tuples is held as an empty set of unspecified
-// arity: Instance gives it the arity of the model it runs against.
+// relation valued with no tuples is held as an empty unary set, which a test
+// instance uses only for a relation outside its model. The valuation is
+// shared by every instance of the test, so it is never modified.
 type valuation struct {
 	universe *bounds.Universe
 	rels     map[string]bounds.TupleSet
@@ -92,6 +93,9 @@ func (t *Test) resolve() *valuation {
 			}
 			ts.Add(idx)
 		}
+		if ts.IsEmpty() {
+			ts = bounds.NewTupleSet(1)
+		}
 		rels[name] = ts
 	}
 	return &valuation{universe: u, rels: rels}
@@ -135,14 +139,49 @@ func (t *Test) Run(mod *ast.Module) Result {
 type Model struct {
 	low  *ast.Module
 	info *types.Info
-	err  error
+	// defaults binds every relation of the model to an empty set of its
+	// checked arity; each test's instance layers its valuation over it.
+	defaults map[string]bounds.TupleSet
+	// facts is the conjunction of the model's facts, which FactsFormula
+	// denotes.
+	facts *ast.Block
+	err   error
 }
 
 // Prepare lowers mod for test runs. A module that does not lower still
 // yields a Model: every test run against it fails with that error.
 func Prepare(mod *ast.Module) *Model {
 	low, info, err := types.Lower(mod)
-	return &Model{low: low, info: info, err: err}
+	m := &Model{low: low, info: info, err: err}
+	if err == nil {
+		m.defaults = relationDefaults(info)
+		m.facts = &ast.Block{}
+		for _, f := range low.Facts {
+			m.facts.Exprs = append(m.facts.Exprs, f.Body)
+		}
+	}
+	return m
+}
+
+// relationDefaults binds every relation of a checked module, primed ones
+// included, to an empty set of its arity, so that the evaluator never sees
+// an unbound model relation.
+func relationDefaults(info *types.Info) map[string]bounds.TupleSet {
+	d := make(map[string]bounds.TupleSet, len(info.SigOrder)+len(info.FieldOrder)+len(info.Primed))
+	for _, name := range info.SigOrder {
+		d[name] = bounds.NewTupleSet(1)
+	}
+	for _, name := range info.FieldOrder {
+		d[name] = bounds.NewTupleSet(info.Fields[name].Arity)
+	}
+	for name := range info.Primed {
+		arity := 1
+		if f, ok := info.Fields[name]; ok {
+			arity = f.Arity
+		}
+		d[name+"'"] = bounds.NewTupleSet(arity)
+	}
+	return d
 }
 
 // Err returns the lowering error, or nil when the model type-checks.
@@ -176,63 +215,41 @@ func (m *Model) RunAll(s *Suite) ([]Result, int) {
 }
 
 // Instance materializes the test's valuation as a concrete instance over
-// the model's relations (absent relations are empty).
+// the model's relations (absent relations are empty). The instance is the
+// caller's own to modify.
 func (t *Test) Instance(info *types.Info) (*instance.Instance, error) {
+	inst, err := t.instance(relationDefaults(info))
+	if err != nil {
+		return nil, err
+	}
+	return inst.Clone(), nil
+}
+
+// instance returns the test's instance over a model with the given
+// relation defaults: its resolved valuation layered over them. A relation
+// the valuation gives tuples takes them; any other model relation is empty
+// with the model's arity; a relation outside the model valued with no
+// tuples is empty and unary. The instance shares both maps, so it must not
+// be modified.
+func (t *Test) instance(defaults map[string]bounds.TupleSet) (*instance.Instance, error) {
 	v := t.prepared()
 	if v.err != nil {
 		return nil, v.err
 	}
-	rels := make(map[string]bounds.TupleSet, len(info.SigOrder)+len(info.FieldOrder)+len(info.Primed)+len(v.rels))
-	// Every model relation is bound, with its checked arity unless the
-	// valuation gives it tuples, so the evaluator never sees an unbound name.
-	seed := func(name string, arity int) {
-		if ts := v.rels[name]; !ts.IsEmpty() {
-			rels[name] = ts
-		} else {
-			rels[name] = bounds.NewTupleSet(arity)
-		}
-	}
-	for _, name := range info.SigOrder {
-		seed(name, 1)
-	}
-	for _, name := range info.FieldOrder {
-		seed(name, info.Fields[name].Arity)
-	}
-	for name := range info.Primed {
-		if f, ok := info.Fields[name]; ok {
-			seed(name+"'", f.Arity)
-		} else {
-			seed(name+"'", 1)
-		}
-	}
-	for name, ts := range v.rels {
-		if _, ok := rels[name]; !ok {
-			if ts.IsEmpty() {
-				ts = bounds.NewTupleSet(1)
-			}
-			rels[name] = ts
-		}
-	}
-	return &instance.Instance{Universe: v.universe, Rels: rels}, nil
+	return &instance.Instance{Universe: v.universe, Rels: v.rels, Base: defaults}, nil
 }
 
 func (m *Model) eval(t *Test) (bool, error) {
 	if m.err != nil {
 		return false, fmt.Errorf("test %s: model does not check: %w", t.Name, m.err)
 	}
-	inst, err := t.Instance(m.info)
+	inst, err := t.instance(m.defaults)
 	if err != nil {
 		return false, err
 	}
 
-	var expr ast.Expr
-	if t.Formula == FactsFormula {
-		blk := &ast.Block{}
-		for _, f := range m.low.Facts {
-			blk.Exprs = append(blk.Exprs, f.Body)
-		}
-		expr = blk
-	} else {
+	var expr ast.Expr = m.facts
+	if t.Formula != FactsFormula {
 		expr, err = parser.ParseExpr(t.Formula)
 		if err != nil {
 			return false, fmt.Errorf("test %s: parsing formula: %w", t.Name, err)
@@ -265,9 +282,9 @@ func (s *Suite) AllPass(mod *ast.Module) bool {
 // ICEBAR uses to turn counterexamples into regression tests.
 func FromInstance(name string, inst *instance.Instance, formula string, expect bool) *Test {
 	val := map[string][][]string{}
-	for rel, ts := range inst.Rels {
+	for _, rel := range inst.Names() {
 		var tuples [][]string
-		for _, tu := range ts.Tuples() {
+		for _, tu := range inst.Rel(rel).Tuples() {
 			names := make([]string, len(tu))
 			for i, a := range tu {
 				names[i] = inst.Universe.Atom(a)

@@ -204,7 +204,7 @@ func TestUniverse(t *testing.T) {
 // it, never alias it.
 func TestTupleSetCopyIndependent(t *testing.T) {
 	a := setOf(Tuple{0, 1}, Tuple{1, 2})
-	singles := a.Singletons()
+	singles := []TupleSet{a.Singleton(0), a.Singleton(1)}
 	b := a
 	b.Add(Tuple{2, 0})
 	singles[0].Add(Tuple{0, 0})

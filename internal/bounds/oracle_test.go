@@ -129,7 +129,7 @@ func build(arity int, tuples []Tuple) TupleSet {
 
 // match reports how got differs from the reference, or "" when it has the
 // reference's tuples and arity, lists them in strictly ascending key order
-// (Tuples and Singletons alike), and answers Contains for each.
+// (Tuples, Singleton and Key alike), and answers Contains for each.
 func match(got TupleSet, arity int, want refSet) string {
 	if got.Arity() != arity {
 		return "arity " + strconv.Itoa(got.Arity()) + ", want " + strconv.Itoa(arity)
@@ -138,7 +138,6 @@ func match(got TupleSet, arity int, want refSet) string {
 	if len(tuples) != len(want) || got.Len() != len(want) || got.IsEmpty() != (len(want) == 0) {
 		return "size " + strconv.Itoa(len(tuples)) + ", want " + strconv.Itoa(len(want))
 	}
-	singles := got.Singletons()
 	for i, t := range tuples {
 		if !want[enc(t)] {
 			return "extra tuple " + enc(t)
@@ -149,8 +148,11 @@ func match(got TupleSet, arity int, want refSet) string {
 		if i > 0 && tuples[i-1].Key() >= t.Key() {
 			return "Tuples not in ascending key order"
 		}
-		if s := singles[i].Tuples(); singles[i].Arity() != got.Arity() || len(s) != 1 || enc(s[0]) != enc(t) {
-			return "Singletons disagree with Tuples at " + strconv.Itoa(i)
+		if single := got.Singleton(i); single.Arity() != got.Arity() || single.Len() != 1 || enc(single.Tuples()[0]) != enc(t) {
+			return "Singleton disagrees with Tuples at " + strconv.Itoa(i)
+		}
+		if got.Key(i) != t.Key() {
+			return "Key disagrees with Tuples at " + strconv.Itoa(i)
 		}
 	}
 	return ""
@@ -271,7 +273,10 @@ func checkAlgebra(t *testing.T, pick src) {
 		last[i] = universe
 	}
 	mid[0] = universe
-	singles := a.Singletons()
+	singles := make([]TupleSet, a.Len())
+	for i := range singles {
+		singles[i] = a.Singleton(i)
+	}
 	c1, c2 := a, a
 	c1.Add(mid)
 	c2.Add(last)

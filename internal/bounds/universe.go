@@ -157,15 +157,15 @@ func (ts TupleSet) Tuples() []Tuple {
 	return out
 }
 
-// Singletons returns one single-tuple set per tuple of ts, in Tuples order.
-// Each shares its key with ts.
-func (ts TupleSet) Singletons() []TupleSet {
-	out := make([]TupleSet, len(ts.keys))
-	for i := range ts.keys {
-		out[i] = TupleSet{arity: ts.arity, keys: ts.keys[i : i+1 : i+1]}
-	}
-	return out
+// Singleton returns the set holding only the i-th tuple of ts, in Tuples
+// order. It shares its key with ts.
+func (ts TupleSet) Singleton(i int) TupleSet {
+	return TupleSet{arity: ts.arity, keys: ts.keys[i : i+1 : i+1]}
 }
+
+// Key returns the packed key (Tuple.Key) of the i-th tuple of ts, in Tuples
+// order.
+func (ts TupleSet) Key(i int) uint64 { return ts.keys[i] }
 
 // Equal reports whether two sets contain the same tuples.
 func (ts TupleSet) Equal(o TupleSet) bool { return slices.Equal(ts.keys, o.keys) }

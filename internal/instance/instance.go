@@ -8,7 +8,7 @@ package instance
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 	"strings"
 
 	"specrepair/internal/alloy/ast"
@@ -19,6 +19,13 @@ import (
 type Instance struct {
 	Universe *bounds.Universe
 	Rels     map[string]bounds.TupleSet
+	// Base, when non-nil, values the relations that Rels gives no tuples: a
+	// name Base binds takes Base's value, so a model's declared arity wins
+	// over an empty valuation's, and every other name keeps Rels's. Either
+	// map may be shared with other instances (an AUnit test's instances share
+	// its resolved valuation and their model's defaults), so code that
+	// modifies an instance must Clone it first.
+	Base map[string]bounds.TupleSet
 }
 
 // New returns an empty instance over the universe.
@@ -26,33 +33,55 @@ func New(u *bounds.Universe) *Instance {
 	return &Instance{Universe: u, Rels: map[string]bounds.TupleSet{}}
 }
 
-// Clone returns a copy whose Rels map is independent of the original's.
-// Tuple sets are immutable values, so the copy shares them.
+// Clone returns a copy with one Rels map of its own that holds every
+// relation's value, and no Base. Tuple sets are immutable values, so the
+// copy shares them.
 func (in *Instance) Clone() *Instance {
-	c := &Instance{Universe: in.Universe, Rels: make(map[string]bounds.TupleSet, len(in.Rels))}
+	c := &Instance{Universe: in.Universe, Rels: make(map[string]bounds.TupleSet, len(in.Rels)+len(in.Base))}
 	maps.Copy(c.Rels, in.Rels)
+	for name := range in.Base {
+		c.Rels[name] = in.Rel(name)
+	}
 	return c
+}
+
+// lookup returns the named relation's value and whether the instance binds
+// it.
+func (in *Instance) lookup(name string) (bounds.TupleSet, bool) {
+	ts, ok := in.Rels[name]
+	if in.Base != nil && ts.IsEmpty() {
+		if b, found := in.Base[name]; found {
+			return b, true
+		}
+	}
+	return ts, ok
 }
 
 // Rel returns the tuple set of the named relation (empty if absent).
 func (in *Instance) Rel(name string) bounds.TupleSet {
-	if ts, ok := in.Rels[name]; ok {
-		return ts
+	ts, _ := in.lookup(name)
+	return ts
+}
+
+// Names returns the names of every bound relation, sorted.
+func (in *Instance) Names() []string {
+	names := make([]string, 0, len(in.Rels)+len(in.Base))
+	for n := range in.Rels {
+		names = append(names, n)
 	}
-	return bounds.TupleSet{}
+	for n := range in.Base {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // String renders the instance deterministically for diagnostics and test
 // oracles.
 func (in *Instance) String() string {
-	names := make([]string, 0, len(in.Rels))
-	for n := range in.Rels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s = %s\n", n, in.Rels[n].String(in.Universe))
+	for _, n := range in.Names() {
+		fmt.Fprintf(&b, "%s = %s\n", n, in.Rel(n).String(in.Universe))
 	}
 	return b.String()
 }
@@ -60,324 +89,397 @@ func (in *Instance) String() string {
 // Env maps bound variable names to their values.
 type Env map[string]bounds.TupleSet
 
-// clone copies the environment.
-func (e Env) clone() Env {
-	out := make(Env, len(e)+2)
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
 // Evaluator evaluates expressions against an instance. Mod must be a lowered
 // module (predicate and function applications rewritten to Call nodes) so
-// that calls can be inlined by parameter binding.
+// that calls can be inlined by parameter binding. An Evaluator keeps scratch
+// state between calls, so it must not be used from two goroutines at once.
 type Evaluator struct {
 	Mod  *ast.Module
 	Inst *Instance
+
+	// slots is the scope: every name bound so far, innermost last. Lookups
+	// see the slots from base up; a call moves base to its parameters, so
+	// its body sees nothing of its caller's scope. A slot with no name holds
+	// a value computed for a binding that is not in scope yet.
+	slots []slot
+	base  int
+	// atoms lists the atom indices of atomsOf, the universe they were
+	// listed for, for iden and reflexive closure.
+	atoms   []int
+	atomsOf *bounds.Universe
+}
+
+type slot struct {
+	name string
+	val  bounds.TupleSet
+}
+
+// kind tags what a value holds.
+type kind uint8
+
+const (
+	kindBool kind = iota
+	kindInt
+	kindSet
+)
+
+// value is the result of evaluating an expression: a formula's truth, an
+// integer, or a relational expression's tuple set, as its kind says.
+type value struct {
+	kind kind
+	b    bool
+	n    int
+	ts   bounds.TupleSet
+}
+
+func boolean(b bool) value          { return value{kind: kindBool, b: b} }
+func integer(n int) value           { return value{kind: kindInt, n: n} }
+func set(ts bounds.TupleSet) value  { return value{kind: kindSet, ts: ts} }
+func fail(err error) (value, error) { return value{}, err }
+func failf(format string, args ...any) (value, error) {
+	return value{}, fmt.Errorf(format, args...)
+}
+
+// typeName names the Go type of the value's payload, as error texts do.
+func (v value) typeName() string {
+	switch v.kind {
+	case kindBool:
+		return "bool"
+	case kindInt:
+		return "int"
+	default:
+		return "bounds.TupleSet"
+	}
 }
 
 // EvalFormula evaluates a formula to a boolean.
 func (ev *Evaluator) EvalFormula(e ast.Expr, env Env) (bool, error) {
-	if env == nil {
-		env = Env{}
-	}
-	v, err := ev.eval(e, env)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("%s: expected formula, evaluated to %T", pos(e), v)
-	}
-	return b, nil
+	ev.enter(env)
+	return ev.formula(e)
 }
 
 // EvalExpr evaluates a relational expression to a tuple set.
 func (ev *Evaluator) EvalExpr(e ast.Expr, env Env) (bounds.TupleSet, error) {
-	if env == nil {
-		env = Env{}
+	ev.enter(env)
+	return ev.expr(e)
+}
+
+// enter starts an evaluation whose scope is env.
+func (ev *Evaluator) enter(env Env) {
+	if ev.slots == nil {
+		// Room for the names most formulas bind, so that a fresh
+		// evaluator's stack is one allocation.
+		ev.slots = make([]slot, 0, 8)
 	}
-	v, err := ev.eval(e, env)
+	ev.slots, ev.base = ev.slots[:0], 0
+	for name, ts := range env {
+		ev.slots = append(ev.slots, slot{name: name, val: ts})
+	}
+}
+
+func (ev *Evaluator) formula(e ast.Expr) (bool, error) {
+	v, err := ev.eval(e)
+	if err != nil {
+		return false, err
+	}
+	if v.kind != kindBool {
+		return false, fmt.Errorf("%s: expected formula, evaluated to %s", pos(e), v.typeName())
+	}
+	return v.b, nil
+}
+
+func (ev *Evaluator) expr(e ast.Expr) (bounds.TupleSet, error) {
+	v, err := ev.eval(e)
 	if err != nil {
 		return bounds.TupleSet{}, err
 	}
-	ts, ok := v.(bounds.TupleSet)
-	if !ok {
-		return bounds.TupleSet{}, fmt.Errorf("%s: expected relational expression, evaluated to %T", pos(e), v)
+	if v.kind != kindSet {
+		return bounds.TupleSet{}, fmt.Errorf("%s: expected relational expression, evaluated to %s", pos(e), v.typeName())
 	}
-	return ts, nil
+	return v.ts, nil
+}
+
+// find returns the innermost visible binding of name among the slots below
+// top.
+func (ev *Evaluator) find(name string, top int) (bounds.TupleSet, bool) {
+	for i := top - 1; i >= ev.base; i-- {
+		if ev.slots[i].name == name {
+			return ev.slots[i].val, true
+		}
+	}
+	return bounds.TupleSet{}, false
 }
 
 func pos(e ast.Expr) string { return e.Pos().String() }
 
 func (ev *Evaluator) univAtoms() []int {
-	out := make([]int, ev.Inst.Universe.Size())
-	for i := range out {
-		out[i] = i
+	if u := ev.Inst.Universe; ev.atomsOf != u {
+		ev.atoms = make([]int, u.Size())
+		for i := range ev.atoms {
+			ev.atoms[i] = i
+		}
+		ev.atomsOf = u
 	}
-	return out
+	return ev.atoms
 }
 
-// eval returns bool, int, or bounds.TupleSet.
-func (ev *Evaluator) eval(e ast.Expr, env Env) (any, error) {
+func (ev *Evaluator) eval(e ast.Expr) (value, error) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		if v, ok := env[x.Name]; ok && !x.NoImplicit {
-			return v, nil
+		if !x.NoImplicit {
+			if ts, ok := ev.find(x.Name, len(ev.slots)); ok {
+				return set(ts), nil
+			}
 		}
-		if ts, ok := ev.Inst.Rels[x.Name]; ok {
-			return ts, nil
+		if ts, ok := ev.Inst.lookup(x.Name); ok {
+			return set(ts), nil
 		}
-		return nil, fmt.Errorf("%s: unbound name %q in instance", pos(e), x.Name)
+		return failf("%s: unbound name %q in instance", pos(e), x.Name)
 	case *ast.Const:
 		switch x.Kind {
 		case ast.ConstNone:
-			return bounds.NewTupleSet(1), nil
+			return set(bounds.NewTupleSet(1)), nil
 		case ast.ConstUniv:
-			return ev.univSet()
+			return set(ev.univSet()), nil
 		default:
-			return bounds.Iden(ev.univAtoms()), nil
+			return set(bounds.Iden(ev.univAtoms())), nil
 		}
 	case *ast.IntLit:
-		return x.Value, nil
+		return integer(x.Value), nil
 	case *ast.Prime:
 		id, ok := x.Sub.(*ast.Ident)
 		if !ok {
-			return nil, fmt.Errorf("%s: prime applies to relation names", pos(e))
+			return failf("%s: prime applies to relation names", pos(e))
 		}
-		if ts, ok := ev.Inst.Rels[id.Name+"'"]; ok {
-			return ts, nil
+		if ts, ok := ev.Inst.lookup(id.Name + "'"); ok {
+			return set(ts), nil
 		}
-		return nil, fmt.Errorf("%s: no primed relation %q in instance", pos(e), id.Name+"'")
+		return failf("%s: no primed relation %q in instance", pos(e), id.Name+"'")
 	case *ast.Unary:
-		return ev.evalUnary(x, env)
+		return ev.evalUnary(x)
 	case *ast.Binary:
-		return ev.evalBinary(x, env)
+		return ev.evalBinary(x)
 	case *ast.BoxJoin:
-		cur, err := ev.EvalExpr(x.Target, env)
+		cur, err := ev.expr(x.Target)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		for _, a := range x.Args {
-			av, err := ev.EvalExpr(a, env)
+			av, err := ev.expr(a)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			cur = av.Join(cur)
 		}
-		return cur, nil
+		return set(cur), nil
 	case *ast.Call:
-		return ev.evalCall(x, env)
+		return ev.evalCall(x)
 	case *ast.Quantified:
-		return ev.evalQuantified(x, env)
+		return ev.evalQuantified(x)
 	case *ast.Comprehension:
-		return ev.evalComprehension(x, env)
+		return ev.evalComprehension(x)
 	case *ast.Let:
-		inner := env.clone()
-		for i, n := range x.Names {
-			v, err := ev.eval(x.Values[i], env)
+		// Every value is computed in the enclosing scope, in an unnamed
+		// slot, and the names come into scope together for the body.
+		mark := len(ev.slots)
+		for i := range x.Names {
+			v, err := ev.eval(x.Values[i])
+			if err == nil && v.kind != kindSet {
+				err = fmt.Errorf("%s: let binds relational values only", pos(e))
+			}
 			if err != nil {
-				return nil, err
+				ev.slots = ev.slots[:mark]
+				return fail(err)
 			}
-			ts, ok := v.(bounds.TupleSet)
-			if !ok {
-				return nil, fmt.Errorf("%s: let binds relational values only", pos(e))
-			}
-			inner[n] = ts
+			ev.slots = append(ev.slots, slot{val: v.ts})
 		}
-		return ev.eval(x.Body, inner)
+		for i, n := range x.Names {
+			ev.slots[mark+i].name = n
+		}
+		v, err := ev.eval(x.Body)
+		ev.slots = ev.slots[:mark]
+		return v, err
 	case *ast.IfElse:
-		c, err := ev.EvalFormula(x.Cond, env)
+		c, err := ev.formula(x.Cond)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if c {
-			return ev.eval(x.Then, env)
+			return ev.eval(x.Then)
 		}
-		return ev.eval(x.Else, env)
+		return ev.eval(x.Else)
 	case *ast.Block:
 		for _, sub := range x.Exprs {
-			b, err := ev.EvalFormula(sub, env)
+			b, err := ev.formula(sub)
 			if err != nil {
-				return nil, err
+				return fail(err)
 			}
 			if !b {
-				return false, nil
+				return boolean(false), nil
 			}
 		}
-		return true, nil
+		return boolean(true), nil
 	default:
-		return nil, fmt.Errorf("%s: cannot evaluate %T", pos(e), e)
+		return failf("%s: cannot evaluate %T", pos(e), e)
 	}
 }
 
 // univSet returns the union of all top-level signature valuations.
-func (ev *Evaluator) univSet() (any, error) {
+func (ev *Evaluator) univSet() bounds.TupleSet {
 	out := bounds.NewTupleSet(1)
 	for _, s := range ev.Mod.Sigs {
 		for _, n := range s.Names {
 			if s.Parent != "" {
 				continue
 			}
-			if ts, ok := ev.Inst.Rels[n]; ok {
+			if ts, ok := ev.Inst.lookup(n); ok {
 				out = out.Union(ts)
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (ev *Evaluator) evalUnary(x *ast.Unary, env Env) (any, error) {
-	switch x.Op {
-	case ast.UnNot:
-		b, err := ev.EvalFormula(x.Sub, env)
+func (ev *Evaluator) evalUnary(x *ast.Unary) (value, error) {
+	if x.Op == ast.UnNot {
+		b, err := ev.formula(x.Sub)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		return !b, nil
+		return boolean(!b), nil
 	}
-	ts, err := ev.EvalExpr(x.Sub, env)
+	ts, err := ev.expr(x.Sub)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	switch x.Op {
 	case ast.UnTranspose:
-		return ts.Transpose(), nil
+		return set(ts.Transpose()), nil
 	case ast.UnClosure:
-		return ts.Closure(), nil
+		return set(ts.Closure()), nil
 	case ast.UnReflClose:
-		return ts.ReflClosure(ev.univAtoms()), nil
+		return set(ts.ReflClosure(ev.univAtoms())), nil
 	case ast.UnCard:
-		return ts.Len(), nil
+		return integer(ts.Len()), nil
 	case ast.UnNo:
-		return ts.IsEmpty(), nil
+		return boolean(ts.IsEmpty()), nil
 	case ast.UnSome:
-		return !ts.IsEmpty(), nil
+		return boolean(!ts.IsEmpty()), nil
 	case ast.UnLone:
-		return ts.Len() <= 1, nil
+		return boolean(ts.Len() <= 1), nil
 	case ast.UnOne:
-		return ts.Len() == 1, nil
+		return boolean(ts.Len() == 1), nil
 	case ast.UnSet:
-		return true, nil
+		return boolean(true), nil
 	default:
-		return nil, fmt.Errorf("%s: cannot evaluate unary %s", pos(x), x.Op)
+		return failf("%s: cannot evaluate unary %s", pos(x), x.Op)
 	}
 }
 
-func (ev *Evaluator) evalBinary(x *ast.Binary, env Env) (any, error) {
+func (ev *Evaluator) evalBinary(x *ast.Binary) (value, error) {
 	switch x.Op {
-	case ast.BinAnd:
-		l, err := ev.EvalFormula(x.Left, env)
+	case ast.BinAnd, ast.BinOr, ast.BinImplies:
+		l, err := ev.formula(x.Left)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		if !l {
-			return false, nil
+		switch {
+		case x.Op == ast.BinAnd && !l:
+			return boolean(false), nil
+		case x.Op == ast.BinOr && l:
+			return boolean(true), nil
+		case x.Op == ast.BinImplies && !l:
+			return boolean(true), nil
 		}
-		return ev.EvalFormula(x.Right, env)
-	case ast.BinOr:
-		l, err := ev.EvalFormula(x.Left, env)
+		r, err := ev.formula(x.Right)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		if l {
-			return true, nil
-		}
-		return ev.EvalFormula(x.Right, env)
-	case ast.BinImplies:
-		l, err := ev.EvalFormula(x.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		if !l {
-			return true, nil
-		}
-		return ev.EvalFormula(x.Right, env)
+		return boolean(r), nil
 	case ast.BinIff:
-		l, err := ev.EvalFormula(x.Left, env)
+		l, err := ev.formula(x.Left)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		r, err := ev.EvalFormula(x.Right, env)
+		r, err := ev.formula(x.Right)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		return l == r, nil
+		return boolean(l == r), nil
 	}
 
-	lv, err := ev.eval(x.Left, env)
+	lv, err := ev.eval(x.Left)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	rv, err := ev.eval(x.Right, env)
+	rv, err := ev.eval(x.Right)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 
-	li, lIsInt := lv.(int)
-	ri, rIsInt := rv.(int)
-	if lIsInt || rIsInt {
-		if !lIsInt || !rIsInt {
-			return nil, fmt.Errorf("%s: mixing Int and relational operands", pos(x))
+	if lv.kind == kindInt || rv.kind == kindInt {
+		if lv.kind != rv.kind {
+			return failf("%s: mixing Int and relational operands", pos(x))
 		}
+		li, ri := lv.n, rv.n
 		switch x.Op {
 		case ast.BinEq:
-			return li == ri, nil
+			return boolean(li == ri), nil
 		case ast.BinNotEq:
-			return li != ri, nil
+			return boolean(li != ri), nil
 		case ast.BinLt:
-			return li < ri, nil
+			return boolean(li < ri), nil
 		case ast.BinGt:
-			return li > ri, nil
+			return boolean(li > ri), nil
 		case ast.BinLtEq:
-			return li <= ri, nil
+			return boolean(li <= ri), nil
 		case ast.BinGtEq:
-			return li >= ri, nil
+			return boolean(li >= ri), nil
 		default:
-			return nil, fmt.Errorf("%s: unsupported Int operator %s", pos(x), x.Op)
+			return failf("%s: unsupported Int operator %s", pos(x), x.Op)
 		}
 	}
 
-	l, ok := lv.(bounds.TupleSet)
-	if !ok {
-		return nil, fmt.Errorf("%s: expected relational left operand", pos(x))
+	if lv.kind != kindSet {
+		return failf("%s: expected relational left operand", pos(x))
 	}
-	r, ok := rv.(bounds.TupleSet)
-	if !ok {
-		return nil, fmt.Errorf("%s: expected relational right operand", pos(x))
+	if rv.kind != kindSet {
+		return failf("%s: expected relational right operand", pos(x))
 	}
+	l, r := lv.ts, rv.ts
 	switch x.Op {
 	case ast.BinJoin:
-		return l.Join(r), nil
+		return set(l.Join(r)), nil
 	case ast.BinProduct:
-		return l.Product(r), nil
+		return set(l.Product(r)), nil
 	case ast.BinUnion:
-		return l.Union(r), nil
+		return set(l.Union(r)), nil
 	case ast.BinDiff:
-		return l.Diff(r), nil
+		return set(l.Diff(r)), nil
 	case ast.BinIntersect:
-		return l.Intersect(r), nil
+		return set(l.Intersect(r)), nil
 	case ast.BinOverride:
-		return l.Override(r), nil
+		return set(l.Override(r)), nil
 	case ast.BinDomRestr:
-		return r.DomRestr(l), nil
+		return set(r.DomRestr(l)), nil
 	case ast.BinRanRestr:
-		return l.RanRestr(r), nil
+		return set(l.RanRestr(r)), nil
 	case ast.BinIn:
-		return l.SubsetOf(r), nil
+		return boolean(l.SubsetOf(r)), nil
 	case ast.BinNotIn:
-		return !l.SubsetOf(r), nil
+		return boolean(!l.SubsetOf(r)), nil
 	case ast.BinEq:
-		return l.Equal(r), nil
+		return boolean(l.Equal(r)), nil
 	case ast.BinNotEq:
-		return !l.Equal(r), nil
+		return boolean(!l.Equal(r)), nil
 	default:
-		return nil, fmt.Errorf("%s: cannot evaluate binary %s", pos(x), x.Op)
+		return failf("%s: cannot evaluate binary %s", pos(x), x.Op)
 	}
 }
 
-func (ev *Evaluator) evalCall(x *ast.Call, env Env) (any, error) {
+// evalCall evaluates every argument in the caller's scope, then runs the
+// body in a frame that sees only the parameters bound to them.
+func (ev *Evaluator) evalCall(x *ast.Call) (value, error) {
 	var params []*ast.Decl
 	var body ast.Expr
 	if p := ev.Mod.LookupPred(x.Name); p != nil {
@@ -385,96 +487,99 @@ func (ev *Evaluator) evalCall(x *ast.Call, env Env) (any, error) {
 	} else if f := ev.Mod.LookupFun(x.Name); f != nil {
 		params, body = f.Params, f.Body
 	} else {
-		return nil, fmt.Errorf("%s: unknown call target %q", pos(x), x.Name)
+		return failf("%s: unknown call target %q", pos(x), x.Name)
 	}
-	names := []string{}
+	arity := 0
 	for _, d := range params {
-		names = append(names, d.Names...)
+		arity += len(d.Names)
 	}
-	if len(names) != len(x.Args) {
-		return nil, fmt.Errorf("%s: %s expects %d args, got %d", pos(x), x.Name, len(names), len(x.Args))
+	if arity != len(x.Args) {
+		return failf("%s: %s expects %d args, got %d", pos(x), x.Name, arity, len(x.Args))
 	}
-	inner := Env{}
-	for i, n := range names {
-		v, err := ev.EvalExpr(x.Args[i], env)
+	mark, base := len(ev.slots), ev.base
+	for _, a := range x.Args {
+		ts, err := ev.expr(a)
 		if err != nil {
-			return nil, err
+			ev.slots = ev.slots[:mark]
+			return fail(err)
 		}
-		inner[n] = v
+		ev.slots = append(ev.slots, slot{val: ts})
 	}
-	return ev.eval(body, inner)
+	i := mark
+	for _, d := range params {
+		for _, n := range d.Names {
+			ev.slots[i].name = n
+			i++
+		}
+	}
+	ev.base = mark
+	v, err := ev.eval(body)
+	ev.slots, ev.base = ev.slots[:mark], base
+	return v, err
 }
 
 // bindings enumerates all assignments of the quantifier declarations,
-// calling fn with the environment for each. fn returns false to stop early.
-func (ev *Evaluator) bindings(decls []*ast.Decl, env Env, fn func(Env) (bool, error)) error {
-	type binding struct {
-		name string
-		expr ast.Expr
-		disj []string // earlier names in the same disj decl
-	}
-	var flat []binding
+// calling visit once the scope binds each. visit returns false to stop
+// early.
+func (ev *Evaluator) bindings(decls []*ast.Decl, visit func() (bool, error)) error {
 	for _, d := range decls {
 		if d.Mult == ast.MultSet {
 			return fmt.Errorf("%s: higher-order (set) quantification is not supported", d.Pos())
 		}
-		var earlier []string
-		for _, n := range d.Names {
-			b := binding{name: n, expr: d.Expr}
-			if d.Disj {
-				b.disj = append([]string(nil), earlier...)
-			}
-			earlier = append(earlier, n)
-			flat = append(flat, b)
-		}
 	}
-	// Each level copies its env once and rebinds its own name per tuple: fn
-	// and deeper levels read the copy but never keep or write it, and a
-	// deeper level that shadows the name writes its own copy.
-	var rec func(i int, env Env) (bool, error)
-	rec = func(i int, env Env) (bool, error) {
-		if i == len(flat) {
-			return fn(env)
-		}
-		b := flat[i]
-		dom, err := ev.EvalExpr(b.expr, env)
-		if err != nil {
-			return false, err
-		}
-		var inner Env
-		for _, single := range dom.Singletons() {
-			if len(b.disj) > 0 {
-				distinct := true
-				for _, other := range b.disj {
-					if env[other].Equal(single) {
-						distinct = false
-						break
-					}
-				}
-				if !distinct {
-					continue
-				}
-			}
-			if inner == nil {
-				inner = env.clone()
-			}
-			inner[b.name] = single
-			cont, err := rec(i+1, inner)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		return true, nil
-	}
-	_, err := rec(0, env)
+	_, err := ev.bind(decls, 0, 0, visit)
 	return err
 }
 
-func (ev *Evaluator) evalQuantified(x *ast.Quantified, env Env) (any, error) {
+// bind binds name n of decls[d] and every later name. Each name gets one
+// slot, rewritten for each tuple of its domain; the domain is evaluated in
+// the scope of the names before it. A disj name skips tuples equal to the
+// value of an earlier name of its declaration.
+func (ev *Evaluator) bind(decls []*ast.Decl, d, n int, visit func() (bool, error)) (bool, error) {
+	if d == len(decls) {
+		return visit()
+	}
+	decl := decls[d]
+	if n == len(decl.Names) {
+		return ev.bind(decls, d+1, 0, visit)
+	}
+	dom, err := ev.expr(decl.Expr)
+	if err != nil {
+		return false, err
+	}
+	at := len(ev.slots)
+	ev.slots = append(ev.slots, slot{name: decl.Names[n]})
+	for i := range dom.Len() {
+		single := dom.Singleton(i)
+		if decl.Disj && ev.repeats(decl.Names[:n], at, single) {
+			continue
+		}
+		ev.slots[at].val = single
+		cont, err := ev.bind(decls, d, n+1, visit)
+		if err != nil || !cont {
+			ev.slots = ev.slots[:at]
+			return cont, err
+		}
+	}
+	ev.slots = ev.slots[:at]
+	return true, nil
+}
+
+// repeats reports whether any of the names is bound below top to single.
+func (ev *Evaluator) repeats(names []string, top int, single bounds.TupleSet) bool {
+	for _, other := range names {
+		if v, _ := ev.find(other, top); v.Equal(single) {
+			return true
+		}
+	}
+	return false
+}
+
+func (ev *Evaluator) evalQuantified(x *ast.Quantified) (value, error) {
 	count := 0
 	failed := false
-	err := ev.bindings(x.Decls, env, func(inner Env) (bool, error) {
-		b, err := ev.EvalFormula(x.Body, inner)
+	err := ev.bindings(x.Decls, func() (bool, error) {
+		b, err := ev.formula(x.Body)
 		if err != nil {
 			return false, err
 		}
@@ -494,51 +599,54 @@ func (ev *Evaluator) evalQuantified(x *ast.Quantified, env Env) (any, error) {
 		return true, nil
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	switch x.Quant {
 	case ast.QuantAll:
-		return !failed, nil
+		return boolean(!failed), nil
 	case ast.QuantSome:
-		return count > 0, nil
+		return boolean(count > 0), nil
 	case ast.QuantNo:
-		return count == 0, nil
+		return boolean(count == 0), nil
 	case ast.QuantLone:
-		return count <= 1, nil
+		return boolean(count <= 1), nil
 	case ast.QuantOne:
-		return count == 1, nil
+		return boolean(count == 1), nil
 	default:
-		return nil, fmt.Errorf("%s: unknown quantifier", pos(x))
+		return failf("%s: unknown quantifier", pos(x))
 	}
 }
 
-func (ev *Evaluator) evalComprehension(x *ast.Comprehension, env Env) (any, error) {
+func (ev *Evaluator) evalComprehension(x *ast.Comprehension) (value, error) {
 	total := 0
 	for _, d := range x.Decls {
 		total += len(d.Names)
 	}
-	var names []string
-	for _, d := range x.Decls {
-		names = append(names, d.Names...)
-	}
 	var keys []uint64
-	err := ev.bindings(x.Decls, env, func(inner Env) (bool, error) {
-		b, err := ev.EvalFormula(x.Body, inner)
+	var t bounds.Tuple
+	err := ev.bindings(x.Decls, func() (bool, error) {
+		b, err := ev.formula(x.Body)
 		if err != nil {
 			return false, err
 		}
 		if b {
-			t := make(bounds.Tuple, 0, total)
-			for _, n := range names {
-				tuples := inner[n].Tuples()
-				t = append(t, tuples[0]...)
+			// The tuple concatenates the atoms of each name's value.
+			t = t[:0]
+			for _, d := range x.Decls {
+				for _, n := range d.Names {
+					v, _ := ev.find(n, len(ev.slots))
+					k := v.Key(0)
+					for i := range int(k >> 56) {
+						t = append(t, int(k>>(8*i)&0xff)-1)
+					}
+				}
 			}
 			keys = append(keys, t.Key())
 		}
 		return true, nil
 	})
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
-	return bounds.FromKeys(total, keys), nil
+	return set(bounds.FromKeys(total, keys)), nil
 }

@@ -1,6 +1,7 @@
 package instance
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -184,6 +185,115 @@ func TestEvalErrors(t *testing.T) {
 			t.Errorf("eval(%q) should error", src)
 		}
 	}
+}
+
+// TestEvalScopes pins the scoping rules: call arguments are evaluated in
+// the caller's scope and the body sees only its parameters, let values are
+// evaluated before any let name is in scope, an inner binding shadows an
+// outer one (disj included) only within its body, and @name skips every
+// bound variable.
+func TestEvalScopes(t *testing.T) {
+	ev, _ := fixture(t)
+	for _, src := range []string{
+		// Arguments named like the callee's parameters, passed swapped.
+		"all a: Mark, b: Node - Mark | reaches[a, b] and not reaches[b, a]",
+		"all a, b: Node | reaches[b, a] iff a in b.^next",
+		"some a, b: Node | reaches[b, a] and not reaches[a, b]",
+		"all a: Node | succs[a] = a.next and (all a: a.next | succs[a] = a.next)",
+		// let values see the enclosing a and b, not the ones the let binds.
+		"all a: Mark | let a = a.next, b = a | b = Mark and a = Mark.next",
+		"all a: Mark, b: Node - Mark | let b = a, a = b | b = Mark and a not in Mark",
+		"all a: Node | let a = a.next | all b: Mark | reaches[b, b.next] and no a & Mark",
+		// A nested quantifier shadows the outer name in its body only; its
+		// domain still reads the outer one.
+		"all n: Mark | (all n: n.next | n not in Mark) and n in Mark",
+		"some n: Node | (one n: n.^next | some n.next) and n in Mark",
+		// disj compares against the innermost binding of the earlier name.
+		"all a: Mark | #{disj a, b: Node | b = Mark} = 2",
+		"all a: Mark | no disj a, b: Node | a = b",
+		"all b: Node - Mark | some disj a, b: Node | b = Mark",
+		// @next names the relation even where next is bound.
+		"all next: Mark | #next = 1 and #@next = 2 and next.@next = Mark.@next",
+	} {
+		if !evalBool(t, ev, src) {
+			t.Errorf("eval(%q) = false, want true", src)
+		}
+	}
+}
+
+// TestEvalErrorTexts pins evaluation errors byte for byte.
+func TestEvalErrorTexts(t *testing.T) {
+	ev, _ := fixture(t)
+	for _, tt := range []struct {
+		src     string
+		formula bool
+		want    string
+	}{
+		{"Node", true, "1:1: expected formula, evaluated to bounds.TupleSet"},
+		{"#Node", true, "1:1: expected formula, evaluated to int"},
+		{"some Node", false, "1:1: expected relational expression, evaluated to bool"},
+		{"#Node.next", false, "1:1: expected relational expression, evaluated to int"},
+		{"no (some Node)", true, "1:5: expected relational expression, evaluated to bool"},
+		{"some Node and Node", true, "1:15: expected formula, evaluated to bounds.TupleSet"},
+		{"Node = 1", true, "1:1: mixing Int and relational operands"},
+		{"(some Node) in Node", true, "1:2: expected relational left operand"},
+		{"Node in (no Node)", true, "1:1: expected relational right operand"},
+		{"let a = #Node | some a", true, "1:1: let binds relational values only"},
+		{"reaches[Node]", true, "1:1: reaches expects 2 args, got 1"},
+		{"some Unknown", true, `1:6: unbound name "Unknown" in instance`},
+		{"some x: set Node | some x", true, "1:6: higher-order (set) quantification is not supported"},
+		{"some Mark'", true, `1:6: no primed relation "Mark'" in instance`},
+		{"all a: Node | a = 1", true, "1:15: mixing Int and relational operands"},
+	} {
+		e, err := parser.ParseExpr(tt.src)
+		if err != nil {
+			t.Fatalf("ParseExpr(%q): %v", tt.src, err)
+		}
+		e = types.RewriteCalls(ev.Mod, e)
+		if tt.formula {
+			_, err = ev.EvalFormula(e, nil)
+		} else {
+			_, err = ev.EvalExpr(e, nil)
+		}
+		if err == nil || err.Error() != tt.want {
+			t.Errorf("eval(%q) error = %v, want %s", tt.src, err, tt.want)
+		}
+	}
+}
+
+// TestEvalAllocsFlatInDomain checks that binding a quantified variable
+// allocates nothing per tuple: a formula that computes no set costs as many
+// allocations over six atoms as over three.
+func TestEvalAllocsFlatInDomain(t *testing.T) {
+	ev, _ := fixture(t)
+	e, err := parser.ParseExpr("all a, b: Node | a in Node and b in Node")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs [2]float64
+	for i, n := range []int{3, 6} {
+		atoms := make([]string, n)
+		all := make([]int, n)
+		for j := range atoms {
+			atoms[j], all[j] = fmt.Sprintf("Node$%d", j), j
+		}
+		u, err := bounds.NewUniverse(atoms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := New(u)
+		inst.Rels["Node"] = bounds.UnarySet(all...)
+		ev := &Evaluator{Mod: ev.Mod, Inst: inst}
+		allocs[i] = testing.AllocsPerRun(50, func() {
+			if ok, err := ev.EvalFormula(e, nil); !ok || err != nil {
+				t.Fatalf("over %d atoms: %v, %v", n, ok, err)
+			}
+		})
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("allocations per evaluation grow with the domain: %v over 3 atoms, %v over 6", allocs[0], allocs[1])
+	}
+	t.Logf("%v allocations per evaluation", allocs[0])
 }
 
 func TestEvalPrimedRelation(t *testing.T) {
