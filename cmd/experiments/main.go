@@ -90,6 +90,22 @@ func run(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	// Registered before the run so an interrupted or failed run still
+	// writes its profile on exit.
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "experiments: creating heap profile:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "experiments: writing heap profile:", err)
+			}
+		}()
+	}
 
 	// The registry is always on: its atomic counters are cheap against the
 	// solver-bound workload, and the run-report and CSV exports depend on it.
@@ -203,21 +219,6 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "interrupted; rerun with -checkpoint %s -resume to continue\n", *checkpointPath)
 		}
 		return err
-	}
-
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: creating heap profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: writing heap profile:", err)
-			}
-		}()
 	}
 
 	renderStart := time.Now()

@@ -80,3 +80,21 @@ func TestSmokeTraceAndCSV(t *testing.T) {
 		}
 	}
 }
+
+// TestMemprofileOnFailedRun checks that -memprofile writes its profile on
+// exit even when the study fails: here the checkpoint already exists and
+// -resume is absent, so the run refuses to start.
+func TestMemprofileOnFailedRun(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt.jsonl")
+	if err := os.WriteFile(ckpt, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(dir, "heap.pprof")
+	if err := run([]string{"-scale", "400", "-table1", "-checkpoint", ckpt, "-memprofile", prof}); err == nil {
+		t.Fatal("run over an existing checkpoint without -resume succeeded")
+	}
+	if info, err := os.Stat(prof); err != nil || info.Size() == 0 {
+		t.Fatalf("heap profile after a failed run: %v", err)
+	}
+}

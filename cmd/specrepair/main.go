@@ -23,8 +23,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"time"
-
 	"specrepair/internal/alloy/parser"
 	"specrepair/internal/alloy/printer"
 	"specrepair/internal/anacache"
@@ -175,6 +173,7 @@ func run(args []string) error {
 	root := reg.StartSpan("repair")
 	root.SetAttr("spec", path)
 	defer root.End()
+	ctx = telemetry.ContextWithSpan(ctx, root)
 
 	var checkpoint *core.Checkpoint
 	if *checkpointPath != "" {
@@ -220,39 +219,12 @@ func run(args []string) error {
 			return err
 		}
 		tool := factory.NewWith(col)
-		col.BeginJob()
-		legStart := time.Now()
-		legCtx, cancel := ctx, context.CancelFunc(func() {})
-		if *timeout > 0 {
-			legCtx, cancel = context.WithTimeout(ctx, *timeout)
-		}
-		legSpan := root.Child("job")
-		legSpan.SetLane(1)
-		legSpan.SetAttr("technique", name)
-		legSpan.SetAttr("spec", path)
-		legCtx = telemetry.ContextWithSpan(legCtx, legSpan)
-		out, err := tool.Repair(legCtx, problem)
-		cancel()
-		outcome := telemetry.OutcomeFailed
-		switch {
-		case err != nil:
-			outcome = telemetry.OutcomeError
-		case out.Repaired:
-			outcome = telemetry.OutcomeRepaired
-		}
-		reg.RecordJob(telemetry.JobRecord{
-			Span:          legSpan,
-			Technique:     name,
-			Spec:          path,
-			Start:         legStart,
-			Duration:      time.Since(legStart),
-			Outcome:       outcome,
-			Candidates:    out.Stats.CandidatesTried,
-			AnalyzerCalls: out.Stats.AnalyzerCalls,
-			TestRuns:      out.Stats.TestRuns,
-			Iterations:    out.Stats.Iterations,
-			Effort:        col.TakeJobEffort(),
-		})
+		res := &core.Result{Technique: name}
+		core.RunJob(ctx, col, core.Job{Technique: name, Spec: path, Lane: 1, Timeout: *timeout}, res,
+			func(ctx context.Context, res *core.Result) {
+				res.Outcome, res.Err = tool.Repair(ctx, problem)
+			})
+		out, err := res.Outcome, res.Err
 		if errors.Is(err, context.Canceled) {
 			// Interrupted legs are deliberately not journaled — the work was
 			// abandoned, not completed.

@@ -35,7 +35,7 @@ func run() error {
 	techniques := []string{"ATR", "BeAFix", "Single-Round_Loc", "Multi-Round_None"}
 	vectors := map[string][]float64{}
 	for _, name := range techniques {
-		factory, err := core.FactoryByName(1, name)
+		factory, err := core.FactoryByNameWith(1, name, core.FactoryOptions{})
 		if err != nil {
 			return err
 		}

@@ -100,7 +100,7 @@ func run() error {
 	}
 
 	fmt.Printf("%-24s %8s %4s %7s %7s\n", "technique", "claimed", "REP", "TM", "SM")
-	for _, factory := range core.StudyFactories(1) {
+	for _, factory := range core.StudyFactoriesWith(1, core.FactoryOptions{}) {
 		tool := factory.New()
 		out, err := tool.Repair(context.Background(), problem)
 		if err != nil {

@@ -33,11 +33,11 @@ func run() error {
 	fmt.Printf("benchmark slice: %d faulty specifications\n\n", len(suite.Specs))
 
 	an := analyzer.New(analyzer.Options{})
-	atrFactory, err := core.FactoryByName(1, "ATR")
+	atrFactory, err := core.FactoryByNameWith(1, "ATR", core.FactoryOptions{})
 	if err != nil {
 		return err
 	}
-	mrFactory, err := core.FactoryByName(1, "Multi-Round_None")
+	mrFactory, err := core.FactoryByNameWith(1, "Multi-Round_None", core.FactoryOptions{})
 	if err != nil {
 		return err
 	}

@@ -134,15 +134,10 @@ func (c *Checkpoint) Close() error {
 	return c.journal.Close()
 }
 
-// RecordOf converts one evaluation result into its journal form — the wire
-// payload a sharded-study worker posts back to the coordinator for each
-// completed job.
+// RecordOf converts one evaluation result into its journal form: the record
+// a run journals for each completed job, and the wire payload a
+// sharded-study worker posts back to the coordinator.
 func RecordOf(suite string, res *Result) *CheckpointRecord {
-	return checkpointRecordOf(suite, res)
-}
-
-// record converts one evaluation result into its journal form.
-func checkpointRecordOf(suite string, res *Result) *CheckpointRecord {
 	rec := &CheckpointRecord{
 		Suite:      suite,
 		Technique:  res.Technique,

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -77,25 +76,12 @@ type FactoryOptions struct {
 	DisableIncremental bool
 }
 
-// StudyFactories returns the twelve techniques with the study's
-// configurations, each with a private uncached analyzer. The seed drives
-// the simulated LLM.
-func StudyFactories(seed int64) []Factory {
-	return CachedStudyFactories(seed, nil)
-}
-
-// CachedStudyFactories returns the twelve techniques sharing one analysis
-// cache (nil for private uncached analyzers). With a shared cache, the
-// heavy overlap between techniques' candidate spaces — BeAFix and ATR
-// enumerate many of the same mutants, ICEBAR and the Multi-Round loops
-// re-check near-identical intermediate specs — is solved once instead of
-// once per technique per worker.
-func CachedStudyFactories(seed int64, cache *anacache.Cache) []Factory {
-	return StudyFactoriesWith(seed, FactoryOptions{Cache: cache})
-}
-
-// StudyFactoriesWith returns the twelve techniques under full factory
-// configuration.
+// StudyFactoriesWith returns the twelve techniques with the study's
+// configurations. The seed drives the simulated LLM. With a shared
+// o.Cache, the heavy overlap between techniques' candidate spaces — BeAFix
+// and ATR enumerate many of the same mutants, ICEBAR and the Multi-Round
+// loops re-check near-identical intermediate specs — is solved once instead
+// of once per technique per worker.
 func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 	cache := o.Cache
 	newAnalyzer := func(col *telemetry.Collector) *analyzer.Analyzer {
@@ -163,17 +149,6 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 		})
 	}
 	return fs
-}
-
-// FactoryByName finds a study factory.
-func FactoryByName(seed int64, name string) (Factory, error) {
-	return CachedFactoryByName(seed, name, nil)
-}
-
-// CachedFactoryByName finds a study factory whose technique shares the
-// given analysis cache.
-func CachedFactoryByName(seed int64, name string, cache *anacache.Cache) (Factory, error) {
-	return FactoryByNameWith(seed, name, FactoryOptions{Cache: cache})
 }
 
 // FactoryByNameWith finds a study factory under full factory configuration.
@@ -267,11 +242,11 @@ func (e *Evaluation) MeanSimilarity(technique string) (tm, sm float64) {
 type Runner struct {
 	// Workers is the parallelism degree (defaults to GOMAXPROCS).
 	Workers int
-	// Seed drives the simulated LLM.
+	// Deprecated: unused; the factories carry the seed.
 	Seed int64
 	// Cache, when non-nil, is the analysis cache shared by every worker's
-	// scoring analyzer. Pass the same instance to CachedStudyFactories so
-	// the techniques' own candidate validations land in the same store.
+	// scoring analyzer. Pass the same instance to StudyFactoriesWith so the
+	// techniques' own candidate validations land in the same store.
 	Cache *anacache.Cache
 	// Telemetry, when non-nil, receives a span per (technique, spec) job
 	// plus solver, analyzer, and technique-level live metrics. Each worker
@@ -296,18 +271,6 @@ type Runner struct {
 	// abandoned because the whole run was cancelled are never journaled.
 	Checkpoint *Checkpoint
 }
-
-// PanicError wraps a panic recovered from a repair technique, attributing it
-// to the job that raised it while the rest of the run continues.
-type PanicError struct {
-	Value any
-	Stack string
-}
-
-// Error renders the panic value; the captured stack is available on the
-// struct for diagnostics but excluded here so error strings stay
-// deterministic.
-func (e *PanicError) Error() string { return fmt.Sprintf("technique panicked: %v", e.Value) }
 
 // cacheStats snapshots the shared cache (zero value when uncached).
 func (r *Runner) cacheStats() anacache.Stats {
@@ -378,28 +341,14 @@ func (r *Runner) EvaluateContext(ctx context.Context, suite *bench.Suite, factor
 
 	results := r.runPool(ctx, workers, pending)
 
-	timeouts := r.Telemetry.Counter(telemetry.CtrJobTimeouts)
-	panics := r.Telemetry.Counter(telemetry.CtrJobPanics)
-	cancelled := r.Telemetry.Counter(telemetry.CtrJobCancelled)
 	var checkpointErr error
 	for er := range results {
 		res := er.res
 		record(res)
-		// Classify the failure mode. A job-level deadline surfaces as
-		// DeadlineExceeded; Canceled can only come from the run-wide context
-		// (job contexts are deadline-only), so those jobs were abandoned, not
-		// completed, and must not be journaled — resume re-runs them.
-		var pe *PanicError
+		// Canceled can only come from the run-wide context (job contexts are
+		// deadline-only), so those jobs were abandoned, not completed, and
+		// must not be journaled — resume re-runs them.
 		wasCancelled := errors.Is(res.Err, context.Canceled)
-		switch {
-		case wasCancelled:
-			cancelled.Inc()
-		case errors.Is(res.Err, context.DeadlineExceeded):
-			timeouts.Inc()
-		}
-		if errors.As(res.Err, &pe) {
-			panics.Inc()
-		}
 		// Journal only while the run-wide context is live. A job finishing
 		// after cancellation may have been perturbed by the dead context in
 		// ways that don't surface as Canceled (an oracle query failing fast
@@ -408,7 +357,7 @@ func (r *Runner) EvaluateContext(ctx context.Context, suite *bench.Suite, factor
 		// resume re-run it. Results drained before cancellation necessarily
 		// completed unperturbed.
 		if r.Checkpoint != nil && !wasCancelled && ctx.Err() == nil && checkpointErr == nil {
-			checkpointErr = r.Checkpoint.Append(checkpointRecordOf(suite.Name, res))
+			checkpointErr = r.Checkpoint.Append(RecordOf(suite.Name, res))
 		}
 	}
 	eval.CacheStats = r.cacheStats()
@@ -446,15 +395,13 @@ func (r *Runner) runPool(ctx context.Context, workers int, pending []execJob) <-
 	results := make(chan execResult, workers)
 	var wg sync.WaitGroup
 
-	parentSpan := telemetry.SpanFromContext(ctx)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			// One collector per worker: a worker runs one job at a time, so
-			// bracketing each job with BeginJob/TakeJobEffort attributes the
-			// solver and cache work of this worker's analyzers and
-			// techniques to exactly that job.
+			// RunJob's bracket attributes the solver and cache work of this
+			// worker's analyzers and techniques to exactly that job.
 			col := telemetry.NewCollector(r.Telemetry)
 			an := analyzer.New(analyzer.Options{Cache: r.Cache, Telemetry: col})
 			tools := map[string]repair.Technique{}
@@ -464,53 +411,10 @@ func (r *Runner) runPool(ctx context.Context, workers int, pending []execJob) <-
 					tool = j.factory.NewWith(col)
 					tools[j.factory.Name] = tool
 				}
-				jobCtx, cancel := ctx, context.CancelFunc(nil)
-				if r.Timeout > 0 {
-					jobCtx, cancel = context.WithTimeout(ctx, r.Timeout)
-				}
-				if r.Telemetry == nil {
-					res := evaluateOne(jobCtx, an, tool, j.factory.Name, j.spec)
-					if cancel != nil {
-						cancel()
-					}
-					results <- execResult{suite: j.suite, res: res}
-					continue
-				}
-				// One "job" span per (technique, spec), laned by worker index
-				// so traces render one track per runner worker. All nil no-ops
-				// when no sink is configured.
-				jobSpan := parentSpan.Child("job")
-				jobSpan.SetLane(w + 1)
-				jobSpan.SetAttr("technique", j.factory.Name)
-				jobSpan.SetAttr("spec", j.suite+"/"+j.spec.Name)
-				jobCtx = telemetry.ContextWithSpan(jobCtx, jobSpan)
-				col.BeginJob()
-				start := time.Now()
-				res := evaluateOne(jobCtx, an, tool, j.factory.Name, j.spec)
-				dur := time.Since(start)
-				if cancel != nil {
-					cancel()
-				}
-				outcome := telemetry.OutcomeFailed
-				switch {
-				case res.Err != nil:
-					outcome = telemetry.OutcomeError
-				case res.Outcome.Repaired:
-					outcome = telemetry.OutcomeRepaired
-				}
-				r.Telemetry.RecordJob(telemetry.JobRecord{
-					Technique:     j.factory.Name,
-					Spec:          j.suite + "/" + j.spec.Name,
-					Start:         start,
-					Duration:      dur,
-					Outcome:       outcome,
-					REP:           res.REP,
-					Candidates:    res.Outcome.Stats.CandidatesTried,
-					AnalyzerCalls: res.Outcome.Stats.AnalyzerCalls,
-					TestRuns:      res.Outcome.Stats.TestRuns,
-					Iterations:    res.Outcome.Stats.Iterations,
-					Effort:        col.TakeJobEffort(),
-					Span:          jobSpan,
+				res := &Result{Spec: j.spec, Technique: j.factory.Name}
+				job := Job{Technique: j.factory.Name, Spec: j.suite + "/" + j.spec.Name, Lane: w + 1, Timeout: r.Timeout}
+				RunJob(ctx, col, job, res, func(ctx context.Context, res *Result) {
+					evaluateOne(ctx, an, tool, res)
 				})
 				results <- execResult{suite: j.suite, res: res}
 			}
@@ -606,22 +510,15 @@ func checkDuplicateSpecs(suite *bench.Suite) error {
 	return nil
 }
 
-// evaluateOne runs one technique on one spec and scores the outcome. A panic
-// in the technique (or scoring) is recovered into a *PanicError on the
-// result, isolating the failure to this job.
-func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Technique, name string, spec *bench.Spec) (res *Result) {
-	res = &Result{Spec: spec, Technique: name}
-	defer func() {
-		if v := recover(); v != nil {
-			res.Err = errors.Join(res.Err, &PanicError{Value: v, Stack: string(debug.Stack())})
-		}
-	}()
+// evaluateOne runs res's technique on res's spec and scores the outcome,
+// filling res in place so a panic mid-scoring leaves the fields scored so
+// far.
+func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Technique, res *Result) {
+	spec := res.Spec
 	an = an.WithContext(ctx)
 	out, err := tool.Repair(ctx, spec.Problem())
 	res.Outcome = out
-	if err != nil {
-		res.Err = err
-	}
+	res.Err = err
 	candidate := out.Candidate
 	gtSrc := printer.Module(spec.GroundTruth)
 	candSrc := printer.Module(spec.Faulty)
@@ -638,7 +535,6 @@ func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Techniq
 	}
 	res.TM = metrics.TokenMatch(gtSrc, candSrc)
 	res.SM = metrics.SyntaxMatch(gtSrc, candSrc)
-	return res
 }
 
 // Hybrid describes one traditional+LLM pairing of RQ3.

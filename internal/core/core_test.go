@@ -13,7 +13,7 @@ import (
 )
 
 func TestStudyFactoriesCoverAllNames(t *testing.T) {
-	fs := StudyFactories(1)
+	fs := StudyFactoriesWith(1, FactoryOptions{})
 	if len(fs) != len(TechniqueNames) {
 		t.Fatalf("factories = %d, names = %d", len(fs), len(TechniqueNames))
 	}
@@ -32,10 +32,10 @@ func TestStudyFactoriesCoverAllNames(t *testing.T) {
 }
 
 func TestFactoryByName(t *testing.T) {
-	if _, err := FactoryByName(1, "ATR"); err != nil {
+	if _, err := FactoryByNameWith(1, "ATR", FactoryOptions{}); err != nil {
 		t.Error(err)
 	}
-	if _, err := FactoryByName(1, "NoSuchTool"); err == nil {
+	if _, err := FactoryByNameWith(1, "NoSuchTool", FactoryOptions{}); err == nil {
 		t.Error("expected error for unknown name")
 	}
 }
@@ -53,10 +53,10 @@ func miniSuite(t *testing.T) *bench.Suite {
 
 func TestRunnerEvaluate(t *testing.T) {
 	suite := miniSuite(t)
-	runner := &Runner{Workers: 2, Seed: 1}
+	runner := &Runner{Workers: 2}
 	// Two cheap techniques keep the test fast.
 	var factories []Factory
-	for _, f := range StudyFactories(1) {
+	for _, f := range StudyFactoriesWith(1, FactoryOptions{}) {
 		if f.Name == "BeAFix" || f.Name == "Single-Round_None" {
 			factories = append(factories, f)
 		}
@@ -93,13 +93,13 @@ func TestRunnerEvaluate(t *testing.T) {
 func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	suite := miniSuite(t)
 	var factory []Factory
-	for _, f := range StudyFactories(7) {
+	for _, f := range StudyFactoriesWith(7, FactoryOptions{}) {
 		if f.Name == "Single-Round_Loc" {
 			factory = append(factory, f)
 		}
 	}
-	r1 := &Runner{Workers: 1, Seed: 7}
-	r2 := &Runner{Workers: 4, Seed: 7}
+	r1 := &Runner{Workers: 1}
+	r2 := &Runner{Workers: 4}
 	e1, err := r1.Evaluate(suite, factory)
 	if err != nil {
 		t.Fatal(err)
@@ -303,12 +303,12 @@ func TestRunnerTelemetry(t *testing.T) {
 	sink := &recordingSink{}
 	reg.SetSink(sink)
 	var factories []Factory
-	for _, f := range StudyFactories(1) {
+	for _, f := range StudyFactoriesWith(1, FactoryOptions{}) {
 		if f.Name == "BeAFix" || f.Name == "ARepair" {
 			factories = append(factories, f)
 		}
 	}
-	runner := &Runner{Workers: 2, Seed: 1, Telemetry: reg}
+	runner := &Runner{Workers: 2, Telemetry: reg}
 	progressed := false
 	runner.Progress = func(tech, spec string, done, total int, cs anacache.Stats, tel telemetry.Brief) {
 		if tel.Jobs > 0 {
@@ -379,7 +379,7 @@ func TestRunnerTelemetry(t *testing.T) {
 func TestRunnerTelemetryDoesNotChangeResults(t *testing.T) {
 	suite := miniSuite(t)
 	var factories []Factory
-	for _, f := range StudyFactories(3) {
+	for _, f := range StudyFactoriesWith(3, FactoryOptions{}) {
 		if f.Name == "BeAFix" || f.Name == "Single-Round_None" {
 			factories = append(factories, f)
 		}
@@ -387,11 +387,11 @@ func TestRunnerTelemetryDoesNotChangeResults(t *testing.T) {
 	// One worker makes the job-to-worker assignment deterministic: BeAFix
 	// instances carry search state across the jobs of their worker, so
 	// multi-worker runs depend on scheduling regardless of telemetry.
-	plain, err := (&Runner{Workers: 1, Seed: 3}).Evaluate(suite, factories)
+	plain, err := (&Runner{Workers: 1}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := (&Runner{Workers: 1, Seed: 3, Telemetry: telemetry.New()}).Evaluate(suite, factories)
+	instr, err := (&Runner{Workers: 1, Telemetry: telemetry.New()}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestEvaluateRejectsDuplicateSpecNames(t *testing.T) {
 func TestRunnerCheckpointResume(t *testing.T) {
 	suite := miniSuite(t)
 	var factories []Factory
-	for _, f := range StudyFactories(1) {
+	for _, f := range StudyFactoriesWith(1, FactoryOptions{}) {
 		if f.Name == "BeAFix" || f.Name == "Single-Round_None" {
 			factories = append(factories, f)
 		}
@@ -177,7 +177,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := (&Runner{Workers: 2, Seed: 1, Checkpoint: ckpt}).Evaluate(suite, factories)
+	first, err := (&Runner{Workers: 2, Checkpoint: ckpt}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 	}
 	defer reopened.Close()
 	reg := telemetry.New()
-	second, err := (&Runner{Workers: 2, Seed: 1, Checkpoint: reopened, Telemetry: reg}).Evaluate(suite, factories)
+	second, err := (&Runner{Workers: 2, Checkpoint: reopened, Telemetry: reg}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestRunnerCheckpointResume(t *testing.T) {
 func TestRunnerResumeAfterInterrupt(t *testing.T) {
 	suite := miniSuite(t)
 	var factories []Factory
-	for _, f := range StudyFactories(1) {
+	for _, f := range StudyFactoriesWith(1, FactoryOptions{}) {
 		if f.Name == "BeAFix" || f.Name == "Single-Round_None" {
 			factories = append(factories, f)
 		}
@@ -222,7 +222,7 @@ func TestRunnerResumeAfterInterrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := (&Runner{Workers: 2, Seed: 1, Checkpoint: ckpt}).Evaluate(suite, factories)
+	reference, err := (&Runner{Workers: 2, Checkpoint: ckpt}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestRunnerResumeAfterInterrupt(t *testing.T) {
 	if reopened.Len() != ckpt.Len()/2 {
 		t.Fatalf("journal holds %d records after truncation, want %d", reopened.Len(), ckpt.Len()/2)
 	}
-	resumed, err := (&Runner{Workers: 2, Seed: 1, Checkpoint: reopened}).Evaluate(suite, factories)
+	resumed, err := (&Runner{Workers: 2, Checkpoint: reopened}).Evaluate(suite, factories)
 	if err != nil {
 		t.Fatal(err)
 	}

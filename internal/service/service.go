@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -286,9 +285,11 @@ func (s *Service) worker(lane int) {
 	}
 }
 
-// runJob executes one job with the per-request guarantees of the study
-// runner: a per-job deadline, panic isolation, cancellation, and exact
-// effort attribution through the worker's collector.
+// runJob executes one job through core.RunJob, which owns the per-request
+// guarantees shared with the study runner: a per-job deadline, panic
+// isolation, cancellation, and exact effort attribution through the
+// worker's collector. What stays here is the service's own: state
+// transitions, the deadline choice, the hard-stop revert, and the journal.
 func (s *Service) runJob(col *telemetry.Collector, lane int, job *Job) {
 	s.mu.Lock()
 	job.state = StateRunning
@@ -300,41 +301,13 @@ func (s *Service) runJob(col *telemetry.Collector, lane int, job *Job) {
 	if t := time.Duration(job.Submission.TimeoutMs) * time.Millisecond; t > 0 && (timeout == 0 || t < timeout) {
 		timeout = t
 	}
-	ctx, cancel := s.runCtx, context.CancelFunc(func() {})
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(s.runCtx, timeout)
-	}
-	span := s.root.Child("job")
-	span.SetLane(lane + 1)
-	span.SetAttr("technique", job.Submission.Technique)
-	span.SetAttr("spec", job.ID)
-	ctx = telemetry.ContextWithSpan(ctx, span)
-
-	start := time.Now()
-	col.BeginJob()
-	out, err := s.execute(ctx, col, job)
-	cancel()
-
-	outcome := telemetry.OutcomeFailed
-	switch {
-	case err != nil:
-		outcome = telemetry.OutcomeError
-	case out.Repaired:
-		outcome = telemetry.OutcomeRepaired
-	}
-	s.reg.RecordJob(telemetry.JobRecord{
-		Span:          span,
-		Technique:     job.Submission.Technique,
-		Spec:          job.ID,
-		Start:         start,
-		Duration:      time.Since(start),
-		Outcome:       outcome,
-		Candidates:    out.Stats.CandidatesTried,
-		AnalyzerCalls: out.Stats.AnalyzerCalls,
-		TestRuns:      out.Stats.TestRuns,
-		Iterations:    out.Stats.Iterations,
-		Effort:        col.TakeJobEffort(),
-	})
+	res := &core.Result{Technique: job.Submission.Technique}
+	ctx := telemetry.ContextWithSpan(s.runCtx, s.root)
+	core.RunJob(ctx, col, core.Job{Technique: job.Submission.Technique, Spec: job.ID, Lane: lane + 1, Timeout: timeout}, res,
+		func(ctx context.Context, res *core.Result) {
+			res.Outcome, res.Err = s.execute(ctx, col, job)
+		})
+	out, err := res.Outcome, res.Err
 
 	s.mu.Lock()
 	s.running--
@@ -375,26 +348,21 @@ func (s *Service) runJob(col *telemetry.Collector, lane int, job *Job) {
 	close(job.done)
 }
 
-// execute runs the technique behind a panic barrier.
-func (s *Service) execute(ctx context.Context, col *telemetry.Collector, job *Job) (out repair.Outcome, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = errors.Join(err, &core.PanicError{Value: v, Stack: string(debug.Stack())})
-		}
-	}()
+// execute builds the job's technique and runs it.
+func (s *Service) execute(ctx context.Context, col *telemetry.Collector, job *Job) (repair.Outcome, error) {
 	mod := job.mod
 	if mod == nil {
 		// Resumed from the journal: re-parse the stored source (it parsed at
 		// admission, so a failure here means the journal was edited).
-		m, _, perr := job.Submission.parse()
-		if perr != nil {
-			return out, perr
+		m, _, err := job.Submission.parse()
+		if err != nil {
+			return repair.Outcome{}, err
 		}
 		mod = m
 	}
 	factory, err := core.FactoryByNameWith(job.Submission.Seed, job.Submission.Technique, core.FactoryOptions{Cache: s.cache})
 	if err != nil {
-		return out, err
+		return repair.Outcome{}, err
 	}
 	tool := factory.NewWith(col)
 	return tool.Repair(ctx, repair.Problem{Name: job.ID, Faulty: mod, Tests: job.Submission.suite()})

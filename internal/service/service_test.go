@@ -289,6 +289,25 @@ func TestPerJobTimeout(t *testing.T) {
 	}
 }
 
+// A fired submission deadline is a timeout on the service's registry, the
+// same fault counter a study run bumps.
+func TestPerJobTimeoutCounted(t *testing.T) {
+	reg := telemetry.New()
+	svc := newService(t, Options{Telemetry: reg})
+	snap, _, err := svc.Submit(Submission{
+		Spec: hardSrc, Technique: "BeAFix", TimeoutMs: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap = waitDone(t, svc, snap.ID); snap.State != StateFailed {
+		t.Fatalf("1ms job ended %s, want failed", snap.State)
+	}
+	if got := reg.CounterValue(telemetry.CtrJobTimeouts); got != 1 {
+		t.Errorf("%s = %d, want 1 (job error: %s)", telemetry.CtrJobTimeouts, got, snap.Error)
+	}
+}
+
 // Concurrent identical submissions must all resolve to one job — the
 // journal-before-index admission path cannot double-admit under contention.
 func TestConcurrentDuplicateSubmissions(t *testing.T) {
