@@ -49,7 +49,7 @@ var (
 func sliceStudy(b *testing.B) *experiments.Study {
 	b.Helper()
 	studyOnce.Do(func() {
-		study, studyErr = experiments.Run(1, benchScale, 0, nil)
+		study, studyErr = experiments.RunStudy(experiments.Config{Seed: 1, Scale: benchScale})
 	})
 	if studyErr != nil {
 		b.Fatal(studyErr)

@@ -47,7 +47,6 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "render everything")
 	nocache := fs.Bool("nocache", false, "disable the shared analysis cache (A/B baseline)")
 	noincremental := fs.Bool("noincremental", false, "disable incremental candidate evaluation (A/B baseline; identical outputs)")
-	cacheSize := fs.Int("cache-size", 0, "analysis cache capacity in entries (0 = default)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	trace := fs.String("trace", "", "write a JSONL span trace (one line per (technique, spec) job) to this file")
@@ -175,7 +174,6 @@ func run(args []string) error {
 		Seed:               *seed,
 		Scale:              *scale,
 		Workers:            *workers,
-		CacheCapacity:      *cacheSize,
 		DisableCache:       *nocache,
 		DisableIncremental: *noincremental,
 		Telemetry:          reg,

@@ -237,19 +237,7 @@ func run(args []string) error {
 		// leg that nominally completed may have been perturbed by it, so
 		// journal nothing and let resume re-run it.
 		if checkpoint != nil && ctx.Err() == nil {
-			rec := &core.CheckpointRecord{
-				Suite:      "specrepair",
-				Technique:  name,
-				Spec:       path,
-				Repaired:   out.Repaired,
-				Candidates: out.Stats.CandidatesTried,
-				AnalyzerC:  out.Stats.AnalyzerCalls,
-				TestRuns:   out.Stats.TestRuns,
-				Iterations: out.Stats.Iterations,
-			}
-			if err != nil {
-				rec.Err = err.Error()
-			}
+			rec := core.RecordOf("specrepair", path, res)
 			if out.Repaired && out.Candidate != nil {
 				rec.Candidate = printer.Module(out.Candidate)
 			}

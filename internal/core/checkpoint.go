@@ -134,14 +134,16 @@ func (c *Checkpoint) Close() error {
 	return c.journal.Close()
 }
 
-// RecordOf converts one evaluation result into its journal form: the record
-// a run journals for each completed job, and the wire payload a
-// sharded-study worker posts back to the coordinator.
-func RecordOf(suite string, res *Result) *CheckpointRecord {
+// RecordOf converts one result for the job (suite, res.Technique, spec)
+// into its journal form: the record a run journals for each completed job,
+// the wire payload a sharded-study worker posts back to the coordinator,
+// and the leg a specrepair invocation journals. The spec label is passed
+// in because a specrepair leg has a file path, not a bench.Spec.
+func RecordOf(suite, spec string, res *Result) *CheckpointRecord {
 	rec := &CheckpointRecord{
 		Suite:      suite,
 		Technique:  res.Technique,
-		Spec:       res.Spec.Name,
+		Spec:       spec,
 		Repaired:   res.Outcome.Repaired,
 		REP:        res.REP,
 		TM:         res.TM,

@@ -83,10 +83,9 @@ type FactoryOptions struct {
 // loops re-check near-identical intermediate specs — is solved once instead
 // of once per technique per worker.
 func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
-	cache := o.Cache
 	newAnalyzer := func(col *telemetry.Collector) *analyzer.Analyzer {
 		return analyzer.New(analyzer.Options{
-			Cache:              cache,
+			Cache:              o.Cache,
 			Telemetry:          col,
 			DisableIncremental: o.DisableIncremental,
 		})
@@ -98,7 +97,6 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 		{Name: "ICEBAR", NewWith: func(col *telemetry.Collector) repair.Technique {
 			opts := icebar.DefaultOptions()
 			opts.Analyzer = newAnalyzer(col)
-			opts.Cache = cache
 			opts.Telemetry = col
 			return icebar.New(opts)
 		}},
@@ -106,7 +104,6 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 			opts := beafix.DefaultOptions()
 			opts.MaxCandidates = beafixMaxCandidates
 			opts.Analyzer = newAnalyzer(col)
-			opts.Cache = cache
 			opts.Telemetry = col
 			return beafix.New(opts)
 		}},
@@ -114,7 +111,6 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 			opts := atr.DefaultOptions()
 			opts.MaxCandidates = atrMaxCandidates
 			opts.Analyzer = newAnalyzer(col)
-			opts.Cache = cache
 			opts.Telemetry = col
 			return atr.New(opts)
 		}},
@@ -142,7 +138,6 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 					Feedback:  fb,
 					Client:    llm.NewSimulatedModel(seed),
 					Analyzer:  newAnalyzer(col),
-					Cache:     cache,
 					Telemetry: col,
 				})
 			},
@@ -357,7 +352,7 @@ func (r *Runner) EvaluateContext(ctx context.Context, suite *bench.Suite, factor
 		// resume re-run it. Results drained before cancellation necessarily
 		// completed unperturbed.
 		if r.Checkpoint != nil && !wasCancelled && ctx.Err() == nil && checkpointErr == nil {
-			checkpointErr = r.Checkpoint.Append(RecordOf(suite.Name, res))
+			checkpointErr = r.Checkpoint.Append(RecordOf(suite.Name, res.Spec.Name, res))
 		}
 	}
 	eval.CacheStats = r.cacheStats()

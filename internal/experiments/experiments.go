@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"specrepair/internal/anacache"
-	"specrepair/internal/analyzer"
 	"specrepair/internal/bench"
 	"specrepair/internal/core"
 	"specrepair/internal/metrics"
@@ -64,9 +63,6 @@ type Config struct {
 	Scale int
 	// Workers is the parallelism degree (0 = GOMAXPROCS).
 	Workers int
-	// CacheCapacity is the shared analysis cache size in entries
-	// (0 = anacache.DefaultCapacity).
-	CacheCapacity int
 	// DisableCache runs the study without the shared analysis cache — the
 	// A/B baseline where every analyzer query is solved from scratch.
 	DisableCache bool
@@ -92,13 +88,6 @@ type Config struct {
 	Resume bool
 }
 
-// Run executes the full study: generate both benchmarks (scaled down by
-// scale; 1 = the paper's full corpus) and evaluate all twelve techniques
-// with the default shared analysis cache.
-func Run(seed int64, scale, workers int, progress func(string)) (*Study, error) {
-	return RunStudy(Config{Seed: seed, Scale: scale, Workers: workers, Progress: progress})
-}
-
 // RunStudy executes the study under the given configuration. One analysis
 // cache is shared end-to-end: benchmark generation (whose oracle
 // validations pre-warm the faulty specs every technique re-checks first),
@@ -111,81 +100,21 @@ func RunStudy(cfg Config) (*Study, error) {
 // RunStudyContext executes the study under the given configuration and
 // context. Cancelling ctx (e.g. from a SIGINT handler) stops the run
 // gracefully: in-flight jobs are cancelled, completed work stays journaled
-// when a checkpoint is configured, and the partial study is returned with
-// the context's error.
+// when a checkpoint is configured, and the context's error is returned.
 func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
-	var cache *anacache.Cache
-	if !cfg.DisableCache {
-		cache = anacache.New(cfg.CacheCapacity)
+	s, err := newSetup(ctx, cfg, roleLocal, "")
+	if err != nil {
+		return nil, err
 	}
-	reg := cfg.Telemetry
-	if cache != nil && reg != nil {
-		// Live cache statistics, sampled at scrape time.
-		reg.SetGauge("anacache.entries", func() int64 { return cache.Stats().Entries })
-		reg.SetGauge("anacache.hits", func() int64 { return cache.Stats().Hits })
-		reg.SetGauge("anacache.misses", func() int64 { return cache.Stats().Misses })
-		reg.SetGauge("anacache.evictions", func() int64 { return cache.Stats().Evictions })
-	}
-	study := &Study{Cache: cache, Telemetry: reg}
+	defer s.close()
 	progress := cfg.Progress
 
-	// Root of the run's causal trace (nil — and free — without a span sink):
-	// study → phase → job → technique rounds → candidate evals → SAT solves.
-	root := reg.StartSpan("study")
-	root.SetAttr("seed", fmt.Sprint(cfg.Seed))
-	root.SetAttr("scale", fmt.Sprint(cfg.Scale))
-	defer root.End()
-
-	var checkpoint *core.Checkpoint
-	if cfg.CheckpointPath != "" {
-		var err error
-		if cfg.Resume {
-			checkpoint, err = core.OpenCheckpoint(cfg.CheckpointPath)
-		} else {
-			checkpoint, err = core.CreateCheckpoint(cfg.CheckpointPath)
-		}
-		if err != nil {
-			return nil, err
-		}
-		defer checkpoint.Close()
-		if cfg.Resume && progress != nil {
-			progress(fmt.Sprintf("resuming: %d jobs already checkpointed", checkpoint.Len()))
-		}
-	}
-
-	// Generation is sequential, so one collector covers the whole phase.
-	// Binding the generator's analyzer to ctx makes even this phase
-	// interruptible (generation is deterministic and cheap relative to
-	// evaluation, so it is re-done rather than checkpointed on resume).
-	genSpan := root.Child("phase")
-	genSpan.SetAttr("name", "generate")
-	gen := bench.NewGenerator(analyzer.New(analyzer.Options{
-		Cache:     cache,
-		Telemetry: telemetry.NewCollector(reg),
-	}).WithContext(telemetry.ContextWithSpan(ctx, genSpan)))
-	if cfg.Scale > 1 {
-		gen.Scale = cfg.Scale
-	}
-	if progress != nil {
-		progress("generating benchmark corpora")
-	}
-	phaseStart := time.Now()
-	a4f, ar, err := gen.Both()
-	genSpan.End()
-	if err != nil {
-		return nil, fmt.Errorf("generating benchmarks: %w", err)
-	}
-	study.AddPhase("generate", time.Since(phaseStart))
-	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
-		Cache:              cache,
-		DisableIncremental: cfg.DisableIncremental,
-	})
 	runner := &core.Runner{
 		Workers:    cfg.Workers,
-		Cache:      cache,
-		Telemetry:  reg,
+		Cache:      s.study.Cache,
+		Telemetry:  cfg.Telemetry,
 		Timeout:    cfg.Timeout,
-		Checkpoint: checkpoint,
+		Checkpoint: s.checkpoint,
 	}
 	if progress != nil {
 		runner.Progress = func(tech, spec string, done, total int, cs anacache.Stats, tel telemetry.Brief) {
@@ -202,31 +131,34 @@ func RunStudyContext(ctx context.Context, cfg Config) (*Study, error) {
 				progress(msg)
 			}
 		}
-		progress(fmt.Sprintf("evaluating %d techniques x %d A4F specs", len(factories), len(a4f.Specs)))
 	}
-	phaseStart = time.Now()
-	a4fSpan := root.Child("phase")
-	a4fSpan.SetAttr("name", "evaluate_a4f")
-	a4fEval, err := runner.EvaluateContext(telemetry.ContextWithSpan(ctx, a4fSpan), a4f, factories)
-	a4fSpan.End()
+	// One phase per suite: evaluate_a4f, then evaluate_arepair.
+	evaluate := func(suite *bench.Suite) (*core.Evaluation, error) {
+		if progress != nil {
+			progress(fmt.Sprintf("evaluating %d techniques x %d %s specs", len(s.factories), len(suite.Specs), suite.Name))
+		}
+		name := "evaluate_" + strings.ToLower(suite.Name)
+		phaseStart := time.Now()
+		span := s.root.Child("phase")
+		span.SetAttr("name", name)
+		eval, err := runner.EvaluateContext(telemetry.ContextWithSpan(ctx, span), suite, s.factories)
+		span.End()
+		if err != nil {
+			return nil, err
+		}
+		s.study.AddPhase(name, time.Since(phaseStart))
+		return eval, nil
+	}
+	a4fEval, err := evaluate(s.a4f)
 	if err != nil {
 		return nil, err
 	}
-	study.AddPhase("evaluate_a4f", time.Since(phaseStart))
-	if progress != nil {
-		progress(fmt.Sprintf("evaluating %d techniques x %d ARepair specs", len(factories), len(ar.Specs)))
-	}
-	phaseStart = time.Now()
-	arSpan := root.Child("phase")
-	arSpan.SetAttr("name", "evaluate_arepair")
-	arEval, err := runner.EvaluateContext(telemetry.ContextWithSpan(ctx, arSpan), ar, factories)
-	arSpan.End()
+	arEval, err := evaluate(s.ar)
 	if err != nil {
 		return nil, err
 	}
-	study.AddPhase("evaluate_arepair", time.Since(phaseStart))
-	study.A4F, study.ARepair = a4fEval, arEval
-	return study, nil
+	s.study.A4F, s.study.ARepair = a4fEval, arEval
+	return s.study, nil
 }
 
 // domainOrder lists domains in the paper's row order.

@@ -14,9 +14,9 @@ func scaledStudy(t *testing.T) *Study {
 	if cachedStudy != nil {
 		return cachedStudy
 	}
-	s, err := Run(1, 100, 0, nil)
+	s, err := RunStudy(Config{Seed: 1, Scale: 100})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunStudy: %v", err)
 	}
 	cachedStudy = s
 	return s

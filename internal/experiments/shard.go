@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"specrepair/internal/anacache"
-	"specrepair/internal/analyzer"
 	"specrepair/internal/bench"
 	"specrepair/internal/core"
 	"specrepair/internal/shard"
@@ -42,30 +40,15 @@ type WorkerOptions struct {
 	ID string
 }
 
-// generateCorpus deterministically regenerates both benchmark suites. The
-// coordinator and every worker run it independently with the same Config;
-// the study digest check guarantees they all arrived at the same corpus.
-func generateCorpus(ctx context.Context, cfg Config, cache *anacache.Cache, reg *telemetry.Registry) (*bench.Suite, *bench.Suite, error) {
-	gen := bench.NewGenerator(analyzer.New(analyzer.Options{
-		Cache:     cache,
-		Telemetry: telemetry.NewCollector(reg),
-	}).WithContext(ctx))
-	if cfg.Scale > 1 {
-		gen.Scale = cfg.Scale
+// plan derives what both sharded roles agree on from the setup: the study
+// digest (the coordinator rejects a worker whose digest differs) and the
+// canonical job list.
+func (s *setup) plan(seed int64) (digest string, jobs []core.JobRef) {
+	techniques := make([]string, len(s.factories))
+	for i, f := range s.factories {
+		techniques[i] = f.Name
 	}
-	a4f, ar, err := gen.Both()
-	if err != nil {
-		return nil, nil, fmt.Errorf("generating benchmarks: %w", err)
-	}
-	return a4f, ar, nil
-}
-
-func factoryNames(fs []core.Factory) []string {
-	names := make([]string, len(fs))
-	for i, f := range fs {
-		names[i] = f.Name
-	}
-	return names
+	return shard.StudyDigest(seed, techniques, s.a4f, s.ar), shard.JobList([]*bench.Suite{s.a4f, s.ar}, techniques)
 }
 
 // RunCoordinator runs the coordinator side of a sharded study: it generates
@@ -80,59 +63,19 @@ func factoryNames(fs []core.Factory) []string {
 // The coordinator evaluates no jobs itself — run a worker process (or
 // several) against the printed address.
 func RunCoordinator(ctx context.Context, cfg Config, opt CoordinatorOptions) (*Study, error) {
-	var cache *anacache.Cache
-	if !cfg.DisableCache {
-		cache = anacache.New(cfg.CacheCapacity)
-	}
-	reg := cfg.Telemetry
-	study := &Study{Cache: cache, Telemetry: reg}
-	progress := cfg.Progress
-
-	root := reg.StartSpan("study")
-	root.SetAttr("seed", fmt.Sprint(cfg.Seed))
-	root.SetAttr("scale", fmt.Sprint(cfg.Scale))
-	root.SetAttr("role", "coordinator")
-	defer root.End()
-
-	if progress != nil {
-		progress("generating benchmark corpora")
-	}
-	genSpan := root.Child("phase")
-	genSpan.SetAttr("name", "generate")
-	phaseStart := time.Now()
-	a4f, ar, err := generateCorpus(telemetry.ContextWithSpan(ctx, genSpan), cfg, cache, reg)
-	genSpan.End()
+	s, err := newSetup(ctx, cfg, roleCoordinator, "")
 	if err != nil {
 		return nil, err
 	}
-	study.AddPhase("generate", time.Since(phaseStart))
+	defer s.close()
+	study, reg, progress := s.study, cfg.Telemetry, cfg.Progress
+	digest, jobs := s.plan(cfg.Seed)
 
-	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
-		Cache:              cache,
-		DisableIncremental: cfg.DisableIncremental,
-	})
-	techniques := factoryNames(factories)
-	digest := shard.StudyDigest(cfg.Seed, techniques, a4f, ar)
-	jobs := shard.JobList([]*bench.Suite{a4f, ar}, techniques)
-
-	var journal *core.Checkpoint
-	if cfg.CheckpointPath != "" {
-		if cfg.Resume {
-			journal, err = core.OpenCheckpoint(cfg.CheckpointPath)
-		} else {
-			journal, err = core.CreateCheckpoint(cfg.CheckpointPath)
-		}
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-		if cfg.Resume && progress != nil {
-			progress(fmt.Sprintf("resuming: %d jobs already journaled", journal.Len()))
-		}
-	} else {
-		// Without -checkpoint the journal is memory-only: completions still
-		// flow through the same journal-and-replay path, they just don't
-		// survive a coordinator crash.
+	// Without -checkpoint the journal is memory-only: completions still flow
+	// through the same journal-and-replay path, they just don't survive a
+	// coordinator crash.
+	journal := s.checkpoint
+	if journal == nil {
 		journal = core.NewMemoryCheckpoint()
 	}
 
@@ -157,9 +100,9 @@ func RunCoordinator(ctx context.Context, cfg Config, opt CoordinatorOptions) (*S
 		progress(fmt.Sprintf("start workers with: experiments -worker http://%s", coord.Addr()))
 	}
 
-	shardSpan := root.Child("phase")
+	shardSpan := s.root.Child("phase")
 	shardSpan.SetAttr("name", "shard")
-	phaseStart = time.Now()
+	phaseStart := time.Now()
 	ticker := time.NewTicker(5 * time.Second)
 	defer ticker.Stop()
 wait:
@@ -195,20 +138,20 @@ wait:
 	// (or a resumed run) would have produced it.
 	runner := &core.Runner{
 		Workers:    cfg.Workers,
-		Cache:      cache,
+		Cache:      study.Cache,
 		Telemetry:  reg,
 		Checkpoint: journal,
 	}
 	phaseStart = time.Now()
-	asmSpan := root.Child("phase")
+	asmSpan := s.root.Child("phase")
 	asmSpan.SetAttr("name", "assemble")
 	asmCtx := telemetry.ContextWithSpan(ctx, asmSpan)
-	a4fEval, err := runner.EvaluateContext(asmCtx, a4f, factories)
+	a4fEval, err := runner.EvaluateContext(asmCtx, s.a4f, s.factories)
 	if err != nil {
 		asmSpan.End()
 		return study, err
 	}
-	arEval, err := runner.EvaluateContext(asmCtx, ar, factories)
+	arEval, err := runner.EvaluateContext(asmCtx, s.ar, s.factories)
 	asmSpan.End()
 	if err != nil {
 		return study, err
@@ -241,40 +184,18 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 	if opt.ID == "" {
 		opt.ID = "worker"
 	}
-	var cache *anacache.Cache
-	if !cfg.DisableCache {
-		cache = anacache.New(cfg.CacheCapacity)
-	}
-	reg := cfg.Telemetry
-	progress := cfg.Progress
-
-	root := reg.StartSpan("study")
-	root.SetAttr("seed", fmt.Sprint(cfg.Seed))
-	root.SetAttr("scale", fmt.Sprint(cfg.Scale))
-	root.SetAttr("role", "worker")
-	root.SetAttr("worker", opt.ID)
-	defer root.End()
-
-	if progress != nil {
-		progress(fmt.Sprintf("worker %s: generating benchmark corpora", opt.ID))
-	}
-	a4f, ar, err := generateCorpus(telemetry.ContextWithSpan(ctx, root), cfg, cache, reg)
+	s, err := newSetup(ctx, cfg, roleWorker, opt.ID)
 	if err != nil {
 		return err
 	}
-	factories := core.StudyFactoriesWith(cfg.Seed, core.FactoryOptions{
-		Cache:              cache,
-		DisableIncremental: cfg.DisableIncremental,
-	})
-	techniques := factoryNames(factories)
-	suites := []*bench.Suite{a4f, ar}
-	digest := shard.StudyDigest(cfg.Seed, techniques, a4f, ar)
-	jobs := shard.JobList(suites, techniques)
+	defer s.close()
+	progress := cfg.Progress
+	digest, jobs := s.plan(cfg.Seed)
 
 	runner := &core.Runner{
 		Workers:   cfg.Workers,
-		Cache:     cache,
-		Telemetry: reg,
+		Cache:     s.study.Cache,
+		Telemetry: cfg.Telemetry,
 		Timeout:   cfg.Timeout,
 	}
 
@@ -293,9 +214,9 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 			for i, ref := range refs {
 				index[ref] = start + i
 			}
-			runCtx = telemetry.ContextWithSpan(runCtx, root)
+			runCtx = telemetry.ContextWithSpan(runCtx, s.root)
 			var emitErr error
-			err := runner.EvaluateJobs(runCtx, suites, factories, refs, func(suite string, res *core.Result) {
+			err := runner.EvaluateJobs(runCtx, []*bench.Suite{s.a4f, s.ar}, s.factories, refs, func(suite string, res *core.Result) {
 				// Mirror the single-process journaling guard: a job abandoned
 				// by cancellation (lease revoked, worker shutting down) may
 				// have been perturbed by the dead context, so its record is
@@ -304,7 +225,7 @@ func RunWorker(ctx context.Context, cfg Config, opt WorkerOptions) error {
 					return
 				}
 				ref := core.JobRef{Suite: suite, Technique: res.Technique, Spec: res.Spec.Name}
-				if err := emit(index[ref], core.RecordOf(suite, res)); err != nil && !errors.Is(err, context.Canceled) {
+				if err := emit(index[ref], core.RecordOf(suite, res.Spec.Name, res)); err != nil && !errors.Is(err, context.Canceled) {
 					emitErr = fmt.Errorf("posting completion for %s/%s/%s: %w", suite, res.Technique, res.Spec.Name, err)
 				}
 			})

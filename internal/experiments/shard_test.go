@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,4 +177,96 @@ func TestDrainGraceWakesOnCancel(t *testing.T) {
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("coordinator took %v to notice cancellation during DrainGrace", waited)
 	}
+}
+
+// spanLog is a SpanSink keeping every finished span in memory.
+type spanLog struct {
+	mu    sync.Mutex
+	spans []telemetry.SpanRecord
+}
+
+func (l *spanLog) Record(rec telemetry.SpanRecord) {
+	l.mu.Lock()
+	l.spans = append(l.spans, rec)
+	l.mu.Unlock()
+}
+
+// tracedRegistry returns a registry streaming its spans into a spanLog.
+func tracedRegistry() (*telemetry.Registry, *spanLog) {
+	reg := telemetry.New()
+	log := &spanLog{}
+	reg.SetSink(log)
+	return reg, log
+}
+
+// assertSharedSetup checks what every study role gets from the shared
+// setup: the analysis-cache gauges on /metrics, and a study root span with
+// the role's attributes and the generate phase directly beneath it.
+func assertSharedSetup(t *testing.T, reg *telemetry.Registry, log *spanLog, attrs map[string]string) {
+	t.Helper()
+	role := attrs["role"]
+	var prom bytes.Buffer
+	reg.WritePrometheus(&prom)
+	if !strings.Contains(prom.String(), "specrepair_anacache_entries") {
+		t.Errorf("%s: /metrics lacks the anacache gauges:\n%s", role, prom.String())
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	var root *telemetry.SpanRecord
+	for i, sp := range log.spans {
+		if sp.Name == "study" && sp.ParentID == "" {
+			root = &log.spans[i]
+		}
+	}
+	if root == nil {
+		t.Fatalf("%s: no study root span among %d spans", role, len(log.spans))
+	}
+	for k, want := range attrs {
+		if got := root.Attrs[k]; got != want {
+			t.Errorf("%s: study root has %s=%q, want %q", role, k, got, want)
+		}
+	}
+	for _, sp := range log.spans {
+		if sp.Name == "phase" && sp.Attrs["name"] == "generate" && sp.ParentID == root.SpanID {
+			return
+		}
+	}
+	t.Errorf("%s: no generate phase span under the study root", role)
+}
+
+// TestEveryRoleSharesSetup runs a local study and a sharded study (one
+// coordinator, one worker) and checks each role exposes the same cache
+// gauges and generate phase.
+func TestEveryRoleSharesSetup(t *testing.T) {
+	cfg := Config{Seed: 3, Scale: 2000, Workers: 1}
+
+	lcfg := cfg
+	reg, log := tracedRegistry()
+	lcfg.Telemetry = reg
+	if _, err := RunStudy(lcfg); err != nil {
+		t.Fatal(err)
+	}
+	assertSharedSetup(t, reg, log, map[string]string{"role": "local"})
+
+	ccfg := cfg
+	creg, clog := tracedRegistry()
+	ccfg.Telemetry = creg
+	addr, resCh := startCoordinator(context.Background(), ccfg, CoordinatorOptions{
+		ChunkSize:  8,
+		DrainGrace: -1,
+	})
+	wcfg := cfg
+	wreg, wlog := tracedRegistry()
+	wcfg.Telemetry = wreg
+	if err := RunWorker(context.Background(), wcfg, WorkerOptions{
+		Coordinator: "http://" + addr,
+		ID:          "w0",
+	}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if res := <-resCh; res.err != nil {
+		t.Fatalf("coordinator: %v", res.err)
+	}
+	assertSharedSetup(t, creg, clog, map[string]string{"role": "coordinator"})
+	assertSharedSetup(t, wreg, wlog, map[string]string{"role": "worker", "worker": "w0"})
 }

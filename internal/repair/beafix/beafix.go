@@ -21,7 +21,6 @@ import (
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/printer"
 	"specrepair/internal/alloy/types"
-	"specrepair/internal/anacache"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/faultloc"
 	"specrepair/internal/instance"
@@ -44,9 +43,6 @@ type Options struct {
 	DisablePruning bool
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Cache backs the default analyzer when Analyzer is nil, so candidate
-	// validations are shared with every other technique on the same cache.
-	Cache *anacache.Cache
 	// Telemetry records the search's live effort (candidates tried, solver
 	// work). Nil disables instrumentation; results are unaffected either way.
 	Telemetry *telemetry.Collector
@@ -70,13 +66,12 @@ func New(opts Options) *Tool {
 		d := DefaultOptions()
 		d.DisablePruning = opts.DisablePruning
 		d.Analyzer = opts.Analyzer
-		d.Cache = opts.Cache
 		d.Telemetry = opts.Telemetry
 		opts = d
 	}
 	an := opts.Analyzer
 	if an == nil {
-		an = analyzer.New(analyzer.Options{Cache: opts.Cache, Telemetry: opts.Telemetry})
+		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
 	}
 	return &Tool{
 		opts:       opts,

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"specrepair/internal/alloy/ast"
-	"specrepair/internal/anacache"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/aunit"
 	"specrepair/internal/repair"
@@ -28,9 +27,6 @@ type Options struct {
 	ARepair arepair.Options
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Cache backs the default analyzer when Analyzer is nil, so oracle
-	// re-checks of intermediate candidates are shared across techniques.
-	Cache *anacache.Cache
 	// Telemetry records the refinement loop's live iteration count and is
 	// propagated to the inner ARepair. Nil disables instrumentation.
 	Telemetry *telemetry.Collector
@@ -59,13 +55,12 @@ func New(opts Options) *Tool {
 	if opts.MaxIterations == 0 {
 		d := DefaultOptions()
 		d.Analyzer = opts.Analyzer
-		d.Cache = opts.Cache
 		d.Telemetry = opts.Telemetry
 		opts = d
 	}
 	an := opts.Analyzer
 	if an == nil {
-		an = analyzer.New(analyzer.Options{Cache: opts.Cache, Telemetry: opts.Telemetry})
+		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
 	}
 	if opts.ARepair.Telemetry == nil {
 		opts.ARepair.Telemetry = opts.Telemetry

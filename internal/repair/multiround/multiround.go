@@ -14,7 +14,6 @@ import (
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/parser"
 	"specrepair/internal/alloy/printer"
-	"specrepair/internal/anacache"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/instance"
 	"specrepair/internal/llm"
@@ -31,10 +30,6 @@ type Options struct {
 	Client llm.Client
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Cache backs the default analyzer when Analyzer is nil, so validation
-	// of near-identical intermediate specs is shared across rounds and
-	// techniques.
-	Cache *anacache.Cache
 	// Telemetry records live round counts. Nil disables instrumentation.
 	Telemetry *telemetry.Collector
 }
@@ -59,7 +54,7 @@ func New(opts Options) *Tool {
 	}
 	an := opts.Analyzer
 	if an == nil {
-		an = analyzer.New(analyzer.Options{Cache: opts.Cache, Telemetry: opts.Telemetry})
+		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
 	}
 	t := &Tool{opts: opts, an: an}
 	t.rounds = opts.Telemetry.TechCounter(t.Name(), "rounds")
