@@ -24,14 +24,15 @@ import (
 const FactsFormula = "$facts"
 
 // Test is one AUnit test case. Its first run resolves the valuation and
-// every later run, against any model and from any goroutine, reuses it, so
-// a test must not be modified after its first run.
+// parses the formula, and every later run, against any model and from any
+// goroutine, reuses both, so a test must not be modified after its first
+// run.
 type Test struct {
 	Name string `json:"name"`
 	// Valuation maps relation names to tuples of atom names. Relations of
 	// the model that are absent are empty in the test's instance.
 	Valuation map[string][][]string `json:"valuation"`
-	// Formula is the asserted formula source (parsed on demand so tests
+	// Formula is the asserted formula source (parsed on first run so tests
 	// stay printable and serializable). The FactsFormula sentinel denotes
 	// the running model's fact conjunction.
 	Formula string `json:"formula"`
@@ -49,6 +50,12 @@ type valuation struct {
 	universe *bounds.Universe
 	rels     map[string]bounds.TupleSet
 	err      error
+	// formula is the parsed Formula (nil for FactsFormula), or formulaErr
+	// its parse error. Every model rewrites its own calls into the tree,
+	// and the rewrite copies what it changes, so the tree is never
+	// modified.
+	formula    ast.Expr
+	formulaErr error
 }
 
 // prepared returns the test's resolved valuation, resolving it on first
@@ -64,6 +71,13 @@ func (t *Test) prepared() *valuation {
 }
 
 func (t *Test) resolve() *valuation {
+	v := &valuation{}
+	if t.Formula != FactsFormula {
+		v.formula, v.formulaErr = parser.ParseExpr(t.Formula)
+		if v.formulaErr != nil {
+			v.formulaErr = fmt.Errorf("test %s: parsing formula: %w", t.Name, v.formulaErr)
+		}
+	}
 	// Universe: all atoms mentioned anywhere in the valuation, sorted for
 	// determinism.
 	atomSet := map[string]bool{}
@@ -81,7 +95,8 @@ func (t *Test) resolve() *valuation {
 	sort.Strings(atoms)
 	u, err := bounds.NewUniverse(atoms)
 	if err != nil {
-		return &valuation{err: fmt.Errorf("test %s: %w", t.Name, err)}
+		v.err = fmt.Errorf("test %s: %w", t.Name, err)
+		return v
 	}
 	rels := make(map[string]bounds.TupleSet, len(t.Valuation))
 	for name, tuples := range t.Valuation {
@@ -98,7 +113,8 @@ func (t *Test) resolve() *valuation {
 		}
 		rels[name] = ts
 	}
-	return &valuation{universe: u, rels: rels}
+	v.universe, v.rels = u, rels
+	return v
 }
 
 // Result is the outcome of running one test.
@@ -218,46 +234,41 @@ func (m *Model) RunAll(s *Suite) ([]Result, int) {
 // the model's relations (absent relations are empty). The instance is the
 // caller's own to modify.
 func (t *Test) Instance(info *types.Info) (*instance.Instance, error) {
-	inst, err := t.instance(relationDefaults(info))
-	if err != nil {
-		return nil, err
-	}
-	return inst.Clone(), nil
-}
-
-// instance returns the test's instance over a model with the given
-// relation defaults: its resolved valuation layered over them. A relation
-// the valuation gives tuples takes them; any other model relation is empty
-// with the model's arity; a relation outside the model valued with no
-// tuples is empty and unary. The instance shares both maps, so it must not
-// be modified.
-func (t *Test) instance(defaults map[string]bounds.TupleSet) (*instance.Instance, error) {
 	v := t.prepared()
 	if v.err != nil {
 		return nil, v.err
 	}
-	return &instance.Instance{Universe: v.universe, Rels: v.rels, Base: defaults}, nil
+	return v.instance(relationDefaults(info)).Clone(), nil
+}
+
+// instance returns the test's instance over a model with the given
+// relation defaults: the valuation layered over them. A relation the
+// valuation gives tuples takes them; any other model relation is empty with
+// the model's arity; a relation outside the model valued with no tuples is
+// empty and unary. The instance shares both maps, so it must not be
+// modified.
+func (v *valuation) instance(defaults map[string]bounds.TupleSet) *instance.Instance {
+	return &instance.Instance{Universe: v.universe, Rels: v.rels, Base: defaults}
 }
 
 func (m *Model) eval(t *Test) (bool, error) {
 	if m.err != nil {
 		return false, fmt.Errorf("test %s: model does not check: %w", t.Name, m.err)
 	}
-	inst, err := t.instance(m.defaults)
-	if err != nil {
-		return false, err
+	v := t.prepared()
+	if v.err != nil {
+		return false, v.err
 	}
 
 	var expr ast.Expr = m.facts
 	if t.Formula != FactsFormula {
-		expr, err = parser.ParseExpr(t.Formula)
-		if err != nil {
-			return false, fmt.Errorf("test %s: parsing formula: %w", t.Name, err)
+		if v.formulaErr != nil {
+			return false, v.formulaErr
 		}
-		expr = types.RewriteCalls(m.low, expr)
+		expr = types.RewriteCalls(m.low, v.formula)
 	}
 
-	ev := &instance.Evaluator{Mod: m.low, Inst: inst}
+	ev := &instance.Evaluator{Mod: m.low, Inst: v.instance(m.defaults)}
 	got, err := ev.EvalFormula(expr, nil)
 	if err != nil {
 		return false, fmt.Errorf("test %s: evaluating: %w", t.Name, err)

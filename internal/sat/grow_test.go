@@ -31,7 +31,7 @@ func TestNewVarInitializesState(t *testing.T) {
 		if v != i {
 			t.Fatalf("NewVar = %d, want %d", v, i)
 		}
-		if s.assigns[v] != Unassigned || s.reason[v] != -1 || s.level[v] != 0 ||
+		if s.assigns[v] != Unassigned || s.reason[v] != crefUndef || s.level[v] != 0 ||
 			s.polarity[v] || s.activity[v] != 0 || s.seen[v] {
 			t.Fatalf("var %d not zero-initialized", v)
 		}

@@ -4,6 +4,17 @@
 // Luby restarts — plus a naive DPLL reference solver used for differential
 // testing and ablation benchmarks, and a weighted partial MaxSAT solver
 // built on top (used by the ATR repair technique's PMaxSAT step).
+//
+// The solver keeps every clause in one pointer-free arena of literals, as
+// in Eén and Sörensson's "An Extensible SAT-solver" (SAT 2003). A clause is
+// a uint32 offset to its header word: its size above a learnt flag and a
+// mark bit that clause-database reduction sets on the clauses it removes.
+// A learnt clause follows the header with its LBD and its float64 activity
+// (two words); then come the literals, so a problem clause costs one word
+// beyond them. Watch-list entries are 8 bytes: a clause offset and a
+// blocking literal. Reduction compacts the arena in place. AddClause copies
+// what it needs and never keeps its argument, so clause builders reuse one
+// buffer for every clause.
 package sat
 
 import "fmt"

@@ -22,8 +22,11 @@ type SoftClause struct {
 // bound with a sequential-counter cardinality constraint each iteration.
 type MaxSolver struct {
 	numVars int
-	hard    [][]Lit
-	soft    []SoftClause
+	// hardLits holds the hard clauses back to back; hard clause i ends at
+	// hardEnds[i].
+	hardLits []Lit
+	hardEnds []int
+	soft     []SoftClause
 	// MaxConflicts bounds each underlying SAT call; 0 means unlimited.
 	MaxConflicts int64
 	// Context, when non-nil, cancels the underlying SAT searches; an
@@ -45,7 +48,8 @@ func NewMaxSolver(numVars int) *MaxSolver {
 
 // AddHard adds a hard clause.
 func (m *MaxSolver) AddHard(lits ...Lit) {
-	m.hard = append(m.hard, append([]Lit(nil), lits...))
+	m.hardLits = append(m.hardLits, lits...)
+	m.hardEnds = append(m.hardEnds, len(m.hardLits))
 }
 
 // NewVar allocates a fresh problem variable, letting the MaxSolver act as a
@@ -92,7 +96,10 @@ func (m *MaxSolver) Solve() Result {
 		return Result{Status: StatusSat, Model: bestModel, Cost: bestCost}
 	}
 
-	// Linear search downward: ask for cost <= bestCost-1 until UNSAT.
+	// Linear search downward: ask for cost <= bestCost-1 until UNSAT. Each
+	// relaxed soft clause is built in one reused buffer, which AddClause
+	// never keeps.
+	var relaxed []Lit
 	for bestCost > 0 {
 		s := m.buildSolver()
 		relax := make([]Lit, len(m.soft))
@@ -101,8 +108,8 @@ func (m *MaxSolver) Solve() Result {
 			r := s.NewVar()
 			relax[i] = PosLit(r)
 			weights[i] = sc.Weight
-			lits := append(append([]Lit(nil), sc.Lits...), PosLit(r))
-			s.AddClause(lits...)
+			relaxed = append(append(relaxed[:0], sc.Lits...), PosLit(r))
+			s.AddClause(relaxed...)
 		}
 		encodeWeightedAtMost(s, relax, weights, bestCost-1)
 		if st := s.Solve(); st != StatusSat {
@@ -129,8 +136,10 @@ func (m *MaxSolver) buildSolver() *Solver {
 	for s.NumVars() < m.numVars {
 		s.NewVar()
 	}
-	for _, c := range m.hard {
-		s.AddClause(c...)
+	start := 0
+	for _, end := range m.hardEnds {
+		s.AddClause(m.hardLits[start:end]...)
+		start = end
 	}
 	return s
 }

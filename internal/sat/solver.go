@@ -2,6 +2,8 @@ package sat
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,20 +38,32 @@ type Options struct {
 	Telemetry *telemetry.Collector
 }
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	act    float64
-	// lbd is the literal block distance (glue) computed when the clause was
-	// learnt: the number of distinct decision levels among its literals.
-	// Low-LBD clauses connect few levels and prune disproportionately, so
-	// reduceDB keeps them.
-	lbd int
-}
+// cref is a clause reference: the arena offset of the clause's header word.
+// Refs of live clauses ascend in the order the clauses were added.
+type cref uint32
 
+// crefUndef is the reason of a decision, an assumption, a root-level unit
+// and an unassigned variable, and propagate's "no conflict".
+const crefUndef = ^cref(0)
+
+// Clause layout in the arena. A clause starts with a header word holding its
+// size (number of literals) above two flag bits. A learnt clause follows the
+// header with learntWords words — its LBD, then its float64 activity as two
+// words, low half first — and every clause ends with its literals. A problem
+// clause thus costs one word more than its literals.
+const (
+	hdrLearnt    = 1 // the clause was learnt
+	hdrMark      = 2 // reduceDB: the clause is about to be removed
+	hdrSizeShift = 2
+	learntWords  = 3
+)
+
+// watcher is one entry of a literal's watch list: the clause watching the
+// literal's complement, and a blocker — another literal of the clause whose
+// truth proves the clause satisfied without reading the arena.
 type watcher struct {
-	clauseID int
-	blocker  Lit
+	cref    cref
+	blocker Lit
 }
 
 // Search constants. Fresh variables start with saved phase false, as in
@@ -74,12 +88,15 @@ type Solver struct {
 	span *telemetry.Span
 
 	numVars int
-	clauses []*clause
+	// arena holds every attached clause, header and literals inline (see
+	// hdrLearnt); it holds no pointers, so the garbage collector never
+	// scans it.
+	arena   []Lit
 	watches [][]watcher // indexed by literal
 
 	assigns  []Tribool // per var
 	level    []int     // decision level per var
-	reason   []int     // clause id per var, -1 if decision/unset
+	reason   []cref    // reason clause per var, crefUndef if decision/unset
 	polarity []bool    // saved phase per var (true = last assigned true)
 
 	trail    []Lit
@@ -103,10 +120,12 @@ type Solver struct {
 	// (minus learnt units) is the live learnt-database size.
 	Removed int64
 
-	// learntCount tracks attached learnt clauses; maxLearnts is the budget
-	// that triggers reduceDB (0 until initialized on first check).
-	learntCount int
-	maxLearnts  int
+	// problemCount and learntCount count attached problem and learnt
+	// clauses; maxLearnts is the budget that triggers reduceDB (0 until
+	// initialized on first check).
+	problemCount int
+	learntCount  int
+	maxLearnts   int
 	// conflictLimit is the Conflicts value at which the current Solve call
 	// gives up (0 = unlimited). It is per-call: on a long-lived incremental
 	// solver the cumulative Conflicts counter exceeds any fixed budget
@@ -115,11 +134,16 @@ type Solver struct {
 	conflictLimit int64
 
 	seen     []bool
-	anaStack []Lit
 	anaToClr []Lit
 	model    []Tribool
 	lbdStamp []int
 	lbdGen   int
+
+	// Scratch buffers reused across calls: AddClause's sorted copy of its
+	// literals, analyze's learnt clause and reduceDB's candidates.
+	addBuf    []Lit
+	learntBuf []Lit
+	reduceBuf []cref
 }
 
 // NewSolver returns a solver with the given options.
@@ -180,7 +204,7 @@ func (s *Solver) NewVar() int {
 	s.level = s.level[:v+1]
 	s.level[v] = 0
 	s.reason = s.reason[:v+1]
-	s.reason[v] = -1
+	s.reason[v] = crefUndef
 	s.polarity = s.polarity[:v+1]
 	s.polarity[v] = false
 	s.activity = s.activity[:v+1]
@@ -195,15 +219,7 @@ func (s *Solver) NewVar() int {
 func (s *Solver) NumVars() int { return s.numVars }
 
 // NumClauses returns the number of problem (non-learnt) clauses.
-func (s *Solver) NumClauses() int {
-	n := 0
-	for _, c := range s.clauses {
-		if !c.learnt {
-			n++
-		}
-	}
-	return n
-}
+func (s *Solver) NumClauses() int { return s.problemCount }
 
 // NumLearnts returns the number of learnt clauses currently attached — the
 // knowledge an incremental session carries from one Solve to the next.
@@ -222,14 +238,16 @@ func (s *Solver) value(l Lit) Tribool {
 
 // AddClause adds a problem clause. It returns false if the clause database
 // became trivially unsatisfiable (an empty clause after simplification at
-// decision level zero).
+// decision level zero). The solver copies what it needs and never keeps
+// lits, so callers may reuse the slice as soon as AddClause returns.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.unsatisfiable {
 		return false
 	}
 	// Must be at decision level 0.
-	sorted := append([]Lit(nil), lits...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := append(s.addBuf[:0], lits...)
+	s.addBuf = sorted
+	slices.Sort(sorted)
 	out := sorted[:0]
 	var prev Lit = -1
 	for _, l := range sorted {
@@ -252,29 +270,83 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.unsatisfiable = true
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], -1)
-		if s.propagate() != -1 {
+		s.uncheckedEnqueue(out[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.unsatisfiable = true
 			return false
 		}
 		return true
 	default:
-		s.attachClause(&clause{lits: append([]Lit(nil), out...)})
+		s.attachClause(s.allocClause(out, false, 0))
+		s.problemCount++
 		return true
 	}
 }
 
-func (s *Solver) attachClause(c *clause) int {
-	id := len(s.clauses)
-	s.clauses = append(s.clauses, c)
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{id, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{id, c.lits[0]})
-	return id
+// allocClause appends a clause with the given literals to the arena and
+// returns its ref. A learnt clause starts with activity zero.
+func (s *Solver) allocClause(lits []Lit, learnt bool, lbd int) cref {
+	c := len(s.arena)
+	if len(lits)>>(31-hdrSizeShift) != 0 || uint64(c)+learntWords+1+uint64(len(lits)) >= uint64(crefUndef) {
+		panic("sat: clause too large for the arena")
+	}
+	hdr := Lit(len(lits)) << hdrSizeShift
+	if learnt {
+		s.arena = append(s.arena, hdr|hdrLearnt, Lit(lbd), 0, 0)
+	} else {
+		s.arena = append(s.arena, hdr)
+	}
+	s.arena = append(s.arena, lits...)
+	return cref(c)
+}
+
+// clauseWords is the arena footprint of the clause with header hdr.
+func clauseWords(hdr Lit) int {
+	return 1 + learntWords*int(hdr&hdrLearnt) + int(hdr>>hdrSizeShift)
+}
+
+// lits returns clause c's literals, a window into the arena: writes to it
+// reorder the clause in place.
+func (s *Solver) lits(c cref) []Lit {
+	hdr := s.arena[c]
+	start := int(c) + 1 + learntWords*int(hdr&hdrLearnt)
+	return s.arena[start : start+int(hdr>>hdrSizeShift)]
+}
+
+func (s *Solver) learnt(c cref) bool { return s.arena[c]&hdrLearnt != 0 }
+
+// lbd returns learnt clause c's literal block distance (glue): the number of
+// distinct decision levels among its literals when it was learnt. Low-LBD
+// clauses connect few levels and prune disproportionately, so reduceDB
+// keeps them.
+func (s *Solver) lbd(c cref) int { return int(s.arena[c+1]) }
+
+// clauseAct returns learnt clause c's activity.
+func (s *Solver) clauseAct(c cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+2])) | uint64(uint32(s.arena[c+3]))<<32)
+}
+
+func (s *Solver) setClauseAct(c cref, act float64) {
+	b := math.Float64bits(act)
+	s.arena[c+2], s.arena[c+3] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+// locked reports whether clause c is the reason of an assignment. The
+// literal a clause implies is its first, and stays first while it is
+// assigned; an unassigned variable has no reason.
+func (s *Solver) locked(c cref) bool {
+	return s.reason[s.lits(c)[0].Var()] == c
+}
+
+func (s *Solver) attachClause(c cref) {
+	lits := s.lits(c)
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{c, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, reasonID int) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.IsNeg() {
 		s.assigns[v] = False
@@ -283,13 +355,13 @@ func (s *Solver) uncheckedEnqueue(l Lit, reasonID int) {
 	}
 	s.polarity[v] = !l.IsNeg()
 	s.level[v] = s.decisionLevel()
-	s.reason[v] = reasonID
+	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns the id of a conflicting
-// clause, or -1 if no conflict was found.
-func (s *Solver) propagate() int {
+// propagate performs unit propagation; it returns the conflicting clause,
+// or crefUndef if no conflict was found.
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is now true
 		s.qhead++
@@ -297,10 +369,10 @@ func (s *Solver) propagate() int {
 		falsified := p.Not()
 		ws := s.watches[p]
 		kept := ws[:0]
-		conflict := -1
+		conflict := crefUndef
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
-			if conflict >= 0 {
+			if conflict != crefUndef {
 				kept = append(kept, ws[wi:]...)
 				break
 			}
@@ -308,22 +380,22 @@ func (s *Solver) propagate() int {
 				kept = append(kept, w)
 				continue
 			}
-			c := s.clauses[w.clauseID]
+			lits := s.lits(w.cref)
 			// Ensure the falsified literal is lits[1].
-			if c.lits[0] == falsified {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falsified {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == True {
-				kept = append(kept, watcher{w.clauseID, first})
+				kept = append(kept, watcher{w.cref, first})
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{w.clauseID, first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != False {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{w.cref, first})
 					found = true
 					break
 				}
@@ -332,41 +404,41 @@ func (s *Solver) propagate() int {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{w.clauseID, first})
+			kept = append(kept, watcher{w.cref, first})
 			if s.value(first) == False {
-				conflict = w.clauseID
+				conflict = w.cref
 				s.qhead = len(s.trail)
 			} else {
-				s.uncheckedEnqueue(first, w.clauseID)
+				s.uncheckedEnqueue(first, w.cref)
 			}
 		}
 		s.watches[p] = kept
-		if conflict >= 0 {
+		if conflict != crefUndef {
 			return conflict
 		}
 	}
-	return -1
+	return crefUndef
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt clause
-// (with the asserting literal first) and the backjump level.
-func (s *Solver) analyze(conflictID int) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// (with the asserting literal first) and the backjump level. The clause is
+// a solver-owned buffer, valid until the next call.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
-	cID := conflictID
+	c := confl
 
 	for {
-		c := s.clauses[cID]
-		if c.learnt {
+		if s.learnt(c) {
 			s.bumpClause(c)
 		}
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -390,9 +462,10 @@ func (s *Solver) analyze(conflictID int) ([]Lit, int) {
 		if counter == 0 {
 			break
 		}
-		cID = s.reason[p.Var()]
+		c = s.reason[p.Var()]
 	}
 	learnt[0] = p.Not()
+	s.learntBuf = learnt
 
 	// Cheap clause minimization: drop literals implied by the rest. The
 	// seen flags of dropped literals must be cleared too, so collect the
@@ -428,11 +501,11 @@ func (s *Solver) analyze(conflictID int) ([]Lit, int) {
 // redundant reports whether literal l's reason clause consists only of
 // literals already seen (a one-step self-subsumption test).
 func (s *Solver) redundant(l Lit) bool {
-	rID := s.reason[l.Var()]
-	if rID < 0 {
+	r := s.reason[l.Var()]
+	if r == crefUndef {
 		return false
 	}
-	for _, q := range s.clauses[rID].lits {
+	for _, q := range s.lits(r) {
 		if q.Var() == l.Var() {
 			continue
 		}
@@ -454,12 +527,13 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.clauseInc
-	if c.act > 1e20 {
-		for _, cl := range s.clauses {
-			if cl.learnt {
-				cl.act *= 1e-20
+func (s *Solver) bumpClause(c cref) {
+	act := s.clauseAct(c) + s.clauseInc
+	s.setClauseAct(c, act)
+	if act > 1e20 {
+		for i := 0; i < len(s.arena); i += clauseWords(s.arena[i]) {
+			if c := cref(i); s.learnt(c) {
+				s.setClauseAct(c, s.clauseAct(c)*1e-20)
 			}
 		}
 		s.clauseInc *= 1e-20
@@ -474,7 +548,7 @@ func (s *Solver) cancelUntil(level int) {
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
 		s.assigns[v] = Unassigned
-		s.reason[v] = -1
+		s.reason[v] = crefUndef
 		if !s.order.contains(v) {
 			s.order.push(v)
 		}
@@ -599,7 +673,7 @@ func (s *Solver) maybeReduce() {
 		return
 	}
 	if s.maxLearnts == 0 {
-		s.maxLearnts = (len(s.clauses) - s.learntCount) / 3
+		s.maxLearnts = s.problemCount / 3
 		if s.maxLearnts < reduceFloor {
 			s.maxLearnts = reduceFloor
 		}
@@ -614,62 +688,60 @@ func (s *Solver) maybeReduce() {
 // reduceDB removes roughly the worst half of removable learnt clauses,
 // ranked by (high LBD first, low activity first). Protected and kept:
 // locked clauses (currently the reason of an assignment), glue clauses
-// (LBD <= 2), and binary clauses. Clause ids are compacted, so reasons are
-// remapped and the watch lists rebuilt.
+// (LBD <= 2), and binary clauses. The arena is compacted in place, so
+// reasons are relocated and the watch lists rebuilt.
 func (s *Solver) reduceDB() {
-	locked := make([]bool, len(s.clauses))
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r >= 0 {
-			locked[r] = true
+	cands := s.reduceBuf[:0]
+	for i := 0; i < len(s.arena); i += clauseWords(s.arena[i]) {
+		c := cref(i)
+		if s.learnt(c) && len(s.lits(c)) > 2 && s.lbd(c) > 2 && !s.locked(c) {
+			cands = append(cands, c)
 		}
 	}
-	var cands []int
-	for id, c := range s.clauses {
-		if c.learnt && !locked[id] && len(c.lits) > 2 && c.lbd > 2 {
-			cands = append(cands, id)
-		}
-	}
+	s.reduceBuf = cands
 	sort.Slice(cands, func(i, j int) bool {
-		a, b := s.clauses[cands[i]], s.clauses[cands[j]]
-		if a.lbd != b.lbd {
-			return a.lbd > b.lbd
+		a, b := cands[i], cands[j]
+		if s.lbd(a) != s.lbd(b) {
+			return s.lbd(a) > s.lbd(b)
 		}
-		return a.act < b.act
+		return s.clauseAct(a) < s.clauseAct(b)
 	})
 	if len(cands) == 0 {
 		return
 	}
-	remove := make([]bool, len(s.clauses))
-	for _, id := range cands[:len(cands)/2] {
-		remove[id] = true
+	for _, c := range cands[:len(cands)/2] {
+		s.arena[c] |= hdrMark
 	}
 
-	remap := make([]int, len(s.clauses))
-	kept := s.clauses[:0]
-	for id, c := range s.clauses {
-		if remove[id] {
-			remap[id] = -1
+	// Slide every kept clause down over the removed ones. A locked clause's
+	// reason is relocated before the move; it is found through its first
+	// literal, and a relocated ref is always below the refs still to be
+	// visited, so it never matches one of them.
+	kept := 0
+	for i := 0; i < len(s.arena); {
+		hdr := s.arena[i]
+		n := clauseWords(hdr)
+		if hdr&hdrMark != 0 {
 			s.learntCount--
 			s.Removed++
-			continue
+		} else {
+			if c := cref(i); s.locked(c) {
+				s.reason[s.lits(c)[0].Var()] = cref(kept)
+			}
+			copy(s.arena[kept:], s.arena[i:i+n])
+			kept += n
 		}
-		remap[id] = len(kept)
-		kept = append(kept, c)
+		i += n
 	}
-	s.clauses = kept
-	for v := range s.reason {
-		if r := s.reason[v]; r >= 0 {
-			s.reason[v] = remap[r]
-		}
-	}
+	s.arena = s.arena[:kept]
+
 	// Rebuild the watch lists; propagate keeps the watched literals at
 	// lits[0] and lits[1], so re-watching those preserves the invariants.
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
 	}
-	for id, c := range s.clauses {
-		s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{id, c.lits[1]})
-		s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{id, c.lits[0]})
+	for i := 0; i < len(s.arena); i += clauseWords(s.arena[i]) {
+		s.attachClause(cref(i))
 	}
 }
 
@@ -699,8 +771,8 @@ func (s *Solver) computeLBD(lits []Lit) int {
 func (s *Solver) search(assumptions []Lit, budget int64) Status {
 	var conflictsHere int64
 	for {
-		conflictID := s.propagate()
-		if conflictID >= 0 {
+		confl := s.propagate()
+		if confl != crefUndef {
 			s.Conflicts++
 			conflictsHere++
 			if s.decisionLevel() == 0 {
@@ -722,23 +794,24 @@ func (s *Solver) search(assumptions []Lit, budget int64) Status {
 				if s.decisionLevel() < len(assumptions) {
 					return StatusUnsat
 				}
-				s.uncheckedEnqueue(lastDecision.Not(), -1)
+				s.uncheckedEnqueue(lastDecision.Not(), crefUndef)
 				continue
 			}
 			// Backjumping may land below the assumption levels; the search
 			// loop re-applies pending assumptions afterwards, returning
 			// UNSAT if one of them has become false.
-			learnt, backLevel := s.analyze(conflictID)
+			learnt, backLevel := s.analyze(confl)
 			lbd := s.computeLBD(learnt)
 			s.cancelUntil(backLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], -1)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				id := s.attachClause(&clause{lits: learnt, learnt: true, lbd: lbd})
+				c := s.allocClause(learnt, true, lbd)
+				s.attachClause(c)
 				s.Learned++
 				s.learntCount++
-				s.bumpClause(s.clauses[id])
-				s.uncheckedEnqueue(learnt[0], id)
+				s.bumpClause(c)
+				s.uncheckedEnqueue(learnt[0], c)
 			}
 			s.varInc /= varDecay
 			// Clause-activity decay: bumping with a growing increment makes
@@ -766,7 +839,7 @@ func (s *Solver) search(assumptions []Lit, budget int64) Status {
 				return StatusUnsat
 			default:
 				s.trailLim = append(s.trailLim, len(s.trail))
-				s.uncheckedEnqueue(a, -1)
+				s.uncheckedEnqueue(a, crefUndef)
 				continue
 			}
 		}
@@ -778,7 +851,7 @@ func (s *Solver) search(assumptions []Lit, budget int64) Status {
 		}
 		s.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(MkLit(v, !s.polarity[v]), -1)
+		s.uncheckedEnqueue(MkLit(v, !s.polarity[v]), crefUndef)
 	}
 }
 
