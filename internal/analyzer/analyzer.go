@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"specrepair/internal/alloy/ast"
-	"specrepair/internal/alloy/printer"
 	"specrepair/internal/alloy/types"
 	"specrepair/internal/anacache"
 	"specrepair/internal/bounds"
@@ -157,43 +156,26 @@ func (r *Result) Passed() bool {
 
 // RunCommand executes one command of mod.
 func (a *Analyzer) RunCommand(mod *ast.Module, cmd *ast.Command) (*Result, error) {
-	col := a.opts.Telemetry
-	if a.cache() == nil {
+	accept := func(v any) (*Result, bool) {
+		cr, ok := v.(*cachedResult)
+		if !ok {
+			return nil, false
+		}
+		return cr.materialize(cmd), true
+	}
+	return lookup(a, telemetry.EPCommand, a.commandKey(mod, cmd), accept, func() (*Result, any, error) {
 		s, err := a.newSession(mod)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		s.span = a.span.Child("analyzer.cmd")
 		defer s.span.End()
-		start := col.Clock()
 		res, err := s.run(cmd)
-		if err == nil {
-			col.RecordLookup(telemetry.EPCommand, false, col.Since(start))
+		if err != nil {
+			return nil, nil, err
 		}
-		return res, err
-	}
-	start := col.Clock()
-	key := a.commandKey(printer.Module(mod), cmd)
-	if v, ok := a.cache().Get(key); ok {
-		if cr, ok := v.(*cachedResult); ok {
-			res := cr.materialize(cmd)
-			col.RecordLookup(telemetry.EPCommand, true, col.Since(start))
-			return res, nil
-		}
-	}
-	s, err := a.newSession(mod)
-	if err != nil {
-		return nil, err
-	}
-	s.span = a.span.Child("analyzer.cmd")
-	defer s.span.End()
-	res, err := s.run(cmd)
-	if err != nil {
-		return nil, err
-	}
-	a.cache().Put(key, snapshotResult(res))
-	col.RecordLookup(telemetry.EPCommand, false, col.Since(start))
-	return res, nil
+		return res, snapshotResult(res), nil
+	})
 }
 
 // session shares lowering and per-scope translations across the commands of
@@ -205,7 +187,7 @@ type session struct {
 	an      *Analyzer
 	low     *ast.Module
 	info    *types.Info
-	byScope map[string]*scopeState
+	byScope map[string]*scope
 	// verdictOnly marks sessions whose callers consume only SAT/UNSAT
 	// verdicts, never instances (the equisatisfiability checks), so models
 	// are never decoded.
@@ -214,8 +196,10 @@ type session struct {
 	span *telemetry.Span
 }
 
-type scopeState struct {
-	bounds *bounds.Bounds
+// scope is one scope's translation state: the translator over the scope's
+// bounds and the solver its clauses go to. err records a scope that could
+// not be built, so every command of that scope reports it.
+type scope struct {
 	tr     *translate.Translator
 	solver *sat.Solver
 	cb     *translate.CNFBuilder
@@ -227,7 +211,7 @@ func (a *Analyzer) newSession(mod *ast.Module) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analyzing: %w", err)
 	}
-	return &session{an: a, low: low, info: info, byScope: map[string]*scopeState{}}, nil
+	return &session{an: a, low: low, info: info, byScope: map[string]*scope{}}, nil
 }
 
 func scopeKey(sc ast.Scope) string {
@@ -248,29 +232,37 @@ func scopeKey(sc ast.Scope) string {
 
 // state returns the prepared solver state for a scope, building it on first
 // use.
-func (s *session) state(sc ast.Scope) *scopeState {
+func (s *session) state(sc ast.Scope) *scope {
 	key := scopeKey(sc)
-	if st, ok := s.byScope[key]; ok {
-		return st
+	st, ok := s.byScope[key]
+	if !ok {
+		st = s.an.newScope(s.info, sc, s.low.Facts, s.span)
+		s.byScope[key] = st
 	}
-	st := &scopeState{}
-	s.byScope[key] = st
+	return st
+}
 
-	b, err := bounds.Build(s.info, sc)
+// newScope builds one scope's bounds, translator (cancelled with the
+// analyzer's context), solver and CNF builder, and asserts the implicit
+// constraints together with facts in a single AddAssert. Fresh sessions pass
+// the module's facts; incremental sessions pass none and gate each fact per
+// candidate instead. span parents the solver's spans.
+func (a *Analyzer) newScope(info *types.Info, sc ast.Scope, facts []*ast.Fact, span *telemetry.Span) *scope {
+	st := &scope{}
+	b, err := bounds.Build(info, sc)
 	if err != nil {
 		st.err = fmt.Errorf("bounding: %w", err)
 		return st
 	}
-	st.bounds = b
-	st.tr = translate.New(s.info, b)
-	st.tr.SetContext(s.an.ctx)
+	st.tr = translate.New(info, b)
+	st.tr.SetContext(a.ctx)
 	implicit, err := st.tr.ImplicitConstraints()
 	if err != nil {
 		st.err = fmt.Errorf("translating implicit constraints: %w", err)
 		return st
 	}
 	parts := []translate.Node{implicit}
-	for _, f := range s.low.Facts {
+	for _, f := range facts {
 		n, err := st.tr.Formula(f.Body, nil)
 		if err != nil {
 			st.err = fmt.Errorf("translating fact %s: %w", f.Name, err)
@@ -279,11 +271,11 @@ func (s *session) state(sc ast.Scope) *scopeState {
 		parts = append(parts, n)
 	}
 	st.solver = sat.NewSolver(sat.Options{
-		MaxConflicts: s.an.opts.MaxConflicts,
-		Context:      s.an.ctx,
-		Telemetry:    s.an.opts.Telemetry,
+		MaxConflicts: a.opts.MaxConflicts,
+		Context:      a.ctx,
+		Telemetry:    a.opts.Telemetry,
 	})
-	st.solver.SetSpan(s.span)
+	st.solver.SetSpan(span)
 	st.cb = translate.NewCNFBuilder(st.solver, st.tr.NumVars())
 	st.cb.AddAssert(translate.And(parts...))
 	return st
@@ -376,37 +368,53 @@ func commandGoal(low *ast.Module, cmd *ast.Command) (ast.Expr, error) {
 
 // ExecuteAll runs every command in the module, in declaration order.
 func (a *Analyzer) ExecuteAll(mod *ast.Module) ([]*Result, error) {
-	col := a.opts.Telemetry
-	if a.cache() == nil {
-		start := col.Clock()
-		out, err := a.executeAllUncached(mod)
-		if err == nil {
-			col.RecordLookup(telemetry.EPExecuteAll, false, col.Since(start))
+	accept := func(v any) ([]*Result, bool) {
+		rec, ok := v.(*runRecord)
+		if !ok || !rec.Complete || len(rec.Results) != len(mod.Commands) {
+			return nil, false
 		}
-		return out, err
+		return rec.materializeAll(mod.Commands), true
 	}
-	start := col.Clock()
-	key := a.runRecordKey(printer.Module(mod))
-	if rec := a.getRunRecord(key); rec != nil && rec.Complete && len(rec.Results) == len(mod.Commands) {
-		out := rec.materializeAll(mod.Commands)
-		col.RecordLookup(telemetry.EPExecuteAll, true, col.Since(start))
-		return out, nil
-	}
-	out, err := a.executeAllUncached(mod)
-	if err != nil {
-		return nil, err
-	}
-	a.cache().Put(key, newRunRecord(out, true))
-	col.RecordLookup(telemetry.EPExecuteAll, false, col.Since(start))
-	return out, nil
+	return lookup(a, telemetry.EPExecuteAll, a.runRecordKey(mod), accept, func() ([]*Result, any, error) {
+		out, err := a.runFresh(mod, "analyzer.execute_all", false)
+		if err != nil {
+			return nil, nil, err
+		}
+		return out, newRunRecord(out, true), nil
+	})
 }
 
-func (a *Analyzer) executeAllUncached(mod *ast.Module) ([]*Result, error) {
+// PassesAll executes the module's commands in declaration order, stopping
+// at the first command that misses its expectation. It is the fast path
+// for oracle checks in repair search loops.
+func (a *Analyzer) PassesAll(mod *ast.Module) (bool, error) {
+	return lookup(a, telemetry.EPPassesAll, a.runRecordKey(mod), acceptPasses(mod.Commands), func() (bool, any, error) {
+		return a.passesAllFresh(mod)
+	})
+}
+
+// passesAllFresh answers PassesAll in a fresh session, with the run record
+// to store: complete when every command executed, else the prefix up to the
+// failing command, which still answers later PassesAll queries (ExecuteAll
+// upgrades it on demand).
+func (a *Analyzer) passesAllFresh(mod *ast.Module) (bool, any, error) {
+	results, err := a.runFresh(mod, "analyzer.passes_all", true)
+	if err != nil {
+		return false, nil, err
+	}
+	pass := len(results) == 0 || results[len(results)-1].Passed()
+	return pass, newRunRecord(results, len(results) == len(mod.Commands)), nil
+}
+
+// runFresh executes the module's commands in declaration order in a fresh
+// session under a span of the given kind, stopping after the first command
+// that misses its expectation when stopOnFail is set.
+func (a *Analyzer) runFresh(mod *ast.Module, kind string, stopOnFail bool) ([]*Result, error) {
 	s, err := a.newSession(mod)
 	if err != nil {
 		return nil, err
 	}
-	s.span = a.span.Child("analyzer.execute_all")
+	s.span = a.span.Child(kind)
 	defer s.span.End()
 	out := make([]*Result, 0, len(s.low.Commands))
 	for _, cmd := range s.low.Commands {
@@ -415,62 +423,11 @@ func (a *Analyzer) executeAllUncached(mod *ast.Module) ([]*Result, error) {
 			return nil, err
 		}
 		out = append(out, r)
+		if stopOnFail && !r.Passed() {
+			break
+		}
 	}
 	return out, nil
-}
-
-// PassesAll executes the module's commands in declaration order, stopping
-// at the first command that misses its expectation. It is the fast path
-// for oracle checks in repair search loops.
-func (a *Analyzer) PassesAll(mod *ast.Module) (bool, error) {
-	col := a.opts.Telemetry
-	if a.cache() == nil {
-		start := col.Clock()
-		pass, _, err := a.passesAllUncached(mod)
-		if err == nil {
-			col.RecordLookup(telemetry.EPPassesAll, false, col.Since(start))
-		}
-		return pass, err
-	}
-	start := col.Clock()
-	key := a.runRecordKey(printer.Module(mod))
-	if rec := a.getRunRecord(key); rec != nil {
-		if pass, ok := rec.passesAll(mod.Commands); ok {
-			col.RecordLookup(telemetry.EPPassesAll, true, col.Since(start))
-			return pass, nil
-		}
-	}
-	pass, results, err := a.passesAllUncached(mod)
-	if err != nil {
-		return false, err
-	}
-	// The record is complete when every command executed (a run that stops
-	// early still records the failing prefix, which answers future
-	// PassesAll queries; ExecuteAll upgrades it on demand).
-	a.cache().Put(key, newRunRecord(results, len(results) == len(mod.Commands)))
-	col.RecordLookup(telemetry.EPPassesAll, false, col.Since(start))
-	return pass, nil
-}
-
-func (a *Analyzer) passesAllUncached(mod *ast.Module) (bool, []*Result, error) {
-	s, err := a.newSession(mod)
-	if err != nil {
-		return false, nil, err
-	}
-	s.span = a.span.Child("analyzer.passes_all")
-	defer s.span.End()
-	var results []*Result
-	for _, cmd := range s.low.Commands {
-		r, err := s.run(cmd)
-		if err != nil {
-			return false, nil, err
-		}
-		results = append(results, r)
-		if !r.Passed() {
-			return false, results, nil
-		}
-	}
-	return true, results, nil
 }
 
 // Verdicts executes every command and returns the satisfiability verdict
@@ -496,33 +453,14 @@ func (a *Analyzer) Verdicts(mod *ast.Module) ([]bool, error) {
 // must reproduce every verdict. Malformed candidates are simply not
 // equisatisfiable (nil error).
 func (a *Analyzer) EquisatBaseline(gtCommands []*ast.Command, verdicts []bool, candidate *ast.Module) (bool, error) {
-	col := a.opts.Telemetry
-	if a.cache() == nil {
-		start := col.Clock()
-		eq, err := a.equisatBaselineUncached(gtCommands, verdicts, candidate)
-		if err == nil {
-			col.RecordLookup(telemetry.EPEquisat, false, col.Since(start))
-		}
-		return eq, err
-	}
-	start := col.Clock()
-	key := a.equisatKey(gtCommands, verdicts, printer.Module(candidate))
-	if v, ok := a.cache().Get(key); ok {
-		if eq, ok := v.(bool); ok {
-			col.RecordLookup(telemetry.EPEquisat, true, col.Since(start))
-			return eq, nil
-		}
-	}
-	eq, err := a.equisatBaselineUncached(gtCommands, verdicts, candidate)
-	if err != nil {
-		return eq, err
-	}
-	a.cache().Put(key, eq)
-	col.RecordLookup(telemetry.EPEquisat, false, col.Since(start))
-	return eq, nil
+	accept := func(v any) (bool, bool) { eq, ok := v.(bool); return eq, ok }
+	return lookup(a, telemetry.EPEquisat, a.equisatKey(gtCommands, verdicts, candidate), accept, func() (bool, any, error) {
+		eq, err := a.equisatFresh(gtCommands, verdicts, candidate)
+		return eq, eq, err
+	})
 }
 
-func (a *Analyzer) equisatBaselineUncached(gtCommands []*ast.Command, verdicts []bool, candidate *ast.Module) (bool, error) {
+func (a *Analyzer) equisatFresh(gtCommands []*ast.Command, verdicts []bool, candidate *ast.Module) (bool, error) {
 	s, err := a.newSession(candidate)
 	if err != nil {
 		return false, nil // malformed candidate: not a repair

@@ -104,39 +104,76 @@ func (rec *runRecord) passesAll(cmds []*ast.Command) (pass, ok bool) {
 	return true, true
 }
 
-func (a *Analyzer) cache() *anacache.Cache { return a.opts.Cache }
-
-func (a *Analyzer) runRecordKey(src string) anacache.Key {
-	return anacache.KeyOf("analyzer.run", a.optsKey, src)
-}
-
-func (a *Analyzer) commandKey(src string, cmd *ast.Command) anacache.Key {
-	return anacache.KeyOf("analyzer.cmd", a.optsKey, src, printer.Command(cmd))
-}
-
-func (a *Analyzer) equisatKey(gtCommands []*ast.Command, verdicts []bool, candidateSrc string) anacache.Key {
-	var cmds strings.Builder
-	for _, cmd := range gtCommands {
-		cmds.WriteString(printer.Command(cmd))
-		cmds.WriteByte('\n')
-	}
-	var vs strings.Builder
-	for _, v := range verdicts {
-		if v {
-			vs.WriteByte('1')
-		} else {
-			vs.WriteByte('0')
+// lookup is the one path from an entry point to the analysis cache. With a
+// cache it probes key() and returns what accept makes of a stored value;
+// otherwise (no cache, a miss, or a value accept rejects) it runs compute,
+// stores the value compute hands back for storing unless that is nil (a
+// verdict-only answer), and records the call as a miss. key is called only
+// with a cache, so uncached analyzers never print the module. A failed
+// computation is neither stored nor recorded.
+func lookup[T any](a *Analyzer, ep string, key func() anacache.Key, accept func(any) (T, bool), compute func() (T, any, error)) (T, error) {
+	col, cache := a.opts.Telemetry, a.cache()
+	start := col.Clock()
+	var k anacache.Key
+	if cache != nil {
+		k = key()
+		if v, ok := cache.Get(k); ok {
+			if out, ok := accept(v); ok {
+				col.RecordLookup(ep, true, col.Since(start))
+				return out, nil
+			}
 		}
 	}
-	return anacache.KeyOf("analyzer.equisat", a.optsKey, candidateSrc, cmds.String(), vs.String())
+	out, store, err := compute()
+	if err != nil {
+		return out, err
+	}
+	if cache != nil && store != nil {
+		cache.Put(k, store)
+	}
+	col.RecordLookup(ep, false, col.Since(start))
+	return out, nil
 }
 
-// getRunRecord fetches a module's run record, if any.
-func (a *Analyzer) getRunRecord(key anacache.Key) *runRecord {
-	v, ok := a.cache().Get(key)
-	if !ok {
-		return nil
+func (a *Analyzer) cache() *anacache.Cache { return a.opts.Cache }
+
+// acceptPasses answers PassesAll of a module with these commands from a
+// stored run record.
+func acceptPasses(cmds []*ast.Command) func(any) (bool, bool) {
+	return func(v any) (bool, bool) {
+		rec, ok := v.(*runRecord)
+		if !ok {
+			return false, false
+		}
+		return rec.passesAll(cmds)
 	}
-	rec, _ := v.(*runRecord)
-	return rec
+}
+
+func (a *Analyzer) runRecordKey(mod *ast.Module) func() anacache.Key {
+	return func() anacache.Key { return anacache.KeyOf("analyzer.run", a.optsKey, printer.Module(mod)) }
+}
+
+func (a *Analyzer) commandKey(mod *ast.Module, cmd *ast.Command) func() anacache.Key {
+	return func() anacache.Key {
+		return anacache.KeyOf("analyzer.cmd", a.optsKey, printer.Module(mod), printer.Command(cmd))
+	}
+}
+
+func (a *Analyzer) equisatKey(gtCommands []*ast.Command, verdicts []bool, candidate *ast.Module) func() anacache.Key {
+	return func() anacache.Key {
+		var cmds strings.Builder
+		for _, cmd := range gtCommands {
+			cmds.WriteString(printer.Command(cmd))
+			cmds.WriteByte('\n')
+		}
+		var vs strings.Builder
+		for _, v := range verdicts {
+			if v {
+				vs.WriteByte('1')
+			} else {
+				vs.WriteByte('0')
+			}
+		}
+		return anacache.KeyOf("analyzer.equisat", a.optsKey, printer.Module(candidate), cmds.String(), vs.String())
+	}
 }

@@ -6,10 +6,8 @@ import (
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/printer"
 	"specrepair/internal/alloy/types"
-	"specrepair/internal/bounds"
 	"specrepair/internal/sat"
 	"specrepair/internal/telemetry"
-	"specrepair/internal/translate"
 )
 
 // This file is the incremental candidate-evaluation layer. Repair search
@@ -118,9 +116,11 @@ func (a *Analyzer) Evaluator(base *ast.Module) *Evaluator {
 }
 
 // PassesAll reports whether every command of the candidate meets its
-// expectation, equivalently to Analyzer.PassesAll. The analysis cache is
-// consulted read-only first; incremental answers are never written back
-// (they are verdict-only, and cache entries must come from fresh sessions).
+// expectation, equivalently to Analyzer.PassesAll. It takes the analysis
+// cache's lookup path: a stored record answers first, then the incremental
+// session, whose verdict-only answers are never written back (cache entries
+// must come from fresh sessions), and when the session cannot answer, a
+// fresh solve whose record is stored like Analyzer.PassesAll's.
 func (e *Evaluator) PassesAll(mod *ast.Module) (bool, error) {
 	sp := e.span.Child("candidate.eval")
 	defer sp.End()
@@ -128,32 +128,25 @@ func (e *Evaluator) PassesAll(mod *ast.Module) (bool, error) {
 		sp.SetAttr("path", "fresh")
 		return e.an.WithSpan(sp).PassesAll(mod)
 	}
-	col := e.an.opts.Telemetry
-	if e.an.cache() != nil {
-		start := col.Clock()
-		key := e.an.runRecordKey(printer.Module(mod))
-		if rec := e.an.getRunRecord(key); rec != nil {
-			if pass, ok := rec.passesAll(mod.Commands); ok {
-				e.stats.CacheHits++
-				col.RecordLookup(telemetry.EPPassesAll, true, col.Since(start))
-				sp.SetAttr("path", "cache")
-				return pass, nil
-			}
+	// path stays "cache" unless lookup has to compute the answer.
+	col, path := e.an.opts.Telemetry, "cache"
+	pass, err := lookup(e.an, telemetry.EPPassesAll, e.an.runRecordKey(mod), acceptPasses(mod.Commands), func() (bool, any, error) {
+		if pass, ok := e.inc.passesAll(mod, sp); ok {
+			e.stats.Queries++
+			col.RecordIncrementalQuery()
+			path = "incremental"
+			return pass, nil, nil
 		}
-	}
-	start := col.Clock()
-	pass, ok := e.inc.passesAll(mod, sp)
-	if !ok {
 		e.stats.Fallbacks++
 		col.RecordIncrementalFallback()
-		sp.SetAttr("path", "fallback")
-		return e.an.WithSpan(sp).PassesAll(mod)
+		path = "fallback"
+		return e.an.WithSpan(sp).passesAllFresh(mod)
+	})
+	if path == "cache" {
+		e.stats.CacheHits++
 	}
-	e.stats.Queries++
-	col.RecordIncrementalQuery()
-	col.RecordLookup(telemetry.EPPassesAll, false, col.Since(start))
-	sp.SetAttr("path", "incremental")
-	return pass, nil
+	sp.SetAttr("path", path)
+	return pass, err
 }
 
 // incSession is the long-lived state shared by a candidate stream: the base
@@ -179,15 +172,12 @@ type incSession struct {
 // so tests can exercise the rebuild path with a tiny window.
 var gateWindow = 64
 
-// incScope is one scope's long-lived solver: base translator, CNF builder,
-// implicit constraints asserted permanently, and the gate memo mapping
-// formula keys to their activation literals.
+// incScope is one scope's long-lived solver: the shared scope state with
+// only the implicit constraints asserted permanently, and the gate memo
+// mapping formula keys to their activation literals.
 type incScope struct {
-	tr     *translate.Translator
-	solver *sat.Solver
-	cb     *translate.CNFBuilder
-	gates  map[string]sat.Lit
-	err    error
+	*scope
+	gates map[string]sat.Lit
 
 	// baseGates is the gate count right after the first command served by
 	// this solver — the resident set of base-module formulas. -1 until
@@ -232,34 +222,8 @@ func (s *incSession) state(sc ast.Scope) *incScope {
 		}
 		// Fall through: rebuild a fresh solver for this scope.
 	}
-	st := s.build(sc)
+	st := &incScope{scope: s.an.newScope(s.info, sc, nil, nil), gates: map[string]sat.Lit{}, baseGates: -1}
 	s.byScope[key] = st
-	return st
-}
-
-// build constructs one scope's solver state from scratch: bounds, relation
-// variables, and the implicit constraints asserted permanently.
-func (s *incSession) build(sc ast.Scope) *incScope {
-	st := &incScope{gates: map[string]sat.Lit{}, baseGates: -1}
-	b, err := bounds.Build(s.info, sc)
-	if err != nil {
-		st.err = err
-		return st
-	}
-	st.tr = translate.New(s.info, b)
-	st.tr.SetContext(s.an.ctx)
-	implicit, err := st.tr.ImplicitConstraints()
-	if err != nil {
-		st.err = err
-		return st
-	}
-	st.solver = sat.NewSolver(sat.Options{
-		MaxConflicts: s.an.opts.MaxConflicts,
-		Context:      s.an.ctx,
-		Telemetry:    s.an.opts.Telemetry,
-	})
-	st.cb = translate.NewCNFBuilder(st.solver, st.tr.NumVars())
-	st.cb.AddAssert(implicit)
 	return st
 }
 

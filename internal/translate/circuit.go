@@ -169,6 +169,8 @@ func CountNodes(n Node) int {
 // MaxSAT front-ends adapt it to hard clauses.
 type ClauseSink interface {
 	NewVar() int
+	// AddClause must not keep lits: CNFBuilder passes slices of a scratch
+	// stack it overwrites with the next clause.
 	AddClause(lits ...sat.Lit) bool
 	NumVars() int
 }
@@ -184,6 +186,11 @@ type CNFBuilder struct {
 	// be reused where n -> g is required).
 	memoPos map[Node]sat.Lit
 	memoNeg map[Node]sat.Lit
+	// buf is the scratch stack every gate builds its clauses in. A gate
+	// pushes literals above the top it found, hands the sink a slice of
+	// them and pops back; lit and pgLit recurse between pushes, so a gate
+	// addresses its part by offset, never by a slice kept across a call.
+	buf []sat.Lit
 }
 
 // NewCNFBuilder returns a builder over the sink with numProblemVars
@@ -222,14 +229,33 @@ func (cb *CNFBuilder) AddAssert(n Node) {
 		return
 	}
 	if o, ok := n.(*orNode); ok {
-		lits := make([]sat.Lit, 0, len(o.subs))
+		base := len(cb.buf)
 		for _, s := range o.subs {
-			lits = append(lits, cb.lit(s))
+			cb.push(cb.lit(s))
 		}
-		cb.solver.AddClause(lits...)
+		cb.flush(base)
 		return
 	}
-	cb.solver.AddClause(cb.lit(n))
+	cb.addClause(cb.lit(n))
+}
+
+// push puts l on top of the scratch stack. It takes l as a value so that
+// the recursive call producing it has returned before the stack is read.
+func (cb *CNFBuilder) push(l sat.Lit) { cb.buf = append(cb.buf, l) }
+
+// flush hands the sink the clause on the scratch stack above base and pops
+// it.
+func (cb *CNFBuilder) flush(base int) {
+	cb.solver.AddClause(cb.buf[base:]...)
+	cb.buf = cb.buf[:base]
+}
+
+// addClause hands the sink a clause copied onto the scratch stack, so the
+// variadic slice never escapes through the interface call.
+func (cb *CNFBuilder) addClause(lits ...sat.Lit) {
+	base := len(cb.buf)
+	cb.buf = append(cb.buf, lits...)
+	cb.flush(base)
 }
 
 // Lit returns a literal equivalent to node n under the Tseitin clauses
@@ -273,35 +299,34 @@ func (cb *CNFBuilder) pgLit(n Node, pos bool) sat.Lit {
 	}
 	g := sat.PosLit(cb.solver.NewVar())
 	memo[n] = g
+	base := len(cb.buf)
 	switch x := n.(type) {
 	case *andNode:
 		if pos {
 			// g -> each sub.
 			for _, s := range x.subs {
-				cb.solver.AddClause(g.Not(), cb.pgLit(s, true))
+				cb.addClause(g.Not(), cb.pgLit(s, true))
 			}
 		} else {
 			// (all subs) -> g.
-			long := make([]sat.Lit, 0, len(x.subs)+1)
 			for _, s := range x.subs {
-				long = append(long, cb.pgLit(s, false).Not())
+				cb.push(cb.pgLit(s, false).Not())
 			}
-			long = append(long, g)
-			cb.solver.AddClause(long...)
+			cb.push(g)
+			cb.flush(base)
 		}
 	case *orNode:
 		if pos {
 			// g -> some sub.
-			long := make([]sat.Lit, 0, len(x.subs)+1)
-			long = append(long, g.Not())
+			cb.push(g.Not())
 			for _, s := range x.subs {
-				long = append(long, cb.pgLit(s, true))
+				cb.push(cb.pgLit(s, true))
 			}
-			cb.solver.AddClause(long...)
+			cb.flush(base)
 		} else {
 			// each sub -> g.
 			for _, s := range x.subs {
-				cb.solver.AddClause(cb.pgLit(s, false).Not(), g)
+				cb.addClause(cb.pgLit(s, false).Not(), g)
 			}
 		}
 	}
@@ -325,9 +350,9 @@ func (cb *CNFBuilder) lit(n Node) sat.Lit {
 		v := cb.solver.NewVar()
 		l := sat.PosLit(v)
 		if IsFalse(n) {
-			cb.solver.AddClause(l.Not())
+			cb.addClause(l.Not())
 		} else {
-			cb.solver.AddClause(l)
+			cb.addClause(l)
 		}
 		cb.memo[n] = l
 		return l
@@ -337,33 +362,33 @@ func (cb *CNFBuilder) lit(n Node) sat.Lit {
 	}
 	g := sat.PosLit(cb.solver.NewVar())
 	cb.memo[n] = g
+	var subs []Node
 	switch x := n.(type) {
 	case *andNode:
-		subs := make([]sat.Lit, 0, len(x.subs))
-		for _, s := range x.subs {
-			subs = append(subs, cb.lit(s))
-		}
-		// g -> each sub; (all subs) -> g.
-		long := make([]sat.Lit, 0, len(subs)+1)
-		for _, sl := range subs {
-			cb.solver.AddClause(g.Not(), sl)
-			long = append(long, sl.Not())
-		}
-		long = append(long, g)
-		cb.solver.AddClause(long...)
+		subs = x.subs
 	case *orNode:
-		subs := make([]sat.Lit, 0, len(x.subs))
-		for _, s := range x.subs {
-			subs = append(subs, cb.lit(s))
-		}
-		// each sub -> g; g -> some sub.
-		long := make([]sat.Lit, 0, len(subs)+1)
-		for _, sl := range subs {
-			cb.solver.AddClause(sl.Not(), g)
-			long = append(long, sl)
-		}
-		long = append(long, g.Not())
-		cb.solver.AddClause(long...)
+		subs = x.subs
 	}
+	// The sub-literals sit on the stack at base..base+len(subs); the long
+	// clause reuses their slots.
+	base := len(cb.buf)
+	for _, s := range subs {
+		cb.push(cb.lit(s))
+	}
+	if _, and := n.(*andNode); and {
+		// g -> each sub; (all subs) -> g.
+		for i := range subs {
+			cb.addClause(g.Not(), cb.buf[base+i])
+			cb.buf[base+i] = cb.buf[base+i].Not()
+		}
+		cb.push(g)
+	} else {
+		// each sub -> g; g -> some sub.
+		for i := range subs {
+			cb.addClause(cb.buf[base+i].Not(), g)
+		}
+		cb.push(g.Not())
+	}
+	cb.flush(base)
 	return g
 }
