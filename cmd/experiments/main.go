@@ -18,8 +18,6 @@ import (
 	"hash/fnv"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"specrepair/internal/experiments"
@@ -47,12 +45,8 @@ func run(args []string) error {
 	all := fs.Bool("all", false, "render everything")
 	nocache := fs.Bool("nocache", false, "disable the shared analysis cache (A/B baseline)")
 	noincremental := fs.Bool("noincremental", false, "disable incremental candidate evaluation (A/B baseline; identical outputs)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	trace := fs.String("trace", "", "write a JSONL span trace (one line per (technique, spec) job) to this file")
-	traceChrome := fs.String("trace-chrome", "", "write a Chrome trace_event JSON trace (load in Perfetto / chrome://tracing) to this file")
+	obs := telemetry.RegisterCLIFlags(fs)
 	dashboard := fs.Bool("dashboard", false, "render a live terminal dashboard on stderr (suppresses progress lines)")
-	metricsAddr := fs.String("metrics-addr", "", "serve live /metrics (Prometheus) and /metrics.json on this address while running")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock limit; a timed-out (technique, spec) job errors and the run continues")
 	checkpointPath := fs.String("checkpoint", "", "journal completed jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal, skipping already-completed jobs")
@@ -78,79 +72,18 @@ func run(args []string) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("creating CPU profile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("starting CPU profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	// Registered before the run so an interrupted or failed run still
-	// writes its profile on exit.
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: creating heap profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: writing heap profile:", err)
-			}
-		}()
-	}
-
 	// The registry is always on: its atomic counters are cheap against the
 	// solver-bound workload, and the run-report and CSV exports depend on it.
 	reg := telemetry.New()
-	var sinks []telemetry.SpanSink
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %w", err)
-		}
-		tw := telemetry.NewTraceWriter(f)
-		defer func() {
-			if err := tw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: closing trace:", err)
-			}
-		}()
-		sinks = append(sinks, tw)
+	stopObs, err := obs.Start(reg)
+	if err != nil {
+		return err
 	}
-	if *traceChrome != "" {
-		f, err := os.Create(*traceChrome)
-		if err != nil {
-			return fmt.Errorf("creating chrome trace file: %w", err)
-		}
-		cw := telemetry.NewChromeTraceWriter(f)
-		defer func() {
-			if err := cw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: closing chrome trace:", err)
-			}
-		}()
-		sinks = append(sinks, cw)
-	}
-	if *dashboard && len(sinks) == 0 {
+	defer stopObs()
+	if *dashboard && !reg.Tracing() {
 		// Span construction is gated on a sink; the dashboard only needs the
 		// live tracker, so discard the records.
-		sinks = append(sinks, telemetry.Discard)
-	}
-	if s := telemetry.MultiSink(sinks...); s != nil {
-		reg.SetSink(s)
-	}
-	if *metricsAddr != "" {
-		srv, err := telemetry.ServeMetrics(reg, *metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", srv.Addr())
+		reg.SetSink(telemetry.Discard)
 	}
 
 	// First SIGINT cancels the run's context for a graceful shutdown
@@ -202,7 +135,6 @@ func run(args []string) error {
 	}
 
 	var study *experiments.Study
-	var err error
 	if *serveAddr != "" {
 		study, err = experiments.RunCoordinator(ctx, cfg, experiments.CoordinatorOptions{
 			Addr:      *serveAddr,

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"specrepair/internal/alloy/parser"
@@ -46,11 +44,7 @@ func run(args []string) error {
 	list := fs.Bool("list", false, "list available techniques")
 	nocache := fs.Bool("nocache", false, "disable the shared analysis cache")
 	noincremental := fs.Bool("noincremental", false, "disable incremental candidate evaluation (identical outputs, per-candidate fresh solving)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	trace := fs.String("trace", "", "write a JSONL span trace (one line per technique leg) to this file")
-	traceChrome := fs.String("trace-chrome", "", "write a Chrome trace_event JSON trace (load in Perfetto / chrome://tracing) to this file")
-	metricsAddr := fs.String("metrics-addr", "", "serve live /metrics (Prometheus) and /metrics.json on this address while running")
+	obs := telemetry.RegisterCLIFlags(fs)
 	timeout := fs.Duration("timeout", 0, "per-leg wall-clock limit; a timed-out technique leg errors")
 	checkpointPath := fs.String("checkpoint", "", "journal completed technique legs to this JSONL file")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal, replaying already-completed legs")
@@ -80,31 +74,12 @@ func run(args []string) error {
 	}
 	problem := repair.Problem{Name: path, Faulty: mod}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fmt.Errorf("creating CPU profile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("starting CPU profile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	reg := telemetry.New()
+	stopObs, err := obs.Start(reg)
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "specrepair: creating heap profile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "specrepair: writing heap profile:", err)
-			}
-		}()
-	}
+	defer stopObs()
 
 	// One cache across all legs of a hybrid: the second technique's oracle
 	// re-check of the original spec (and any shared intermediate candidates)
@@ -117,45 +92,6 @@ func run(args []string) error {
 		}()
 	}
 
-	reg := telemetry.New()
-	var sinks []telemetry.SpanSink
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return fmt.Errorf("creating trace file: %w", err)
-		}
-		tw := telemetry.NewTraceWriter(f)
-		defer func() {
-			if err := tw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "specrepair: closing trace:", err)
-			}
-		}()
-		sinks = append(sinks, tw)
-	}
-	if *traceChrome != "" {
-		f, err := os.Create(*traceChrome)
-		if err != nil {
-			return fmt.Errorf("creating chrome trace file: %w", err)
-		}
-		cw := telemetry.NewChromeTraceWriter(f)
-		defer func() {
-			if err := cw.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "specrepair: closing chrome trace:", err)
-			}
-		}()
-		sinks = append(sinks, cw)
-	}
-	if s := telemetry.MultiSink(sinks...); s != nil {
-		reg.SetSink(s)
-	}
-	if *metricsAddr != "" {
-		srv, err := telemetry.ServeMetrics(reg, *metricsAddr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", srv.Addr())
-	}
 	col := telemetry.NewCollector(reg)
 	defer func() {
 		b := reg.Brief()

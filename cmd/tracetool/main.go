@@ -1,4 +1,5 @@
-// Command tracetool analyzes a JSONL span trace produced by -trace.
+// Command tracetool analyzes a JSONL span trace produced by -trace, the only
+// trace format the programs write; every other view is derived from it here.
 //
 // Subcommands:
 //
@@ -7,6 +8,7 @@
 //	tracetool critical   trace.jsonl   # critical path of the most expensive jobs
 //	tracetool selftime   trace.jsonl   # top span kinds by self time (text flamegraph)
 //	tracetool stragglers trace.jsonl   # per-kind p99 outlier spans
+//	tracetool perfetto   trace.jsonl > trace.json   # Chrome trace_event JSON for Perfetto / chrome://tracing
 //
 // Flags after the subcommand: -top N bounds list lengths where applicable.
 //
@@ -37,7 +39,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: tracetool <check|summary|critical|selftime|stragglers> [-top N] <trace.jsonl>")
+		return fmt.Errorf("usage: tracetool <check|summary|critical|selftime|stragglers|perfetto> [-top N] <trace.jsonl>")
 	}
 	cmd := args[0]
 	if cmd == "check" {
@@ -67,8 +69,10 @@ func run(args []string) error {
 		return t.selftime(*top)
 	case "stragglers":
 		return t.stragglers(*top)
+	case "perfetto":
+		return telemetry.WritePerfetto(os.Stdout, t.recs)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want check, summary, critical, selftime, or stragglers)", cmd)
+		return fmt.Errorf("unknown subcommand %q (want check, summary, critical, selftime, stragglers, or perfetto)", cmd)
 	}
 }
 

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"specrepair/internal/telemetry"
 )
 
 func fixture(t *testing.T) string {
@@ -94,5 +97,41 @@ func TestStragglersSmallSample(t *testing.T) {
 func TestUnknownSubcommand(t *testing.T) {
 	if err := run([]string{"nope", fixture(t)}); err == nil {
 		t.Fatal("unknown subcommand accepted")
+	}
+}
+
+// TestPerfettoMatchesConverter round-trips records through the JSONL trace
+// file: perfetto on the file must print exactly what the converter renders
+// from the in-memory records.
+func TestPerfettoMatchesConverter(t *testing.T) {
+	recs := []telemetry.SpanRecord{
+		{Name: "study", TraceID: "1", SpanID: "1", StartUnixNs: 1_000_000_000, DurationNs: 50_000_000},
+		{Name: "job", Technique: "ATR", Spec: "A4F/cv/0000", TraceID: "1", SpanID: "2", ParentID: "1",
+			Lane: 1, StartUnixNs: 1_001_000_000, DurationNs: 20_000_000, Outcome: telemetry.OutcomeRepaired, REP: 1},
+		{Name: "sat.solve", TraceID: "1", SpanID: "3", ParentID: "2", Lane: 1,
+			StartUnixNs: 1_002_000_000, DurationNs: 1_500_000,
+			Attrs:   map[string]string{"status": "SAT"},
+			Metrics: map[string]int64{"conflicts": 12, "decisions": 34}},
+		{Name: "job", Technique: "BeAFix", Spec: "A4F/cv/0001", TraceID: "1", SpanID: "4", ParentID: "1",
+			Lane: 2, StartUnixNs: 1_004_000_000, DurationNs: 900_000, Outcome: telemetry.OutcomeFailed},
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := telemetry.NewTraceWriter(f)
+	for _, r := range recs {
+		tw.Record(r)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := telemetry.WritePerfetto(&want, recs); err != nil {
+		t.Fatal(err)
+	}
+	if got := capture(t, []string{"perfetto", path}); got != want.String() {
+		t.Fatalf("perfetto output differs from the converter's.\ngot:\n%s\nwant:\n%s", got, want.String())
 	}
 }

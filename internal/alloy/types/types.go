@@ -187,9 +187,18 @@ func (c *checker) collectSigs() {
 }
 
 func (c *checker) collectFields() {
+	n := 0
 	for _, s := range c.mod.Sigs {
 		for _, fd := range s.Fields {
-			ft := c.checkExpr(fd.Expr, map[string]Type{})
+			n += len(fd.Names)
+		}
+	}
+	if n > 0 {
+		c.info.FieldOrder = make([]string, 0, n)
+	}
+	for _, s := range c.mod.Sigs {
+		for _, fd := range s.Fields {
+			ft := c.checkExpr(fd.Expr, nil)
 			if ft.Formula || ft.Int {
 				c.errorf(fd.Pos(), "field range must be relational, got %s", ft)
 				continue
@@ -289,7 +298,7 @@ func (c *checker) desugarSigFacts() {
 
 func (c *checker) checkParagraphs() {
 	for _, f := range c.mod.Facts {
-		c.requireFormula(f.Body, map[string]Type{}, "fact body")
+		c.requireFormula(f.Body, nil, "fact body")
 	}
 	for _, p := range c.mod.Preds {
 		env := c.paramEnv(p.Params)
@@ -297,7 +306,7 @@ func (c *checker) checkParagraphs() {
 	}
 	for _, f := range c.mod.Funs {
 		env := c.paramEnv(f.Params)
-		rt := c.checkExpr(f.Result, map[string]Type{})
+		rt := c.checkExpr(f.Result, nil)
 		bt := c.checkExpr(f.Body, env)
 		if !rt.Formula && !bt.Formula && !rt.Int && !bt.Int && rt.Arity != bt.Arity {
 			c.errorf(f.Pos(), "function %s body arity %d does not match declared result arity %d",
@@ -305,7 +314,7 @@ func (c *checker) checkParagraphs() {
 		}
 	}
 	for _, a := range c.mod.Asserts {
-		c.requireFormula(a.Body, map[string]Type{}, "assertion body")
+		c.requireFormula(a.Body, nil, "assertion body")
 	}
 	for _, cmd := range c.mod.Commands {
 		switch cmd.Kind {
@@ -319,7 +328,7 @@ func (c *checker) checkParagraphs() {
 			}
 		}
 		if cmd.Block != nil {
-			c.requireFormula(cmd.Block, map[string]Type{}, "command block")
+			c.requireFormula(cmd.Block, nil, "command block")
 		}
 	}
 }
@@ -354,6 +363,8 @@ func copyEnv(env map[string]Type) map[string]Type {
 	return out
 }
 
+// checkExpr types e under env, the variables in scope. env is only read
+// (binders extend a copy), so a nil env is the empty scope.
 func (c *checker) checkExpr(e ast.Expr, env map[string]Type) Type {
 	t := c.check(e, env)
 	if c.info.TypeOf != nil {
@@ -416,7 +427,7 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 					return c.checkApply(id, x.Args, len(flatParams(p.Params)), env, FormulaType)
 				}
 				if f := c.mod.LookupFun(id.Name); f != nil {
-					rt := c.checkExpr(f.Result, map[string]Type{})
+					rt := c.checkExpr(f.Result, nil)
 					return c.checkApply(id, x.Args, len(flatParams(f.Params)), env, rt)
 				}
 			}
@@ -452,7 +463,7 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 			for _, a := range x.Args {
 				c.checkExpr(a, env)
 			}
-			return c.checkExpr(f.Result, map[string]Type{})
+			return c.checkExpr(f.Result, nil)
 		}
 		c.errorf(x.Pos(), "unresolved call target %q", x.Name)
 		return FormulaType

@@ -34,20 +34,14 @@ func TestFreshAnalysisPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and analyzes the scale-40 corpora")
 	}
-	g := NewGenerator(nil)
-	g.Scale = 40
-	a4f, ar, err := g.Both()
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, err := g.Synthetic()
+	suites, err := scale40Suites()
 	if err != nil {
 		t.Fatal(err)
 	}
 	an := analyzer.New(analyzer.Options{DisableIncremental: true})
 	h := sha256.New()
 	modules, results := 0, 0
-	for _, suite := range []*Suite{a4f, ar, syn} {
+	for _, suite := range suites {
 		for _, s := range suite.Specs {
 			mods := []*ast.Module{s.Faulty, s.GroundTruth}
 			eng, err := mutation.NewEngine(s.Faulty)

@@ -26,6 +26,30 @@ func fullSuites() (*Suite, *Suite, error) {
 	return fullA4F, fullAR, fullErr
 }
 
+// scale40Suites generates the A4F, ARepair and SYN suites at scale 40 with
+// an uncached analyzer exactly once per test binary, for the tests that only
+// read them (TestFreshAnalysisPinned, TestPrinterOutputPinned).
+var (
+	scale40Once  sync.Once
+	scale40      []*Suite
+	scale40Error error
+)
+
+func scale40Suites() ([]*Suite, error) {
+	scale40Once.Do(func() {
+		g := NewGenerator(nil)
+		g.Scale = 40
+		a4f, ar, err := g.Both()
+		if err != nil {
+			scale40Error = err
+			return
+		}
+		syn, err := g.Synthetic()
+		scale40, scale40Error = []*Suite{a4f, ar, syn}, err
+	})
+	return scale40, scale40Error
+}
+
 // TestCachedResultsMatchUncached runs every analyzer entry point the repair
 // pipeline uses over the benchmark corpus twice — once against a plain
 // analyzer and once against a cache-backed one — and demands byte-for-byte

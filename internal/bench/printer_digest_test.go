@@ -28,19 +28,13 @@ func TestPrinterOutputPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the scale-40 corpora")
 	}
-	g := NewGenerator(nil)
-	g.Scale = 40
-	a4f, ar, err := g.Both()
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, err := g.Synthetic()
+	suites, err := scale40Suites()
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
 	printed := 0
-	for _, suite := range []*Suite{a4f, ar, syn} {
+	for _, suite := range suites {
 		for _, s := range suite.Specs {
 			printed += hashModule(h, s.Faulty) + hashModule(h, s.GroundTruth)
 			eng, err := mutation.NewEngine(s.Faulty)

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"specrepair/internal/telemetry"
 )
 
 // errorBody is the JSON error envelope for non-2xx responses, mirroring the
@@ -61,14 +63,7 @@ func (s *Service) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = s.reg.WriteJSON(w)
-	})
+	telemetry.HandleMetrics(mux, s.reg)
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "specrepair repaird\nPOST /jobs\nGET /jobs/{id}\nGET /jobs/{id}/stream\nGET /jobs/{id}/result\nGET /stats\nGET /metrics\n")
 	})

@@ -194,6 +194,11 @@ func (s *Service) Submit(sub Submission) (snap Snapshot, dup bool, err error) {
 	if sub.TimeoutMs < 0 {
 		return Snapshot{}, false, fmt.Errorf("negative timeout_ms %d", sub.TimeoutMs)
 	}
+	for i, t := range sub.Tests {
+		if t == nil {
+			return Snapshot{}, false, fmt.Errorf("test %d is null", i)
+		}
+	}
 	if sub.Seed == 0 {
 		sub.Seed = s.opt.Seed
 	}

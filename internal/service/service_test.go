@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"specrepair/internal/alloy/parser"
+	"specrepair/internal/aunit"
 	"specrepair/internal/telemetry"
 )
 
@@ -84,10 +85,11 @@ func TestSubmitRunFetch(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	svc := newService(t, Options{})
 	cases := []Submission{
-		{Spec: faultySrc},                                     // no technique
-		{Spec: faultySrc, Technique: "NoSuchTool"},            // unknown technique
-		{Spec: "sig {", Technique: "BeAFix"},                  // unparsable spec
-		{Spec: faultySrc, Technique: "BeAFix", TimeoutMs: -5}, // negative timeout
+		{Spec: faultySrc},                                                  // no technique
+		{Spec: faultySrc, Technique: "NoSuchTool"},                         // unknown technique
+		{Spec: "sig {", Technique: "BeAFix"},                               // unparsable spec
+		{Spec: faultySrc, Technique: "BeAFix", TimeoutMs: -5},              // negative timeout
+		{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{nil}}, // null test
 	}
 	for i, sub := range cases {
 		if _, _, err := svc.Submit(sub); err == nil {

@@ -5,25 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
-	"sync"
 )
-
-// ChromeTraceWriter is a SpanSink emitting Chrome trace_event JSON (the
-// format chrome://tracing and Perfetto load directly): one "X" complete
-// event per span, with span lanes rendered as threads so each runner worker
-// gets its own track. The output is a single JSON
-// array; Close terminates it.
-//
-// Like TraceWriter, a write failure never fails the observed run — the
-// first error is latched and surfaced by Flush/Close.
-type ChromeTraceWriter struct {
-	mu    sync.Mutex
-	bw    *bufio.Writer
-	c     io.Closer
-	err   error
-	wrote bool         // the opening "[" has been emitted
-	named map[int]bool // lanes that already got a thread_name metadata event
-}
 
 // chromeEvent is one trace_event entry. Field order is fixed by the struct,
 // which keeps the output deterministic for golden tests.
@@ -38,34 +20,50 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// NewChromeTraceWriter wraps w. When w is also an io.Closer, Close closes it
-// after terminating the JSON array.
-func NewChromeTraceWriter(w io.Writer) *ChromeTraceWriter {
-	t := &ChromeTraceWriter{bw: bufio.NewWriter(w), named: map[int]bool{}}
-	if c, ok := w.(io.Closer); ok {
-		t.c = c
+// WritePerfetto renders a span trace as Chrome trace_event JSON (the format
+// Perfetto and chrome://tracing load directly): one JSON array holding one
+// "X" complete event per record, in record order. Span lanes render as
+// threads so each runner worker gets its own track; a lane's thread_name
+// metadata event precedes its first record.
+func WritePerfetto(w io.Writer, recs []SpanRecord) error {
+	bw := bufio.NewWriter(w)
+	sep := "[\n"
+	emit := func(ev chromeEvent) error {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		bw.WriteString(sep)
+		sep = ",\n"
+		bw.Write(b) // a write error latches in bw and surfaces from Flush
+		return nil
 	}
-	return t
+	named := map[int]bool{}
+	for _, rec := range recs {
+		if !named[rec.Lane] {
+			named[rec.Lane] = true
+			name := "control"
+			if rec.Lane > 0 {
+				name = "worker " + strconv.Itoa(rec.Lane)
+			}
+			if err := emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: rec.Lane,
+				Args: map[string]any{"name": name}}); err != nil {
+				return err
+			}
+		}
+		if err := emit(chromeEventOf(rec)); err != nil {
+			return err
+		}
+	}
+	if sep == "[\n" {
+		bw.WriteString("[")
+	}
+	bw.WriteString("\n]\n")
+	return bw.Flush()
 }
 
-// Record implements SpanSink.
-func (t *ChromeTraceWriter) Record(rec SpanRecord) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.named[rec.Lane] {
-		t.named[rec.Lane] = true
-		name := "control"
-		if rec.Lane > 0 {
-			name = "worker " + strconv.Itoa(rec.Lane)
-		}
-		t.emit(chromeEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			Pid:  1,
-			Tid:  rec.Lane,
-			Args: map[string]any{"name": name},
-		})
-	}
+// chromeEventOf maps one span record to its "X" complete event.
+func chromeEventOf(rec SpanRecord) chromeEvent {
 	ev := chromeEvent{
 		Name: rec.Name,
 		Cat:  "span",
@@ -104,66 +102,5 @@ func (t *ChromeTraceWriter) Record(rec SpanRecord) {
 	if len(args) > 0 {
 		ev.Args = args
 	}
-	t.emit(ev)
-}
-
-// emit writes one event with array punctuation; the caller holds t.mu.
-func (t *ChromeTraceWriter) emit(ev chromeEvent) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		if t.err == nil {
-			t.err = err
-		}
-		return
-	}
-	var werr error
-	if !t.wrote {
-		t.wrote = true
-		_, werr = t.bw.WriteString("[\n")
-	} else {
-		_, werr = t.bw.WriteString(",\n")
-	}
-	if werr == nil {
-		_, werr = t.bw.Write(b)
-	}
-	if werr != nil && t.err == nil {
-		t.err = werr
-	}
-}
-
-// Flush drains the buffer without terminating the array; the file is not
-// valid JSON until Close. Returns the first latched error.
-func (t *ChromeTraceWriter) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ferr := t.bw.Flush()
-	if t.err != nil {
-		return t.err
-	}
-	return ferr
-}
-
-// Close terminates the JSON array, flushes, and closes the underlying
-// writer when it is closable.
-func (t *ChromeTraceWriter) Close() error {
-	t.mu.Lock()
-	if !t.wrote {
-		_, _ = t.bw.WriteString("[")
-	}
-	_, werr := t.bw.WriteString("\n]\n")
-	if werr != nil && t.err == nil {
-		t.err = werr
-	}
-	ferr := t.bw.Flush()
-	err := t.err
-	if err == nil {
-		err = ferr
-	}
-	t.mu.Unlock()
-	if t.c != nil {
-		if cerr := t.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return ev
 }

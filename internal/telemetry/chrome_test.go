@@ -11,12 +11,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestChromeTraceGolden feeds a fixed span stream through the Chrome
-// trace_event exporter and compares byte-for-byte against the committed
-// golden file (regenerate with go test ./internal/telemetry -run Chrome -update).
+// TestChromeTraceGolden feeds a fixed span stream through the Perfetto
+// (Chrome trace_event) converter and compares byte-for-byte against the
+// committed golden file (regenerate with go test ./internal/telemetry -run Chrome -update).
 func TestChromeTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	cw := NewChromeTraceWriter(&buf)
 	recs := []SpanRecord{
 		{Name: "study", TraceID: "1", SpanID: "1", StartUnixNs: 1_000_000_000, DurationNs: 50_000_000},
 		{Name: "job", Technique: "ATR", Spec: "A4F/cv/0000", TraceID: "1", SpanID: "2", ParentID: "1",
@@ -29,10 +27,8 @@ func TestChromeTraceGolden(t *testing.T) {
 		{Name: "job", Technique: "BeAFix", Spec: "A4F/cv/0001", TraceID: "1", SpanID: "4", ParentID: "1",
 			Lane: 2, StartUnixNs: 1_004_000_000, DurationNs: 900_000, Outcome: OutcomeFailed},
 	}
-	for _, r := range recs {
-		cw.Record(r)
-	}
-	if err := cw.Close(); err != nil {
+	var buf bytes.Buffer
+	if err := WritePerfetto(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,16 +57,5 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("chrome export drifted from golden.\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
-	}
-}
-
-// TestChromeTraceWriterErrorLatch: a failing writer surfaces via Close.
-func TestChromeTraceWriterErrorLatch(t *testing.T) {
-	cw := NewChromeTraceWriter(&errWriter{})
-	for i := 0; i < 256; i++ { // overflow the buffer so writes hit the sink
-		cw.Record(SpanRecord{Name: "x", SpanID: "1", TraceID: "1", StartUnixNs: 1, DurationNs: 1})
-	}
-	if err := cw.Close(); err == nil {
-		t.Fatal("write failure did not surface via Close")
 	}
 }

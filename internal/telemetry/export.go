@@ -213,27 +213,31 @@ type MetricsServer struct {
 	ln  net.Listener
 }
 
+// HandleMetrics registers reg's live metrics on mux:
+//
+//	GET /metrics       Prometheus text exposition format
+//	GET /metrics.json  expvar-style JSON snapshot
+func HandleMetrics(mux *http.ServeMux, reg *Registry) {
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w)
+	})
+	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		_ = reg.WriteJSON(w)
+	})
+}
+
 // ServeMetrics listens on addr (host:port; port 0 picks a free port) and
-// serves:
-//
-//	/metrics       Prometheus text exposition format
-//	/metrics.json  expvar-style JSON snapshot
-//
-// The server runs until Close and never blocks the pipeline it observes.
+// serves HandleMetrics' endpoints until Close, never blocking the pipeline
+// it observes.
 func ServeMetrics(reg *Registry, addr string) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listening on %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		_ = reg.WriteJSON(w)
-	})
+	HandleMetrics(mux, reg)
 	mux.HandleFunc("/", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(w, "specrepair telemetry\n/metrics\n/metrics.json\n")
 	})

@@ -343,30 +343,3 @@ var Discard SpanSink = discardSink{}
 type discardSink struct{}
 
 func (discardSink) Record(SpanRecord) {}
-
-// multiSink fans one span stream out to several sinks in order.
-type multiSink []SpanSink
-
-func (m multiSink) Record(rec SpanRecord) {
-	for _, s := range m {
-		s.Record(rec)
-	}
-}
-
-// MultiSink combines sinks; nil entries are dropped. With zero or one live
-// sink it returns nil or that sink unwrapped.
-func MultiSink(sinks ...SpanSink) SpanSink {
-	var live multiSink
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}

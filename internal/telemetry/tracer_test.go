@@ -228,23 +228,6 @@ func TestActiveTracking(t *testing.T) {
 	}
 }
 
-// TestMultiSink checks nil dropping, unwrapping, and fan-out.
-func TestMultiSink(t *testing.T) {
-	if MultiSink() != nil || MultiSink(nil, nil) != nil {
-		t.Fatal("empty MultiSink is not nil")
-	}
-	a := &captureSink{}
-	if got := MultiSink(nil, a); got != SpanSink(a) {
-		t.Fatal("single live sink was not unwrapped")
-	}
-	b := &captureSink{}
-	m := MultiSink(a, b)
-	m.Record(SpanRecord{Name: "x"})
-	if len(a.recs) != 1 || len(b.recs) != 1 {
-		t.Fatal("fan-out failed")
-	}
-}
-
 // TestTraceWriterSurfacesEncodeError checks the first-error latch: a record
 // that fails to encode must surface via Flush/Close rather than vanish.
 func TestTraceWriterSurfacesEncodeError(t *testing.T) {
