@@ -30,7 +30,7 @@ func newDialog(an *analyzer.Analyzer, sp *bench.Spec, fb FeedbackKind) *dialog {
 }
 
 // step runs one round, taking the model for each completion from next.
-func (d *dialog) step(t *testing.T, next func() *SimulatedModel) {
+func (d *dialog) step(t testing.TB, next func() *SimulatedModel) {
 	t.Helper()
 	if d.done {
 		return
@@ -84,7 +84,7 @@ const memoRounds = 8
 // memoSpecs returns an A4F spec whose conversations drop conjuncts and
 // judge many counterexamples, and an ARepair spec small enough that pairs of
 // edits reach the shortlist.
-func memoSpecs(t *testing.T) (a4f, ar *bench.Spec) {
+func memoSpecs(t testing.TB) (a4f, ar *bench.Spec) {
 	t.Helper()
 	g := bench.NewGenerator(nil)
 	g.Scale = 400
@@ -192,6 +192,11 @@ func checkPure(t *testing.T, c *conversationMemo) {
 	for k, d := range c.verdicts {
 		if f := verdict(aunit.Prepare(fresh.build(k.edit).mod), ParseValuation(k.cex)); f != d {
 			t.Fatalf("verdict %+v: memo holds %v, its key gives %v", k.edit, d, f)
+		}
+	}
+	for k, n := range c.normalized {
+		if f := normalizeSpec(k); f != n {
+			t.Fatalf("normalization of %q: memo holds\n%s\nits key gives\n%s", k, n, f)
 		}
 	}
 	if len(c.edits) == 0 || len(c.verdicts) == 0 {

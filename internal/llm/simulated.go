@@ -115,9 +115,9 @@ func (m *SimulatedModel) repairReply(v conversationView, rng *rand.Rand) string 
 	if c.mod == nil {
 		return "The specification does not parse; here is my best guess.\n" + v.originalSpec
 	}
-	proposals := c.proposals(m, v, rng)
+	proposals := c.proposals(v, rng)
 	if len(proposals) == 0 {
-		return format(rng, m.FormatNoise, c.printed)
+		return format(rng, m.FormatNoise, c.emit(c.printed))
 	}
 	pick := 0
 	if rng.Float64() < m.WildNoise && len(proposals) > 1 {
@@ -130,7 +130,7 @@ func (m *SimulatedModel) repairReply(v conversationView, rng *rand.Rand) string 
 			pick = len(proposals) - 1
 		}
 	}
-	return format(rng, m.FormatNoise, proposals[pick].source)
+	return format(rng, m.FormatNoise, c.emit(proposals[pick].source))
 }
 
 // conversation returns the memo for the conversation about spec, replacing
@@ -152,6 +152,13 @@ func (m *SimulatedModel) conversation(spec string) *conversationMemo {
 // transcript, so a model answers exactly as a fresh one would whatever
 // conversations interleave on it. The rng draws stay in the same order
 // whether an entry is computed or reused.
+//
+// A source the model emits is a printed module, which printing reproduces
+// from its own parse, so emit records it as the normalization of its
+// trimmed text: the proposal a later round quotes back is then a map hit,
+// not a parse and a print. The memo keeps no per-reply scratch: one model
+// serves many conversations, and held buffers would outlive the reply that
+// needed them.
 type conversationMemo struct {
 	spec    string      // the original spec text: the memo's key
 	mod     *ast.Module // the parsed spec; nil when it does not parse
@@ -169,6 +176,7 @@ type conversationMemo struct {
 type memoSite struct {
 	container string
 	site      string
+	expr      string // the site's node printed, for fix suggestions
 	cands     []ast.Expr
 	candsDone bool
 }
@@ -227,6 +235,13 @@ func (c *conversationMemo) siteString(i int) string {
 	return c.sites[i].site
 }
 
+func (c *conversationMemo) siteExpr(i int) string {
+	if c.sites[i].expr == "" {
+		c.sites[i].expr = printer.Expr(c.eng.Sites()[i].Node)
+	}
+	return c.sites[i].expr
+}
+
 func (c *conversationMemo) candidates(i int) []ast.Expr {
 	ms := &c.sites[i]
 	if !ms.candsDone {
@@ -245,6 +260,13 @@ func (c *conversationMemo) normalize(src string) string {
 	return n
 }
 
+// emit returns src, a printed module the reply proposes, recording it as
+// the normalization of the text a later round extracts from the reply.
+func (c *conversationMemo) emit(src string) string {
+	c.normalized[strings.TrimSpace(src)] = src
+	return src
+}
+
 // abstractEdit is a candidate repair before materialization.
 type abstractEdit struct {
 	key   editKey
@@ -256,6 +278,30 @@ type abstractEdit struct {
 // the whole mutation space.
 const materializeWindow = 32
 
+// pairLimit bounds how many of the first single edits pair up after the
+// first feedback round.
+const pairLimit = 12
+
+// editBound bounds the abstract edits a reply scores, so their slice is
+// allocated once: one per candidate and per dropped conjunct at each site
+// the reply may edit, plus the pairs.
+func (c *conversationMemo) editBound(restrict string, roundsSeen int) int {
+	n := 0
+	for si, s := range c.eng.Sites() {
+		if restrict != "" && c.container(si) != restrict {
+			continue
+		}
+		n += len(c.candidates(si))
+		if blk, ok := s.Node.(*ast.Block); ok && len(blk.Exprs) >= 2 {
+			n += len(blk.Exprs)
+		}
+	}
+	if roundsSeen >= 1 {
+		n += pairLimit * (pairLimit - 1) / 2
+	}
+	return n
+}
+
 // proposals enumerates candidate repairs with the model's pattern prior,
 // applies hint/focus restrictions and counterexample reasoning, and returns
 // them best-first, excluding previously proposed candidates.
@@ -263,7 +309,7 @@ const materializeWindow = 32
 // Ranking happens in two phases for speed: all edits are scored abstractly
 // first, then only a shortlist is materialized into full specifications and
 // refined with counterexample reasoning.
-func (c *conversationMemo) proposals(m *SimulatedModel, v conversationView, rng *rand.Rand) []proposal {
+func (c *conversationMemo) proposals(v conversationView, rng *rand.Rand) []proposal {
 	if c.eng == nil {
 		return nil
 	}
@@ -298,12 +344,14 @@ func (c *conversationMemo) proposals(m *SimulatedModel, v conversationView, rng 
 	if noise > 1.4 {
 		noise = 1.4
 	}
+	from, to := parseFixSuggestion(v.fixDescription)
 	type single struct {
 		key     editKey
 		pattern float64 // scoreEdit of the edit
 	}
-	var abstract []abstractEdit
-	var singles []single
+	abstract := make([]abstractEdit, 0, c.editBound(restrict, v.roundsSeen))
+	var singleBuf [32]single
+	singles := singleBuf[:0]
 	for si, s := range c.eng.Sites() {
 		if restrict != "" && c.container(si) != restrict {
 			continue
@@ -317,10 +365,10 @@ func (c *conversationMemo) proposals(m *SimulatedModel, v conversationView, rng 
 		}
 		for ci, repl := range c.candidates(si) {
 			pattern := scoreEdit(s.Node, repl)
-			score := pattern + m.hintBoost(s, repl, v) + passBoost + rng.Float64()*noise
+			score := pattern + c.hintBoost(si, repl, from, to) + passBoost + rng.Float64()*noise
 			k := editKey{site: si, cand: ci, site2: -1}
 			abstract = append(abstract, abstractEdit{key: k, score: score})
-			if len(singles) < 32 {
+			if len(singles) < len(singleBuf) {
 				singles = append(singles, single{k, pattern})
 			}
 		}
@@ -337,7 +385,7 @@ func (c *conversationMemo) proposals(m *SimulatedModel, v conversationView, rng 
 	// After the first feedback round, also consider pairs of promising
 	// single edits — how iterative prompting reaches deeper faults.
 	if v.roundsSeen >= 1 && len(singles) > 1 {
-		limit := 12
+		limit := pairLimit
 		if len(singles) < limit {
 			limit = len(singles)
 		}
@@ -355,25 +403,14 @@ func (c *conversationMemo) proposals(m *SimulatedModel, v conversationView, rng 
 		}
 	}
 
-	// Rank by score, best first, ties in enumeration order. Sorting indices
-	// gives the same order as a stable sort without moving the edits.
-	order := make([]int, len(abstract))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if abstract[i].score != abstract[j].score {
-			return abstract[i].score > abstract[j].score
-		}
-		return i < j
-	})
-
-	// Phase 2: materialize the shortlist, skipping prior proposals, and
-	// refine with counterexample reasoning.
+	// Phase 2: materialize the shortlist best first, skipping prior
+	// proposals, and refine with counterexample reasoning. Only the popped
+	// prefix of the ranking is ever ordered.
 	var scored []proposal
-	for _, i := range order {
-		if len(scored) >= materializeWindow {
+	rank := newRanking(abstract)
+	for len(scored) < materializeWindow {
+		i, ok := rank.pop()
+		if !ok {
 			break
 		}
 		ae := abstract[i]
@@ -392,6 +429,65 @@ func (c *conversationMemo) proposals(m *SimulatedModel, v conversationView, rng 
 		return scored[i].source < scored[j].source
 	})
 	return scored
+}
+
+// ranking pops the indices of a slice of abstract edits best first: score
+// descending, ties in enumeration order. That key is a total order, so the
+// pops follow exactly the order a full sort gives, but a heap orders only
+// what is popped: a reply materializes a shortlist, not the whole space.
+type ranking struct {
+	edits []abstractEdit
+	heap  []int32
+}
+
+func newRanking(edits []abstractEdit) *ranking {
+	r := &ranking{edits: edits, heap: make([]int32, len(edits))}
+	for i := range r.heap {
+		r.heap[i] = int32(i)
+	}
+	for i := len(r.heap)/2 - 1; i >= 0; i-- {
+		r.down(i)
+	}
+	return r
+}
+
+// before reports whether edit i ranks ahead of edit j.
+func (r *ranking) before(i, j int32) bool {
+	if si, sj := r.edits[i].score, r.edits[j].score; si != sj {
+		return si > sj
+	}
+	return i < j
+}
+
+func (r *ranking) down(i int) {
+	h := r.heap
+	for {
+		best := i
+		if l := 2*i + 1; l < len(h) && r.before(h[l], h[best]) {
+			best = l
+		}
+		if rt := 2*i + 2; rt < len(h) && r.before(h[rt], h[best]) {
+			best = rt
+		}
+		if best == i {
+			return
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
+}
+
+// pop returns the best remaining index; ok is false once all are popped.
+func (r *ranking) pop() (i int, ok bool) {
+	if len(r.heap) == 0 {
+		return 0, false
+	}
+	top := r.heap[0]
+	last := len(r.heap) - 1
+	r.heap[0] = r.heap[last]
+	r.heap = r.heap[:last]
+	r.down(0)
+	return int(top), true
 }
 
 // build returns the edit materialized and printed, building it on first use.
@@ -472,21 +568,22 @@ func verdict(model *aunit.Model, valuation map[string][][]string) float64 {
 }
 
 // hintBoost rewards candidates matching an explicit fix suggestion of the
-// form "replace `X` with `Y`", and mildly rewards edits in constraints
-// mentioning relations of the required assertion.
-func (m *SimulatedModel) hintBoost(s mutation.ScopedSite, repl ast.Expr, v conversationView) float64 {
-	boost := 0.0
-	if v.fixDescription != "" {
-		// The fix comment is a helpful but imperfect cue: it raises the
-		// described edit in the ranking without guaranteeing it wins.
-		from, to := parseFixSuggestion(v.fixDescription)
-		if from != "" && printer.Expr(s.Node) == from && printer.Expr(repl) == to {
-			boost += 1.2
-		} else if to != "" && printer.Expr(repl) == to {
-			boost += 0.5
-		}
+// form "replace `X` with `Y`" (from and to, as parseFixSuggestion splits
+// it): the fix comment is a helpful but imperfect cue, so it raises the
+// described edit in the ranking without guaranteeing it wins.
+func (c *conversationMemo) hintBoost(site int, repl ast.Expr, from, to string) float64 {
+	if from == "" && to == "" {
+		return 0
 	}
-	return boost
+	switch {
+	case printer.Expr(repl) != to:
+		return 0
+	case from != "" && c.siteExpr(site) == from:
+		return 1.2
+	case to != "":
+		return 0.5
+	}
+	return 0
 }
 
 // mentionsRel reports whether the expression references one of the named

@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
 
 	"specrepair/internal/alloy/ast"
@@ -52,9 +53,13 @@ func BLEU(ref, hyp []string, maxN int) float64 {
 	if maxN < 1 {
 		maxN = 1
 	}
+	g := newGrams(ref, hyp)
 	logSum := 0.0
 	for n := 1; n <= maxN; n++ {
-		matches, total := ngramOverlap(ref, hyp, n)
+		if n > 1 {
+			g.extend(n)
+		}
+		matches, total := g.overlap()
 		var p float64
 		if n == 1 {
 			if total == 0 {
@@ -81,38 +86,88 @@ func BLEU(ref, hyp []string, maxN int) float64 {
 	return bleu
 }
 
-// ngramOverlap counts clipped n-gram matches of hyp against ref and the
-// total number of hyp n-grams.
-func ngramOverlap(ref, hyp []string, n int) (matches, total int) {
-	if len(hyp) < n {
-		return 0, 0
-	}
-	refCounts := map[string]int{}
-	for i := 0; i+n <= len(ref); i++ {
-		refCounts[joinGram(ref[i:i+n])]++
-	}
-	hypCounts := map[string]int{}
-	for i := 0; i+n <= len(hyp); i++ {
-		hypCounts[joinGram(hyp[i:i+n])]++
-		total++
-	}
-	for g, c := range hypCounts {
-		r := refCounts[g]
-		if r < c {
-			matches += r
-		} else {
-			matches += c
-		}
-	}
-	return matches, total
+// grams holds the n-grams of a reference and a hypothesis at one order n as
+// ids: the n-gram starting at position i of each text, where two n-grams
+// share an id exactly when their tokens are equal. Order 1 interns the
+// tokens; order n+1 interns each (n-gram, next token) pair.
+type grams struct {
+	refTok, hypTok []int32 // the token ids
+	ref, hyp       []int32 // the ids of the n-grams at the current order
+	ids            int     // ids in use at the current order
+	pairs          map[uint64]int32
+	counts         []int32 // scratch for overlap, one slot per id
 }
 
-func joinGram(toks []string) string {
-	out := ""
-	for _, t := range toks {
-		out += t + "\x00"
+func newGrams(ref, hyp []string) *grams {
+	g := &grams{}
+	tokens := make(map[string]int32, len(ref))
+	intern := func(toks []string) []int32 {
+		ids := make([]int32, len(toks))
+		for i, t := range toks {
+			id, ok := tokens[t]
+			if !ok {
+				id = int32(len(tokens))
+				tokens[t] = id
+			}
+			ids[i] = id
+		}
+		return ids
 	}
-	return out
+	g.refTok, g.hypTok = intern(ref), intern(hyp)
+	g.ref = append([]int32(nil), g.refTok...)
+	g.hyp = append([]int32(nil), g.hypTok...)
+	g.ids = len(tokens)
+	return g
+}
+
+// extend moves the grams from order n-1 to order n.
+func (g *grams) extend(n int) {
+	if g.pairs == nil {
+		g.pairs = make(map[uint64]int32, len(g.ref)+len(g.hyp))
+	} else {
+		clear(g.pairs)
+	}
+	step := func(cur, toks []int32) []int32 {
+		if len(cur) == 0 {
+			return cur
+		}
+		cur = cur[:len(cur)-1]
+		for i, prev := range cur {
+			k := uint64(uint32(prev))<<32 | uint64(uint32(toks[i+n-1]))
+			id, ok := g.pairs[k]
+			if !ok {
+				id = int32(len(g.pairs))
+				g.pairs[k] = id
+			}
+			cur[i] = id
+		}
+		return cur
+	}
+	g.ref = step(g.ref, g.refTok)
+	g.hyp = step(g.hyp, g.hypTok)
+	g.ids = len(g.pairs)
+}
+
+// overlap counts clipped n-gram matches of the hypothesis against the
+// reference at the current order, and the number of hypothesis n-grams:
+// each hypothesis n-gram matches while the reference has an unmatched
+// occurrence of it left.
+func (g *grams) overlap() (matches, total int) {
+	if cap(g.counts) < g.ids {
+		g.counts = make([]int32, g.ids)
+	}
+	counts := g.counts[:g.ids]
+	clear(counts)
+	for _, id := range g.ref {
+		counts[id]++
+	}
+	for _, id := range g.hyp {
+		if counts[id] > 0 {
+			counts[id]--
+			matches++
+		}
+	}
+	return matches, len(g.hyp)
 }
 
 // SyntaxMatch computes the SM metric: the normalized subtree-kernel
@@ -135,8 +190,9 @@ func SyntaxMatch(groundTruth, candidate string) float64 {
 // identical complete subtrees. Identical trees score 1; trees sharing no
 // subtree score 0.
 func TreeKernelSimilarity(a, b *ast.Module) float64 {
-	ca := subtreeCounts(a)
-	cb := subtreeCounts(b)
+	s := &subtrees{ids: map[string]int32{}}
+	ca := s.count(a)
+	cb := s.count(b)
 	kab := kernel(ca, cb)
 	kaa := kernel(ca, ca)
 	kbb := kernel(cb, cb)
@@ -146,16 +202,14 @@ func TreeKernelSimilarity(a, b *ast.Module) float64 {
 	return kab / math.Sqrt(kaa*kbb)
 }
 
-func kernel(a, b map[string]int) float64 {
-	// Iterate over the smaller map.
+// kernel sums the products of two modules' per-subtree counts.
+func kernel(a, b []int32) float64 {
 	if len(b) < len(a) {
 		a, b = b, a
 	}
 	sum := 0.0
-	for h, ca := range a {
-		if cb, ok := b[h]; ok {
-			sum += float64(ca) * float64(cb)
-		}
+	for id, ca := range a {
+		sum += float64(ca) * float64(b[id])
 	}
 	return sum
 }
@@ -283,71 +337,104 @@ func betacf(a, b, x float64) float64 {
 	return h
 }
 
-// subtreeCounts returns the multiset of complete-subtree fingerprints of a
-// module, keyed by a canonical string encoding.
-func subtreeCounts(m *ast.Module) map[string]int {
-	counts := map[string]int{}
-	var enc func(e ast.Expr) string
-	enc = func(e ast.Expr) string {
-		label := nodeLabel(e)
-		s := "(" + label
-		for _, kid := range ast.Children(e) {
-			s += enc(kid)
-		}
-		s += ")"
-		counts[s]++
-		return s
+// subtrees hash-conses the complete subtrees of modules into ids. A node's
+// key is its label and its children's ids, so two subtrees share an id
+// exactly when their canonical encodings, "(" + label + children + ")",
+// are equal: no label holds a parenthesis, so an encoding splits into its
+// label and its children's encodings one way only.
+type subtrees struct {
+	ids    map[string]int32
+	key    []byte
+	kids   []int32 // the ids of the children of the nodes being built
+	counts []int32 // per id, its subtrees in the module being counted
+}
+
+// node interns the node labelled label over the children pushed since
+// base, pops them, counts the node when counted is set, and returns its id.
+func (s *subtrees) node(base int, label string, counted bool) int32 {
+	kids := s.kids[base:]
+	s.key = binary.AppendUvarint(s.key[:0], uint64(len(kids)))
+	for _, k := range kids {
+		s.key = binary.LittleEndian.AppendUint32(s.key, uint32(k))
 	}
-	root := "(module"
+	s.key = append(s.key, label...)
+	s.kids = s.kids[:base]
+	id, ok := s.ids[string(s.key)]
+	if !ok {
+		id = int32(len(s.ids))
+		s.ids[string(s.key)] = id
+	}
+	if counted {
+		for int(id) >= len(s.counts) {
+			s.counts = append(s.counts, 0)
+		}
+		s.counts[id]++
+	}
+	return id
+}
+
+func (s *subtrees) push(id int32) { s.kids = append(s.kids, id) }
+
+func (s *subtrees) expr(e ast.Expr) int32 {
+	base := len(s.kids)
+	for _, kid := range ast.Children(e) {
+		s.push(s.expr(kid))
+	}
+	return s.node(base, nodeLabel(e), true)
+}
+
+// count returns the multiset of a module's complete subtrees: per id, how
+// many of its subtrees have it.
+func (s *subtrees) count(m *ast.Module) []int32 {
+	s.counts = nil
+	root := len(s.kids)
 	for _, sig := range m.Sigs {
-		s := "(sig:" + sigKey(sig)
+		sb := len(s.kids)
 		for _, f := range sig.Fields {
-			fs := "(field:" + joinNames(f.Names) + f.Mult.String() + enc(f.Expr) + ")"
-			counts[fs]++
-			s += fs
+			fb := len(s.kids)
+			s.push(s.expr(f.Expr))
+			s.push(s.node(fb, "field:"+joinNames(f.Names)+f.Mult.String(), true))
 		}
 		if sig.Fact != nil {
-			s += enc(sig.Fact)
+			s.push(s.expr(sig.Fact))
 		}
-		s += ")"
-		counts[s]++
-		root += s
+		s.push(s.node(sb, "sig:"+sigKey(sig), true))
 	}
 	for _, f := range m.Facts {
-		s := "(fact:" + f.Name + enc(f.Body) + ")"
-		counts[s]++
-		root += s
+		fb := len(s.kids)
+		s.push(s.expr(f.Body))
+		s.push(s.node(fb, "fact:"+f.Name, true))
 	}
 	for _, p := range m.Preds {
-		s := "(pred:" + p.Name
+		pb := len(s.kids)
 		for _, d := range p.Params {
-			s += "(param:" + joinNames(d.Names) + enc(d.Expr) + ")"
+			db := len(s.kids)
+			s.push(s.expr(d.Expr))
+			s.push(s.node(db, "param:"+joinNames(d.Names), false))
 		}
-		s += enc(p.Body) + ")"
-		counts[s]++
-		root += s
+		s.push(s.expr(p.Body))
+		s.push(s.node(pb, "pred:"+p.Name, true))
 	}
 	for _, fn := range m.Funs {
-		s := "(fun:" + fn.Name + enc(fn.Result) + enc(fn.Body) + ")"
-		counts[s]++
-		root += s
+		fb := len(s.kids)
+		s.push(s.expr(fn.Result))
+		s.push(s.expr(fn.Body))
+		s.push(s.node(fb, "fun:"+fn.Name, true))
 	}
 	for _, a := range m.Asserts {
-		s := "(assert:" + a.Name + enc(a.Body) + ")"
-		counts[s]++
-		root += s
+		ab := len(s.kids)
+		s.push(s.expr(a.Body))
+		s.push(s.node(ab, "assert:"+a.Name, true))
 	}
 	for _, c := range m.Commands {
-		s := "(cmd:" + c.Kind.String() + ":" + c.Target
+		cb := len(s.kids)
 		if c.Block != nil {
-			s += enc(c.Block)
+			s.push(s.expr(c.Block))
 		}
-		s += ")"
-		counts[s]++
-		root += s
+		s.push(s.node(cb, "cmd:"+c.Kind.String()+":"+c.Target, true))
 	}
-	counts[root+")"]++
-	return counts
+	s.node(root, "module", true)
+	return s.counts
 }
 
 func nodeLabel(e ast.Expr) string {

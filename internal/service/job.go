@@ -12,11 +12,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"time"
 
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/parser"
 	"specrepair/internal/alloy/printer"
+	"specrepair/internal/alloy/types"
 	"specrepair/internal/aunit"
 	"specrepair/internal/repair"
 )
@@ -80,6 +83,61 @@ func (s Submission) parse() (*ast.Module, string, error) {
 		return nil, "", fmt.Errorf("parsing spec: %w", err)
 	}
 	return mod, printer.Module(mod), nil
+}
+
+// checkTests reports every malformed tuple in the tests' valuations: an
+// empty tuple, a relation whose tuples differ in length, and a tuple whose
+// length is not the arity of the sig or field of mod that it names. Such a
+// valuation would make the job's technique fail on every run, restarts
+// included, since the submission is journaled.
+func (s Submission) checkTests(mod *ast.Module) error {
+	if len(s.Tests) == 0 {
+		return nil
+	}
+	// A module that does not check still yields the sigs and fields it
+	// resolved; a relation without a known arity gets the shape checks only.
+	info, _ := types.Check(mod)
+	arity := func(name string) (int, bool) {
+		name = strings.TrimSuffix(name, "'")
+		if _, ok := info.Sigs[name]; ok {
+			return 1, true
+		}
+		if f, ok := info.Fields[name]; ok {
+			return f.Arity, true
+		}
+		return 0, false
+	}
+	var problems []string
+	for i, t := range s.Tests {
+		names := make([]string, 0, len(t.Valuation))
+		for name := range t.Valuation {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			tuples := t.Valuation[name]
+			want, known := arity(name)
+			shape := fmt.Sprintf("%s has arity %d", name, want)
+			for k := 0; !known && k < len(tuples); k++ {
+				if n := len(tuples[k]); n > 0 {
+					want, known = n, true
+					shape = fmt.Sprintf("tuple %d has %d", k, n)
+				}
+			}
+			for j, tu := range tuples {
+				switch {
+				case len(tu) == 0:
+					problems = append(problems, fmt.Sprintf("test %d: %s tuple %d is empty", i, name, j))
+				case len(tu) != want:
+					problems = append(problems, fmt.Sprintf("test %d: %s tuple %d has %d atoms, but %s", i, name, j, len(tu), shape))
+				}
+			}
+		}
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("invalid test valuations: %s", strings.Join(problems, "; "))
+	}
+	return nil
 }
 
 // suite materializes the submission's tests (nil when none were supplied).

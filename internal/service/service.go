@@ -206,6 +206,9 @@ func (s *Service) Submit(sub Submission) (snap Snapshot, dup bool, err error) {
 	if err != nil {
 		return Snapshot{}, false, err
 	}
+	if err := sub.checkTests(mod); err != nil {
+		return Snapshot{}, false, err
+	}
 	key := sub.key(canonical)
 	id := "j" + key[:16]
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,6 +96,44 @@ func TestSubmitValidation(t *testing.T) {
 		if _, _, err := svc.Submit(sub); err == nil {
 			t.Errorf("case %d: invalid submission admitted", i)
 		}
+	}
+
+	// Malformed valuations would make the technique fail on every run,
+	// restarts included; the error names every problem found.
+	test := func(val map[string][][]string) *aunit.Test {
+		return &aunit.Test{Name: "t", Formula: "some Node", Expect: true, Valuation: val}
+	}
+	for _, c := range []struct {
+		val  map[string][][]string
+		want []string
+	}{
+		{map[string][][]string{"Node": {{}}}, []string{"Node tuple 0 is empty"}},
+		{map[string][][]string{"Node": {{"N0"}, {"N0", "N1"}}}, []string{"Node tuple 1 has 2 atoms, but Node has arity 1"}},
+		{map[string][][]string{"next": {{"N0"}}}, []string{"next tuple 0 has 1 atoms, but next has arity 2"}},
+		{map[string][][]string{"next'": {{"N0", "N1", "N0"}}}, []string{"next' tuple 0 has 3 atoms, but next' has arity 2"}},
+		{map[string][][]string{"$x": {{}, {"N0", "N1"}, {"N0"}}}, []string{"$x tuple 0 is empty", "$x tuple 2 has 1 atoms, but tuple 1 has 2"}},
+		{map[string][][]string{"Node": {{"N0"}, {}}, "next": {{"N0", "N0"}, {"N0"}}}, []string{"Node tuple 1 is empty", "next tuple 1 has 1 atoms"}},
+	} {
+		sub := Submission{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{test(map[string][][]string{"Node": {{"N0"}}}), test(c.val)}}
+		_, _, err := svc.Submit(sub)
+		if err == nil {
+			t.Errorf("valuation %v admitted", c.val)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), "test 1: "+w) {
+				t.Errorf("valuation %v: error %q does not name %q", c.val, err, "test 1: "+w)
+			}
+		}
+	}
+
+	// Well-formed valuations, empty relations included, are admitted.
+	ok := Submission{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{
+		test(map[string][][]string{"Node": {{"N0"}, {"N1"}}, "next": {{"N0", "N1"}}}),
+		test(map[string][][]string{"Node": {}, "next": nil, "$y": {{"N0", "N1"}, {"N1", "N0"}}}),
+	}}
+	if _, _, err := svc.Submit(ok); err != nil {
+		t.Fatalf("well-formed valuations refused: %v", err)
 	}
 }
 
