@@ -46,7 +46,6 @@ func run(args []string) error {
 	nocache := fs.Bool("nocache", false, "disable the shared analysis cache (A/B baseline)")
 	noincremental := fs.Bool("noincremental", false, "disable incremental candidate evaluation (A/B baseline; identical outputs)")
 	obs := telemetry.RegisterCLIFlags(fs)
-	dashboard := fs.Bool("dashboard", false, "render a live terminal dashboard on stderr (suppresses progress lines)")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock limit; a timed-out (technique, spec) job errors and the run continues")
 	checkpointPath := fs.String("checkpoint", "", "journal completed jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "resume from the -checkpoint journal, skipping already-completed jobs")
@@ -80,11 +79,6 @@ func run(args []string) error {
 		return err
 	}
 	defer stopObs()
-	if *dashboard && !reg.Tracing() {
-		// Span construction is gated on a sink; the dashboard only needs the
-		// live tracker, so discard the records.
-		reg.SetSink(telemetry.Discard)
-	}
 
 	// First SIGINT cancels the run's context for a graceful shutdown
 	// (in-flight jobs stop, the checkpoint stays consistent); a second
@@ -95,13 +89,6 @@ func run(args []string) error {
 	start := time.Now()
 	progress := func(msg string) {
 		fmt.Fprintf(os.Stderr, "[%7.1fs] %s\n", time.Since(start).Seconds(), msg)
-	}
-	if *dashboard {
-		reg.TrackActive(true)
-		dash := telemetry.NewDashboard(reg, os.Stderr)
-		dash.Start()
-		defer dash.Stop()
-		progress = func(string) {} // the dashboard owns stderr
 	}
 	cfg := experiments.Config{
 		Seed:               *seed,

@@ -250,24 +250,24 @@ func (t *trace) critical(top int) error {
 	return nil
 }
 
-// selftime aggregates self time (duration minus direct children) per kind and
-// prints the top-K as a text flamegraph.
-func (t *trace) selftime(top int) error {
-	self := map[string]int64{}
-	counts := map[string]int64{}
-	for i, sr := range t.recs {
+// kindSelfTimes aggregates, per span kind, the self time (duration minus
+// direct children, floored at 0) and the number of records.
+func (t *trace) kindSelfTimes() (self, counts map[string]int64) {
+	self, counts = map[string]int64{}, map[string]int64{}
+	for _, sr := range t.recs {
 		childNs := int64(0)
 		for _, c := range t.children[key(sr.TraceID, sr.SpanID)] {
 			childNs += t.recs[c].DurationNs
 		}
-		s := sr.DurationNs - childNs
-		if s < 0 {
-			s = 0
-		}
-		self[sr.Name] += s
+		self[sr.Name] += max(sr.DurationNs-childNs, 0)
 		counts[sr.Name]++
-		_ = i
 	}
+	return self, counts
+}
+
+// selftime prints the top-K span kinds by self time as a text flamegraph.
+func (t *trace) selftime(top int) error {
+	self, counts := t.kindSelfTimes()
 	names := make([]string, 0, len(self))
 	for k := range self {
 		names = append(names, k)

@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"specrepair/internal/experiments"
 	"specrepair/internal/telemetry"
 )
 
@@ -133,5 +137,62 @@ func TestPerfettoMatchesConverter(t *testing.T) {
 	}
 	if got := capture(t, []string{"perfetto", path}); got != want.String() {
 		t.Fatalf("perfetto output differs from the converter's.\ngot:\n%s\nwant:\n%s", got, want.String())
+	}
+}
+
+// TestLiveSelfTimeMatchesTrace runs a traced study and checks that the live
+// per-kind totals /metrics.json serves equal, kind for kind, the self time
+// and record count selftime derives from the same run's trace. The live
+// accumulator takes a span's self time when the span ends, so the two agree
+// exactly as long as every child ends before its parent; a failing run logs
+// every child that does not.
+func TestLiveSelfTimeMatchesTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	tw := telemetry.NewTraceWriter(f)
+	reg.SetSink(tw)
+	if _, err := experiments.RunStudy(experiments.Config{Seed: 1, Scale: 400, Telemetry: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mux := http.NewServeMux()
+	telemetry.HandleMetrics(mux, reg)
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics.json", nil))
+	var live struct {
+		SelfNs map[string]int64 `json:"span_self_ns"`
+		Count  map[string]int64 `json:"span_count"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &live); err != nil {
+		t.Fatalf("/metrics.json: %v", err)
+	}
+
+	tr, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := tr.index()
+	for _, sr := range tr.recs {
+		p := byID[key(sr.TraceID, sr.ParentID)]
+		if sr.ParentID != "" && p != nil && sr.StartUnixNs+sr.DurationNs > p.StartUnixNs+p.DurationNs {
+			t.Logf("%s span %s ends after its parent %s %s", sr.Name, sr.SpanID, p.Name, p.SpanID)
+		}
+	}
+	self, counts := tr.kindSelfTimes()
+	if len(counts) == 0 || len(live.Count) != len(counts) {
+		t.Fatalf("live kinds %v, trace kinds %v", live.Count, counts)
+	}
+	for kind, n := range counts {
+		if live.Count[kind] != n || live.SelfNs[kind] != self[kind] {
+			t.Errorf("%s: live %d spans, %d ns self; trace %d spans, %d ns self",
+				kind, live.Count[kind], live.SelfNs[kind], n, self[kind])
+		}
 	}
 }

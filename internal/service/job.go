@@ -140,6 +140,41 @@ func (s Submission) checkTests(mod *ast.Module) error {
 	return nil
 }
 
+// runTests runs every test once against mod and reports each one that
+// cannot run: its formula does not parse or does not evaluate over the spec,
+// say by naming a relation the spec lacks or taking the closure of a set. A
+// technique would fail or panic on such a test on every run. A spec that
+// does not lower is left to the technique, since no test can run against it.
+func (s Submission) runTests(mod *ast.Module) error {
+	if len(s.Tests) == 0 {
+		return nil
+	}
+	model := aunit.Prepare(mod)
+	if model.Err() != nil {
+		return nil
+	}
+	run := func(t *aunit.Test) (err error) {
+		// The evaluator panics on some ill-typed formulas; aunit does not
+		// type-check a test's formula.
+		defer func() {
+			if v := recover(); v != nil {
+				err = fmt.Errorf("test %s: evaluating: %v", t.Name, v)
+			}
+		}()
+		return model.Run(t).Err
+	}
+	var problems []string
+	for i, t := range s.Tests {
+		if err := run(t); err != nil {
+			problems = append(problems, fmt.Sprintf("test %d: %v", i, err))
+		}
+	}
+	if len(problems) > 0 {
+		return fmt.Errorf("tests cannot run: %s", strings.Join(problems, "; "))
+	}
+	return nil
+}
+
 // suite materializes the submission's tests (nil when none were supplied).
 func (s Submission) suite() *aunit.Suite {
 	if len(s.Tests) == 0 {

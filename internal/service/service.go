@@ -209,6 +209,9 @@ func (s *Service) Submit(sub Submission) (snap Snapshot, dup bool, err error) {
 	if err := sub.checkTests(mod); err != nil {
 		return Snapshot{}, false, err
 	}
+	if err := sub.runTests(mod); err != nil {
+		return Snapshot{}, false, err
+	}
 	key := sub.key(canonical)
 	id := "j" + key[:16]
 

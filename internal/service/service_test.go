@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"specrepair/internal/alloy/parser"
+	"specrepair/internal/alloy/printer"
 	"specrepair/internal/aunit"
+	"specrepair/internal/bench"
 	"specrepair/internal/telemetry"
 )
 
@@ -83,16 +86,56 @@ func TestSubmitRunFetch(t *testing.T) {
 	}
 }
 
+// refusedSubmissions are invalid requests, one per check Submit makes
+// before it looks at the tests' contents.
+var refusedSubmissions = []Submission{
+	{Spec: faultySrc},                                                  // no technique
+	{Spec: faultySrc, Technique: "NoSuchTool"},                         // unknown technique
+	{Spec: "sig {", Technique: "BeAFix"},                               // unparsable spec
+	{Spec: faultySrc, Technique: "BeAFix", TimeoutMs: -5},              // negative timeout
+	{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{nil}}, // null test
+}
+
+// malformedValuations pairs test valuations over faultySrc that Submit must
+// refuse with the problems its error must name.
+var malformedValuations = []struct {
+	val  map[string][][]string
+	want []string
+}{
+	{map[string][][]string{"Node": {{}}}, []string{"Node tuple 0 is empty"}},
+	{map[string][][]string{"Node": {{"N0"}, {"N0", "N1"}}}, []string{"Node tuple 1 has 2 atoms, but Node has arity 1"}},
+	{map[string][][]string{"next": {{"N0"}}}, []string{"next tuple 0 has 1 atoms, but next has arity 2"}},
+	{map[string][][]string{"next'": {{"N0", "N1", "N0"}}}, []string{"next' tuple 0 has 3 atoms, but next' has arity 2"}},
+	{map[string][][]string{"$x": {{}, {"N0", "N1"}, {"N0"}}}, []string{"$x tuple 0 is empty", "$x tuple 2 has 1 atoms, but tuple 1 has 2"}},
+	{map[string][][]string{"Node": {{"N0"}, {}}, "next": {{"N0", "N0"}, {"N0"}}}, []string{"Node tuple 1 is empty", "next tuple 1 has 1 atoms"}},
+}
+
+// unrunnableFormulas cannot run against faultySrc: the first does not
+// parse, the second names a relation the spec lacks, and the third takes
+// the closure of a set, on which the evaluator panics.
+var unrunnableFormulas = []string{"some n: Node |", "some Foo", "some *Node"}
+
+// valuationTest asserts "some Node" under val.
+func valuationTest(val map[string][][]string) *aunit.Test {
+	return &aunit.Test{Name: "t", Formula: "some Node", Expect: true, Valuation: val}
+}
+
+// formulaTest asserts formula under a one-node valuation.
+func formulaTest(formula string) *aunit.Test {
+	return &aunit.Test{Name: "f", Formula: formula, Expect: true, Valuation: map[string][][]string{"Node": {{"N0"}}}}
+}
+
+// admittedSubmission holds well-formed valuations, empty relations included.
+func admittedSubmission() Submission {
+	return Submission{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{
+		valuationTest(map[string][][]string{"Node": {{"N0"}, {"N1"}}, "next": {{"N0", "N1"}}}),
+		valuationTest(map[string][][]string{"Node": {}, "next": nil, "$y": {{"N0", "N1"}, {"N1", "N0"}}}),
+	}}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	svc := newService(t, Options{})
-	cases := []Submission{
-		{Spec: faultySrc},                                                  // no technique
-		{Spec: faultySrc, Technique: "NoSuchTool"},                         // unknown technique
-		{Spec: "sig {", Technique: "BeAFix"},                               // unparsable spec
-		{Spec: faultySrc, Technique: "BeAFix", TimeoutMs: -5},              // negative timeout
-		{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{nil}}, // null test
-	}
-	for i, sub := range cases {
+	for i, sub := range refusedSubmissions {
 		if _, _, err := svc.Submit(sub); err == nil {
 			t.Errorf("case %d: invalid submission admitted", i)
 		}
@@ -100,21 +143,9 @@ func TestSubmitValidation(t *testing.T) {
 
 	// Malformed valuations would make the technique fail on every run,
 	// restarts included; the error names every problem found.
-	test := func(val map[string][][]string) *aunit.Test {
-		return &aunit.Test{Name: "t", Formula: "some Node", Expect: true, Valuation: val}
-	}
-	for _, c := range []struct {
-		val  map[string][][]string
-		want []string
-	}{
-		{map[string][][]string{"Node": {{}}}, []string{"Node tuple 0 is empty"}},
-		{map[string][][]string{"Node": {{"N0"}, {"N0", "N1"}}}, []string{"Node tuple 1 has 2 atoms, but Node has arity 1"}},
-		{map[string][][]string{"next": {{"N0"}}}, []string{"next tuple 0 has 1 atoms, but next has arity 2"}},
-		{map[string][][]string{"next'": {{"N0", "N1", "N0"}}}, []string{"next' tuple 0 has 3 atoms, but next' has arity 2"}},
-		{map[string][][]string{"$x": {{}, {"N0", "N1"}, {"N0"}}}, []string{"$x tuple 0 is empty", "$x tuple 2 has 1 atoms, but tuple 1 has 2"}},
-		{map[string][][]string{"Node": {{"N0"}, {}}, "next": {{"N0", "N0"}, {"N0"}}}, []string{"Node tuple 1 is empty", "next tuple 1 has 1 atoms"}},
-	} {
-		sub := Submission{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{test(map[string][][]string{"Node": {{"N0"}}}), test(c.val)}}
+	good := valuationTest(map[string][][]string{"Node": {{"N0"}}})
+	for _, c := range malformedValuations {
+		sub := Submission{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{good, valuationTest(c.val)}}
 		_, _, err := svc.Submit(sub)
 		if err == nil {
 			t.Errorf("valuation %v admitted", c.val)
@@ -127,13 +158,61 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
-	// Well-formed valuations, empty relations included, are admitted.
-	ok := Submission{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{
-		test(map[string][][]string{"Node": {{"N0"}, {"N1"}}, "next": {{"N0", "N1"}}}),
-		test(map[string][][]string{"Node": {}, "next": nil, "$y": {{"N0", "N1"}, {"N1", "N0"}}}),
-	}}
-	if _, _, err := svc.Submit(ok); err != nil {
+	// A test that cannot run against the spec would end the job "done, not
+	// repaired"; every such test is named.
+	all := []*aunit.Test{good}
+	cases := [][]*aunit.Test{}
+	for _, f := range unrunnableFormulas {
+		all = append(all, formulaTest(f))
+		cases = append(cases, []*aunit.Test{good, formulaTest(f)})
+	}
+	for _, tests := range append(cases, all) {
+		_, _, err := svc.Submit(Submission{Spec: faultySrc, Technique: "ARepair", Tests: tests})
+		if err == nil {
+			t.Errorf("tests %q admitted", tests[len(tests)-1].Formula)
+			continue
+		}
+		for i := range tests {
+			if named := strings.Contains(err.Error(), fmt.Sprintf("test %d: ", i)); named != (i > 0) {
+				t.Errorf("error %q names test %d: %v, want %v", err, i, named, i > 0)
+			}
+		}
+	}
+
+	if _, _, err := svc.Submit(admittedSubmission()); err != nil {
 		t.Fatalf("well-formed valuations refused: %v", err)
+	}
+}
+
+// Every benchmark spec's own AUnit tests run against it, so the validation
+// that refuses tests which cannot run admits all of them. The service
+// drains first: Submit then answers ErrDraining exactly for a submission
+// that passed validation, and runs no job.
+func TestSubmitAdmitsBenchmarkTests(t *testing.T) {
+	svc := newService(t, Options{})
+	svc.beginDrain()
+	gen := bench.NewGenerator(nil)
+	gen.Scale = 40
+	a4f, arepair, err := gen.Both()
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := gen.Synthetic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := 0
+	for _, suite := range []*bench.Suite{a4f, arepair, syn} {
+		for _, sp := range suite.Specs {
+			sub := Submission{Spec: printer.Module(sp.Faulty), Technique: "ARepair", Tests: sp.Tests.Tests}
+			if _, _, err := svc.Submit(sub); !errors.Is(err, ErrDraining) {
+				t.Errorf("%s %s: own tests refused: %v", suite.Name, sp.Name, err)
+			}
+			tests += len(sub.Tests)
+		}
+	}
+	if tests == 0 {
+		t.Fatal("no benchmark tests submitted")
 	}
 }
 

@@ -93,14 +93,19 @@ func Serve(addr, digest string, board *Board) (*Coordinator, error) {
 		return nil, fmt.Errorf("shard coordinator: %w", err)
 	}
 	c := &Coordinator{board: board, digest: digest, ln: ln}
+	c.srv = &http.Server{Handler: c.handler()}
+	go c.srv.Serve(ln)
+	return c, nil
+}
+
+// handler routes the lease protocol's endpoints.
+func (c *Coordinator) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/shard/lease", c.handleLease)
 	mux.HandleFunc("/shard/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("/shard/complete", c.handleComplete)
 	mux.HandleFunc("/shard/status", c.handleStatus)
-	c.srv = &http.Server{Handler: mux}
-	go c.srv.Serve(ln)
-	return c, nil
+	return mux
 }
 
 // Addr is the address the coordinator is listening on.

@@ -28,6 +28,8 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 
 // Start turns on what the flags ask for around a run observed by reg: the
 // CPU profile, a TraceWriter as reg's span sink, and the metrics listener.
+// Without -trace, -metrics-addr installs Discard as the sink, so the run
+// builds spans and /metrics shows per-kind self time.
 // The returned stop undoes them in reverse, writing the heap profile on the
 // way, and reports close errors on stderr; defer it once Start succeeds. On
 // a setup error Start undoes what it started itself, so a requested heap
@@ -71,6 +73,8 @@ func (c *CLIFlags) Start(reg *Registry) (stop func(), err error) {
 			}
 		})
 		reg.SetSink(tw)
+	} else if c.metricsAddr != "" {
+		reg.SetSink(Discard)
 	}
 	if c.metricsAddr != "" {
 		srv, err := ServeMetrics(reg, c.metricsAddr)

@@ -53,28 +53,30 @@ func promLabels(pairs ...string) string {
 
 // WritePrometheus renders every counter, gauge, and histogram in the
 // Prometheus text exposition format. Series named "base|technique" are
-// exported as one family with a technique label.
+// exported as one family with a technique label. Finished spans are
+// exported per kind as span_self_ns and span_count counters with a kind
+// label.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
 	type sample struct {
-		name, technique string
-		value           int64
+		name, label string
+		value       int64
 	}
 
 	collect := func(m *[]sample, src func(func(string, int64))) {
 		src(func(name string, v int64) {
 			base, tech := splitLabel(name)
-			*m = append(*m, sample{name: base, technique: tech, value: v})
+			*m = append(*m, sample{name: base, label: tech, value: v})
 		})
 	}
-	emitScalar := func(kind string, samples []sample) {
+	emitScalar := func(kind, labelName string, samples []sample) {
 		sort.Slice(samples, func(i, j int) bool {
 			if samples[i].name != samples[j].name {
 				return samples[i].name < samples[j].name
 			}
-			return samples[i].technique < samples[j].technique
+			return samples[i].label < samples[j].label
 		})
 		lastFamily := ""
 		for _, s := range samples {
@@ -83,7 +85,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "# TYPE %s %s\n", fam, kind)
 				lastFamily = fam
 			}
-			fmt.Fprintf(w, "%s%s %d\n", fam, promLabels("technique", s.technique), s.value)
+			fmt.Fprintf(w, "%s%s %d\n", fam, promLabels(labelName, s.label), s.value)
 		}
 	}
 
@@ -94,7 +96,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			return true
 		})
 	})
-	emitScalar("counter", counters)
+	emitScalar("counter", "technique", counters)
 
 	var gauges []sample
 	collect(&gauges, func(emit func(string, int64)) {
@@ -103,7 +105,15 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			return true
 		})
 	})
-	emitScalar("gauge", gauges)
+	emitScalar("gauge", "technique", gauges)
+
+	var spans []sample
+	r.spanKinds(func(kind string, selfNs, count int64) {
+		spans = append(spans,
+			sample{name: "span.self_ns", label: kind, value: selfNs},
+			sample{name: "span.count", label: kind, value: count})
+	})
+	emitScalar("counter", "kind", spans)
 
 	// Histograms: named ones from the map plus the per-technique job
 	// duration aggregates.
@@ -173,7 +183,8 @@ func toHistJSON(s HistSnapshot) histJSON {
 }
 
 // WriteJSON renders an expvar-style JSON object: a flat map of counters and
-// gauges, histogram summaries, and the per-technique aggregates.
+// gauges, histogram summaries, the per-technique aggregates and, once a span
+// has finished, per-kind span self time and span counts.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, "{}\n")
@@ -201,6 +212,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	})
 	out["histograms"] = hists
 	out["techniques"] = r.Techniques()
+	selfNs, counts := map[string]int64{}, map[string]int64{}
+	r.spanKinds(func(kind string, self, count int64) {
+		selfNs[kind], counts[kind] = self, count
+	})
+	if len(counts) > 0 {
+		out["span_self_ns"], out["span_count"] = selfNs, counts
+	}
 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -54,21 +54,15 @@ type SpanRecord struct {
 // span converts a JobRecord into its wire form, stamping the hierarchy IDs
 // when the job ran under a trace span.
 func (jr JobRecord) span() SpanRecord {
-	rec := jr.wire()
-	if sp := jr.Span; sp != nil {
-		rec.TraceID = sp.TraceID()
-		rec.SpanID = sp.ID()
-		rec.ParentID = sp.ParentID()
-		rec.Lane = sp.Lane()
-	}
-	return rec
-}
-
-func (jr JobRecord) wire() SpanRecord {
+	sp := jr.Span
 	return SpanRecord{
 		Name:              "job",
 		Technique:         jr.Technique,
 		Spec:              jr.Spec,
+		TraceID:           sp.TraceID(),
+		SpanID:            sp.ID(),
+		ParentID:          sp.ParentID(),
+		Lane:              sp.Lane(),
 		StartUnixNs:       jr.Start.UnixNano(),
 		DurationNs:        jr.Duration.Nanoseconds(),
 		Outcome:           jr.Outcome,

@@ -146,12 +146,10 @@ type Registry struct {
 
 	// spanIDs allocates trace-wide unique span IDs; see tracer.go.
 	spanIDs atomic.Uint64
-	// trackActive enables live span bookkeeping (the -dashboard data source):
-	// in-flight spans and cumulative per-kind self time. Off by default so
-	// plain traced runs pay nothing for it.
-	trackActive atomic.Bool
-	active      sync.Map // *Span -> struct{}
-	kindSelf    sync.Map // kind string -> *atomic.Int64 (cumulative self ns)
+	// kinds accumulates every finished span's self time and count by kind;
+	// /metrics exports it. Guarded by kindMu.
+	kindMu sync.RWMutex
+	kinds  map[string]*spanKind
 
 	mu    sync.Mutex
 	techs map[string]*techAgg
@@ -165,6 +163,7 @@ type sinkHolder struct{ s SpanSink }
 func New() *Registry {
 	return &Registry{
 		start: time.Now(),
+		kinds: map[string]*spanKind{},
 		techs: map[string]*techAgg{},
 		specs: map[string]*specAgg{},
 	}

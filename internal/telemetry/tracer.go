@@ -66,9 +66,7 @@ func (r *Registry) StartSpan(kind string) *Span {
 		return nil
 	}
 	id := r.spanIDs.Add(1)
-	s := &Span{reg: r, trace: id, id: id, kind: kind, start: time.Now()}
-	r.trackSpan(s)
-	return s
+	return &Span{reg: r, trace: id, id: id, kind: kind, start: time.Now()}
 }
 
 // Child opens a sub-span. Safe for concurrent use on one parent; returns nil
@@ -77,7 +75,7 @@ func (s *Span) Child(kind string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{
+	return &Span{
 		reg:       s.reg,
 		parentRef: s,
 		trace:     s.trace,
@@ -87,8 +85,6 @@ func (s *Span) Child(kind string) *Span {
 		start:     time.Now(),
 		lane:      s.lane,
 	}
-	s.reg.trackSpan(c)
-	return c
 }
 
 // SetAttr attaches a string attribute (e.g. technique, spec, status).
@@ -141,24 +137,6 @@ func (s *Span) Kind() string {
 		return ""
 	}
 	return s.kind
-}
-
-// Start reads the span's start time (zero for nil).
-func (s *Span) Start() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
-// Attr reads one attribute ("" when absent or nil span).
-func (s *Span) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.attrs[key]
 }
 
 // TraceID is the hex trace ID shared by every span in the tree.
@@ -226,79 +204,51 @@ func (s *Span) closeQuiet(dur time.Duration) {
 }
 
 // finish propagates this span's duration into the parent's child-time
-// accumulator and, when live tracking is on, retires it from the active set
-// and folds its self time into the per-kind totals.
+// accumulator and adds its self time and one span to its kind's totals.
+// Self time is the duration less the children that ended before it, which
+// is what tracetool computes from the trace when every child ends first.
 func (s *Span) finish(dur time.Duration) {
+	ns := dur.Nanoseconds()
 	if s.parentRef != nil {
-		s.parentRef.childNs.Add(dur.Nanoseconds())
+		s.parentRef.childNs.Add(ns)
 	}
-	if !s.reg.trackActive.Load() {
-		return
-	}
-	s.reg.active.Delete(s)
-	self := dur.Nanoseconds() - s.childNs.Load()
-	if self < 0 {
-		self = 0
-	}
-	v, ok := s.reg.kindSelf.Load(s.kind)
-	if !ok {
-		v, _ = s.reg.kindSelf.LoadOrStore(s.kind, &atomic.Int64{})
-	}
-	v.(*atomic.Int64).Add(self)
+	k := s.reg.spanKind(s.kind)
+	k.selfNs.Add(max(ns-s.childNs.Load(), 0))
+	k.count.Add(1)
 }
 
-// trackSpan registers a just-started span with the live tracker.
-func (r *Registry) trackSpan(s *Span) {
-	if r.trackActive.Load() {
-		r.active.Store(s, struct{}{})
-	}
+// spanKind accumulates the finished spans of one kind: how many ended and
+// their summed self time.
+type spanKind struct {
+	selfNs, count atomic.Int64
 }
 
-// TrackActive toggles live span bookkeeping (ActiveSpans, KindSelfTimes).
-// The dashboard turns it on; plain traced runs leave it off and skip the
-// map traffic entirely.
-func (r *Registry) TrackActive(on bool) {
-	if r == nil {
-		return
+// spanKind returns kind's accumulator, creating it on the kind's first
+// span. The common case is a read-locked map hit, which allocates nothing.
+func (r *Registry) spanKind(kind string) *spanKind {
+	r.kindMu.RLock()
+	k := r.kinds[kind]
+	r.kindMu.RUnlock()
+	if k != nil {
+		return k
 	}
-	r.trackActive.Store(on)
+	r.kindMu.Lock()
+	defer r.kindMu.Unlock()
+	if k = r.kinds[kind]; k == nil {
+		k = &spanKind{}
+		r.kinds[kind] = k
+	}
+	return k
 }
 
-// ActiveSpans snapshots the in-flight spans (only populated while
-// TrackActive is on). Order is unspecified.
-func (r *Registry) ActiveSpans() []*Span {
-	if r == nil {
-		return nil
+// spanKinds calls fn with every span kind's accumulated self time (ns) and
+// span count, in no particular order.
+func (r *Registry) spanKinds(fn func(kind string, selfNs, count int64)) {
+	r.kindMu.RLock()
+	defer r.kindMu.RUnlock()
+	for kind, k := range r.kinds {
+		fn(kind, k.selfNs.Load(), k.count.Load())
 	}
-	var out []*Span
-	r.active.Range(func(k, _ any) bool {
-		out = append(out, k.(*Span))
-		return true
-	})
-	return out
-}
-
-// ActiveParent exposes the parent link for live-dashboard ancestry walks
-// (nil for roots and nil spans).
-func (s *Span) ActiveParent() *Span {
-	if s == nil {
-		return nil
-	}
-	return s.parentRef
-}
-
-// KindSelfTimes snapshots cumulative self time (ns) per span kind, gathered
-// while TrackActive is on.
-func (r *Registry) KindSelfTimes() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	out := map[string]int64{}
-	r.kindSelf.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	return out
 }
 
 func formatSpanID(id uint64) string { return strconv.FormatUint(id, 16) }
@@ -336,8 +286,9 @@ func StartChild(ctx context.Context, kind string) (context.Context, *Span) {
 }
 
 // Discard is a SpanSink that drops every record. Installing it enables span
-// construction (Registry.Tracing reports true) without writing anywhere —
-// the -dashboard flag uses it when no trace file is requested.
+// construction (Registry.Tracing reports true) without writing anywhere:
+// -metrics-addr without -trace installs it, so /metrics shows per-kind self
+// time without a trace file.
 var Discard SpanSink = discardSink{}
 
 type discardSink struct{}

@@ -195,36 +195,57 @@ func TestJobRecordSingleEmission(t *testing.T) {
 	}
 }
 
-// TestActiveTracking exercises the dashboard's data source: in-flight spans
-// and per-kind self time.
-func TestActiveTracking(t *testing.T) {
+// TestSpanKindTotals checks the per-kind accumulator behind /metrics: each
+// finished span adds one to its kind's count and its self time (duration
+// less its children's) to its kind's total, quiet job closes included, and
+// adding to a known kind allocates nothing.
+func TestSpanKindTotals(t *testing.T) {
 	reg := New()
+	var empty strings.Builder
+	reg.WritePrometheus(&empty)
+	if strings.Contains(empty.String(), "span_") {
+		t.Fatalf("registry without spans exports span series:\n%s", empty.String())
+	}
 	reg.SetSink(Discard)
-	reg.TrackActive(true)
 
 	root := reg.StartSpan("study")
 	job := root.Child("job")
-	inner := job.Child("sat.solve")
+	solve := job.Child("sat.solve")
+	solve.finish(3 * time.Millisecond)
+	job.closeQuiet(10 * time.Millisecond)
+	other := root.Child("sat.solve")
+	other.finish(2 * time.Millisecond)
+	root.finish(20 * time.Millisecond)
 
-	active := reg.ActiveSpans()
-	if len(active) != 3 {
-		t.Fatalf("got %d active spans, want 3", len(active))
-	}
-	if inner.ActiveParent() != job || job.ActiveParent() != root || root.ActiveParent() != nil {
-		t.Fatal("ActiveParent chain broken")
-	}
-
-	inner.End()
-	job.End()
-	root.End()
-	if n := len(reg.ActiveSpans()); n != 0 {
-		t.Fatalf("%d spans still active after End", n)
-	}
-	self := reg.KindSelfTimes()
-	for _, kind := range []string{"study", "job", "sat.solve"} {
-		if _, ok := self[kind]; !ok {
-			t.Fatalf("no self time recorded for %s (got %v)", kind, self)
+	self, count := map[string]int64{}, map[string]int64{}
+	reg.spanKinds(func(kind string, selfNs, n int64) { self[kind], count[kind] = selfNs, n })
+	wantSelf := map[string]int64{"study": 8e6, "job": 7e6, "sat.solve": 5e6}
+	wantCount := map[string]int64{"study": 1, "job": 1, "sat.solve": 2}
+	for kind := range wantCount {
+		if self[kind] != wantSelf[kind] || count[kind] != wantCount[kind] {
+			t.Errorf("%s: self %d ns over %d spans, want %d over %d", kind, self[kind], count[kind], wantSelf[kind], wantCount[kind])
 		}
+	}
+	if len(count) != len(wantCount) {
+		t.Errorf("kinds %v, want %v", count, wantCount)
+	}
+
+	var prom strings.Builder
+	reg.WritePrometheus(&prom)
+	for _, want := range []string{
+		"# TYPE specrepair_span_self_ns counter",
+		`specrepair_span_self_ns{kind="sat.solve"} 5000000`,
+		"# TYPE specrepair_span_count counter",
+		`specrepair_span_count{kind="sat.solve"} 2`,
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Errorf("prometheus output missing %q:\n%s", want, prom.String())
+		}
+	}
+
+	leaf := job.Child("sat.solve")
+	if n := testing.AllocsPerRun(100, func() { leaf.finish(time.Microsecond) }); n != 0 {
+		t.Errorf("finishing a span of a known kind allocates %.0f times", n)
 	}
 }
 
