@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/types"
@@ -168,6 +169,7 @@ func (a *Analyzer) RunCommand(mod *ast.Module, cmd *ast.Command) (*Result, error
 		if err != nil {
 			return nil, nil, err
 		}
+		defer s.release()
 		s.span = a.span.Child("analyzer.cmd")
 		defer s.span.End()
 		res, err := s.run(cmd)
@@ -197,13 +199,63 @@ type session struct {
 }
 
 // scope is one scope's translation state: the translator over the scope's
-// bounds and the solver its clauses go to. err records a scope that could
+// bounds and the engine its clauses go to. err records a scope that could
 // not be built, so every command of that scope reports it.
 type scope struct {
-	tr     *translate.Translator
+	tr *translate.Translator
+	*engine
+	err error
+}
+
+// engine is the solver and CNF builder of one scope. A fresh session that
+// ends puts its engines back in enginePool, and newScope resets a pooled
+// engine before it builds a new one, so solvers and builders grow to the
+// workload's problem sizes once instead of from empty in every session.
+// Incremental scopes take pooled engines but never return them: a window
+// of candidate encodings grows an engine far past what a fresh session
+// needs, and pooling it would only keep that memory alive.
+type engine struct {
 	solver *sat.Solver
 	cb     *translate.CNFBuilder
-	err    error
+}
+
+// enginePool holds the engines of ended sessions. A sync.Pool rather than
+// a free list, so that the garbage collector drops idle engines.
+var enginePool sync.Pool
+
+// newEngine returns an engine whose solver is as sat.NewSolver(opts) and
+// whose builder is as translate.NewCNFBuilder over numProblemVars problem
+// variables, taken from the pool when it holds one.
+func newEngine(opts sat.Options, numProblemVars int) *engine {
+	e, _ := enginePool.Get().(*engine)
+	if e == nil {
+		s := sat.NewSolver(opts)
+		return &engine{solver: s, cb: translate.NewCNFBuilder(s, numProblemVars)}
+	}
+	e.solver.Reset(opts)
+	e.cb.Reset(e.solver, numProblemVars)
+	return e
+}
+
+// release puts the engine back in the pool. Its solver and builder are
+// emptied first, so the pool keeps neither the ended session's circuit nor
+// its context, telemetry or span alive.
+func (e *engine) release() {
+	e.solver.Reset(sat.Options{})
+	e.cb.Reset(e.solver, 0)
+	enginePool.Put(e)
+}
+
+// release returns the engines of the session's scopes to the pool. The
+// session must not be used afterwards; call it once the last command has
+// run and its model has been decoded.
+func (s *session) release() {
+	for _, st := range s.byScope {
+		if st.engine != nil {
+			st.engine.release()
+			st.engine = nil
+		}
+	}
 }
 
 func (a *Analyzer) newSession(mod *ast.Module) (*session, error) {
@@ -243,7 +295,7 @@ func (s *session) state(sc ast.Scope) *scope {
 }
 
 // newScope builds one scope's bounds, translator (cancelled with the
-// analyzer's context), solver and CNF builder, and asserts the implicit
+// analyzer's context) and engine, and asserts the implicit
 // constraints together with facts in a single AddAssert. Fresh sessions pass
 // the module's facts; incremental sessions pass none and gate each fact per
 // candidate instead. span parents the solver's spans.
@@ -270,13 +322,12 @@ func (a *Analyzer) newScope(info *types.Info, sc ast.Scope, facts []*ast.Fact, s
 		}
 		parts = append(parts, n)
 	}
-	st.solver = sat.NewSolver(sat.Options{
+	st.engine = newEngine(sat.Options{
 		MaxConflicts: a.opts.MaxConflicts,
 		Context:      a.ctx,
 		Telemetry:    a.opts.Telemetry,
-	})
+	}, st.tr.NumVars())
 	st.solver.SetSpan(span)
-	st.cb = translate.NewCNFBuilder(st.solver, st.tr.NumVars())
 	st.cb.AddAssert(translate.And(parts...))
 	return st
 }
@@ -414,6 +465,7 @@ func (a *Analyzer) runFresh(mod *ast.Module, kind string, stopOnFail bool) ([]*R
 	if err != nil {
 		return nil, err
 	}
+	defer s.release()
 	s.span = a.span.Child(kind)
 	defer s.span.End()
 	out := make([]*Result, 0, len(s.low.Commands))
@@ -465,6 +517,7 @@ func (a *Analyzer) equisatFresh(gtCommands []*ast.Command, verdicts []bool, cand
 	if err != nil {
 		return false, nil // malformed candidate: not a repair
 	}
+	defer s.release()
 	s.verdictOnly = true
 	s.span = a.span.Child("analyzer.equisat")
 	defer s.span.End()

@@ -208,7 +208,19 @@ func (m *Model) Info() *types.Info { return m.info }
 
 // Run evaluates one test against the model.
 func (m *Model) Run(t *Test) Result {
-	passed, err := m.eval(t)
+	return m.run(m.evaluator(), t)
+}
+
+// evaluator returns an evaluator over the lowered model for run, with an
+// instance of its own that each test run overwrites.
+func (m *Model) evaluator() *instance.Evaluator {
+	return &instance.Evaluator{Mod: m.low, Inst: &instance.Instance{}}
+}
+
+// run evaluates one test against the model with an evaluator from
+// m.evaluator.
+func (m *Model) run(ev *instance.Evaluator, t *Test) Result {
+	passed, err := m.eval(ev, t)
 	if err != nil {
 		return Result{Test: t, Passed: false, Err: err}
 	}
@@ -216,12 +228,14 @@ func (m *Model) Run(t *Test) Result {
 }
 
 // RunAll evaluates the whole suite, returning individual results and the
-// number of passing tests.
+// number of passing tests. One evaluator runs every test, so a test whose
+// formula evaluates without allocating runs without allocating.
 func (m *Model) RunAll(s *Suite) ([]Result, int) {
 	results := make([]Result, 0, len(s.Tests))
 	passed := 0
+	ev := m.evaluator()
 	for _, t := range s.Tests {
-		r := m.Run(t)
+		r := m.run(ev, t)
 		if r.Passed {
 			passed++
 		}
@@ -238,7 +252,24 @@ func (t *Test) Instance(info *types.Info) (*instance.Instance, error) {
 	if v.err != nil {
 		return nil, v.err
 	}
-	return v.instance(relationDefaults(info)).Clone(), nil
+	inst := v.instance(relationDefaults(info))
+	return inst.Clone(), nil
+}
+
+// Instance returns the test's valuation as an instance over the model's
+// relations, like Test.Instance, without rebuilding the model's relation
+// defaults or copying anything: the instance shares the test's and the
+// model's maps, so it must not be modified.
+func (m *Model) Instance(t *Test) (*instance.Instance, error) {
+	if m.err != nil {
+		return nil, fmt.Errorf("test %s: model does not check: %w", t.Name, m.err)
+	}
+	v := t.prepared()
+	if v.err != nil {
+		return nil, v.err
+	}
+	inst := v.instance(m.defaults)
+	return &inst, nil
 }
 
 // instance returns the test's instance over a model with the given
@@ -247,11 +278,11 @@ func (t *Test) Instance(info *types.Info) (*instance.Instance, error) {
 // the model's arity; a relation outside the model valued with no tuples is
 // empty and unary. The instance shares both maps, so it must not be
 // modified.
-func (v *valuation) instance(defaults map[string]bounds.TupleSet) *instance.Instance {
-	return &instance.Instance{Universe: v.universe, Rels: v.rels, Base: defaults}
+func (v *valuation) instance(defaults map[string]bounds.TupleSet) instance.Instance {
+	return instance.Instance{Universe: v.universe, Rels: v.rels, Base: defaults}
 }
 
-func (m *Model) eval(t *Test) (bool, error) {
+func (m *Model) eval(ev *instance.Evaluator, t *Test) (bool, error) {
 	if m.err != nil {
 		return false, fmt.Errorf("test %s: model does not check: %w", t.Name, m.err)
 	}
@@ -268,7 +299,7 @@ func (m *Model) eval(t *Test) (bool, error) {
 		expr = types.RewriteCalls(m.low, v.formula)
 	}
 
-	ev := &instance.Evaluator{Mod: m.low, Inst: v.instance(m.defaults)}
+	*ev.Inst = v.instance(m.defaults)
 	got, err := ev.EvalFormula(expr, nil)
 	if err != nil {
 		return false, fmt.Errorf("test %s: evaluating: %w", t.Name, err)

@@ -1,9 +1,12 @@
 package aunit_test
 
 import (
+	"fmt"
 	"testing"
 
 	"specrepair/internal/alloy/ast"
+	"specrepair/internal/alloy/parser"
+	"specrepair/internal/aunit"
 	"specrepair/internal/bench"
 )
 
@@ -55,4 +58,43 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// TestRunAllAllocsFlatInSuite guards the one evaluator a suite run shares:
+// tests whose formulas evaluate without allocating run without allocating,
+// so a suite of 40 such tests costs as many allocations as a suite of 4,
+// although every test has a universe of its own.
+func TestRunAllAllocsFlatInSuite(t *testing.T) {
+	mod, err := parser.Parse(`
+sig Node { next: set Node }
+run {} for 3
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := aunit.Prepare(mod)
+	suite := func(n int) *aunit.Suite {
+		s := &aunit.Suite{}
+		for i := 0; i < n; i++ {
+			atoms := [][]string{{fmt.Sprint("N", i)}, {fmt.Sprint("M", i)}}
+			s.Add(&aunit.Test{
+				Name:      fmt.Sprint("t", i),
+				Valuation: map[string][][]string{"Node": atoms},
+				Formula:   "all a, b: Node | a in Node and b in Node",
+				Expect:    true,
+			})
+		}
+		return s
+	}
+	small, large := suite(4), suite(40)
+	allocs := func(s *aunit.Suite) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, passed := model.RunAll(s); passed != s.Len() {
+				t.Fatalf("%d of %d tests passed", passed, s.Len())
+			}
+		})
+	}
+	if a4, a40 := allocs(small), allocs(large); a40 != a4 {
+		t.Errorf("RunAll: %.0f allocations for 40 tests, %.0f for 4; want equal", a40, a4)
+	}
 }

@@ -69,6 +69,7 @@ func Localize(mod *ast.Module, failing, passing []Observation) ([]RankedSite, er
 	}
 
 	var ranked []RankedSite
+	ev := &instance.Evaluator{Mod: low}
 	for _, s := range eng.Sites() {
 		if !s.IsFormula || len(s.Scope) > 0 {
 			continue
@@ -81,7 +82,7 @@ func Localize(mod *ast.Module, failing, passing []Observation) ([]RankedSite, er
 		guiltyOn := func(obs []Observation) int {
 			guilty := 0
 			for _, o := range obs {
-				ev := &instance.Evaluator{Mod: low, Inst: o.Inst}
+				ev.Inst = o.Inst
 				v, err := ev.EvalFormula(expr, nil)
 				if err != nil {
 					continue

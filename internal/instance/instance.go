@@ -92,7 +92,12 @@ type Env map[string]bounds.TupleSet
 // Evaluator evaluates expressions against an instance. Mod must be a lowered
 // module (predicate and function applications rewritten to Call nodes) so
 // that calls can be inlined by parameter binding. An Evaluator keeps scratch
-// state between calls, so it must not be used from two goroutines at once.
+// state between calls, so it must not be used from two goroutines at once;
+// one evaluator may run any number of evaluations, against any instances.
+//
+// Formulas need not be type-checked (an AUnit test's formula is not): an
+// operand whose arity an operator rejects, such as the closure of a set,
+// is an evaluation error.
 type Evaluator struct {
 	Mod  *ast.Module
 	Inst *Instance
@@ -214,9 +219,9 @@ func pos(e ast.Expr) string { return e.Pos().String() }
 
 func (ev *Evaluator) univAtoms() []int {
 	if u := ev.Inst.Universe; ev.atomsOf != u {
-		ev.atoms = make([]int, u.Size())
-		for i := range ev.atoms {
-			ev.atoms[i] = i
+		ev.atoms = ev.atoms[:0]
+		for i := range u.Size() {
+			ev.atoms = append(ev.atoms, i)
 		}
 		ev.atomsOf = u
 	}
@@ -269,7 +274,9 @@ func (ev *Evaluator) eval(e ast.Expr) (value, error) {
 			if err != nil {
 				return fail(err)
 			}
-			cur = av.Join(cur)
+			if cur, err = join(x, av, cur); err != nil {
+				return fail(err)
+			}
 		}
 		return set(cur), nil
 	case *ast.Call:
@@ -354,10 +361,17 @@ func (ev *Evaluator) evalUnary(x *ast.Unary) (value, error) {
 	}
 	switch x.Op {
 	case ast.UnTranspose:
+		if ts.Arity() != 2 {
+			return failf("%s: transpose of non-binary set", pos(x))
+		}
 		return set(ts.Transpose()), nil
-	case ast.UnClosure:
-		return set(ts.Closure()), nil
-	case ast.UnReflClose:
+	case ast.UnClosure, ast.UnReflClose:
+		if ts.Arity() != 2 {
+			return failf("%s: closure of non-binary set", pos(x))
+		}
+		if x.Op == ast.UnClosure {
+			return set(ts.Closure()), nil
+		}
 		return set(ts.ReflClosure(ev.univAtoms())), nil
 	case ast.UnCard:
 		return integer(ts.Len()), nil
@@ -449,8 +463,15 @@ func (ev *Evaluator) evalBinary(x *ast.Binary) (value, error) {
 	l, r := lv.ts, rv.ts
 	switch x.Op {
 	case ast.BinJoin:
-		return set(l.Join(r)), nil
+		ts, err := join(x, l, r)
+		if err != nil {
+			return fail(err)
+		}
+		return set(ts), nil
 	case ast.BinProduct:
+		if n := l.Arity() + r.Arity(); n > bounds.MaxArity {
+			return failf("%s: product arity %d exceeds max %d", pos(x), n, bounds.MaxArity)
+		}
 		return set(l.Product(r)), nil
 	case ast.BinUnion:
 		return set(l.Union(r)), nil
@@ -461,8 +482,14 @@ func (ev *Evaluator) evalBinary(x *ast.Binary) (value, error) {
 	case ast.BinOverride:
 		return set(l.Override(r)), nil
 	case ast.BinDomRestr:
+		if l.Arity() != 1 {
+			return failf("%s: domain restriction by non-unary set", pos(x))
+		}
 		return set(r.DomRestr(l)), nil
 	case ast.BinRanRestr:
+		if r.Arity() != 1 {
+			return failf("%s: range restriction by non-unary set", pos(x))
+		}
 		return set(l.RanRestr(r)), nil
 	case ast.BinIn:
 		return boolean(l.SubsetOf(r)), nil
@@ -475,6 +502,15 @@ func (ev *Evaluator) evalBinary(x *ast.Binary) (value, error) {
 	default:
 		return failf("%s: cannot evaluate binary %s", pos(x), x.Op)
 	}
+}
+
+// join returns l.r for the join at x, or an error when the operands'
+// arities leave no column, where the bounds algebra would panic.
+func join(x ast.Expr, l, r bounds.TupleSet) (bounds.TupleSet, error) {
+	if l.Arity()+r.Arity() < 3 {
+		return bounds.TupleSet{}, fmt.Errorf("%s: join arity underflow", pos(x))
+	}
+	return l.Join(r), nil
 }
 
 // evalCall evaluates every argument in the caller's scope, then runs the

@@ -244,6 +244,15 @@ func TestEvalErrorTexts(t *testing.T) {
 		{"some x: set Node | some x", true, "1:6: higher-order (set) quantification is not supported"},
 		{"some Mark'", true, `1:6: no primed relation "Mark'" in instance`},
 		{"all a: Node | a = 1", true, "1:15: mixing Int and relational operands"},
+		// Arity faults the bounds algebra would panic on.
+		{"some *Node", true, "1:6: closure of non-binary set"},
+		{"some ^Node", true, "1:6: closure of non-binary set"},
+		{"~Node", false, "1:1: transpose of non-binary set"},
+		{"Node.Node", false, "1:1: join arity underflow"},
+		{"Node[Node]", false, "1:1: join arity underflow"},
+		{"next->next->next->next", false, "1:1: product arity 8 exceeds max 7"},
+		{"next <: Node", false, "1:1: domain restriction by non-unary set"},
+		{"Node :> next", false, "1:1: range restriction by non-unary set"},
 	} {
 		e, err := parser.ParseExpr(tt.src)
 		if err != nil {

@@ -214,7 +214,9 @@ func (t *Tool) localize(mod *ast.Module, suite *aunit.Suite) ([]faultloc.RankedS
 	var failing, passing []faultloc.Observation
 	results, _ := model.RunAll(suite)
 	for _, r := range results {
-		inst, err := r.Test.Instance(model.Info())
+		// Localize only evaluates formulas over the observations, so they
+		// may share the model's relation defaults.
+		inst, err := model.Instance(r.Test)
 		if err != nil {
 			continue
 		}

@@ -399,8 +399,9 @@ func (t *Tool) survivesPruning(cand *ast.Module, pairs []instancePair) bool {
 	if err != nil {
 		return false
 	}
+	ev := &instance.Evaluator{Mod: low}
 	factsHold := func(inst *instance.Instance) (bool, bool) {
-		ev := &instance.Evaluator{Mod: low, Inst: inst}
+		ev.Inst = inst
 		for _, f := range low.Facts {
 			v, err := ev.EvalFormula(f.Body, nil)
 			if err != nil {

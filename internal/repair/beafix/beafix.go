@@ -280,9 +280,9 @@ func (t *Tool) changesOnInstances(low *ast.Module, cand *ast.Module, s mutation.
 	if origBody == nil || candBody == nil {
 		return true
 	}
+	evO, evC := &instance.Evaluator{Mod: low}, &instance.Evaluator{Mod: candLow}
 	for _, obs := range failing {
-		evO := &instance.Evaluator{Mod: low, Inst: obs.Inst}
-		evC := &instance.Evaluator{Mod: candLow, Inst: obs.Inst}
+		evO.Inst, evC.Inst = obs.Inst, obs.Inst
 		vo, eo := evO.EvalFormula(origBody, nil)
 		vc, ec := evC.EvalFormula(candBody, nil)
 		if eo != nil || ec != nil {

@@ -1,7 +1,9 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -70,6 +72,9 @@ func TestAddClauseDoesNotRetain(t *testing.T) {
 // so arena compaction, reason relocation and the rebuilt watches are
 // exercised between queries. Every verdict must match the oracle's, and
 // every model must satisfy every clause added so far and every assumption.
+// Each session also runs on one reused solver, reset before it and dirtied
+// by a larger instance and every earlier session, which must repeat the new
+// solver's verdicts, models and effort counters exactly.
 func FuzzSolver(f *testing.F) {
 	// Seeds: random 4-SAT sessions over 12 variables up to about the phase
 	// transition, a query after every fourth clause. Wide clauses make deep
@@ -93,66 +98,82 @@ func FuzzSolver(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add([]byte{3, 0x40, 0, 2, 0x41, 1, 3, 0x00, 0xff, 0x01, 4})
+	reused := NewSolver(Options{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return b
+		want := fuzzSession(t, NewSolver(Options{}), data)
+		reused.Reset(Options{})
+		if got := fuzzSession(t, reused, data); got != want {
+			t.Fatalf("reset solver\n%s\nnew solver\n%s", got, want)
 		}
-		numVars := 1 + int(next()%12)
-		lit := func() Lit {
-			b := next()
-			return MkLit(int(b>>1)%numVars, b&1 == 1)
-		}
-		s, ref := NewSolver(Options{}), NewNaive()
-		s.maxLearnts = 1 // white-box: reduce the learnt database on every query
-		for v := 0; v < numVars; v++ {
-			s.NewVar()
-			ref.NewVar()
-		}
-		var clauses [][]Lit
-		query := func(assumptions []Lit) {
-			got := s.Solve(assumptions...)
-			want, _ := ref.Solve(assumptions...)
-			if got != want {
-				t.Fatalf("verdict %v, naive %v (clauses %v, assumptions %v)", got, want, clauses, assumptions)
-			}
-			if got != StatusSat {
-				return
-			}
-			model := s.Model()
-			checkModel(t, clauses, model)
-			for _, a := range assumptions {
-				if v := model[a.Var()]; (v == True) == a.IsNeg() {
-					t.Fatalf("model violates assumption %v (clauses %v)", a, clauses)
-				}
-			}
-		}
-		for len(data) > 0 {
-			switch op := next(); {
-			case op < 0x30: // a query under up to three assumptions
-				assumptions := make([]Lit, int(op%4))
-				for i := range assumptions {
-					assumptions[i] = lit()
-				}
-				query(assumptions)
-			case op == 0xff: // the empty clause
-				clauses = append(clauses, nil)
-				s.AddClause()
-				ref.AddClause()
-			default:
-				cl := make([]Lit, 1+int(op%4))
-				for i := range cl {
-					cl[i] = lit()
-				}
-				clauses = append(clauses, cl)
-				s.AddClause(cl...)
-				ref.AddClause(cl...)
-			}
-		}
-		query(nil)
 	})
+}
+
+// fuzzSession runs the session data encodes on s, checking it against the
+// naive oracle, and returns its transcript: each query's verdict, model and
+// effort counters.
+func fuzzSession(t *testing.T, s *Solver, data []byte) string {
+	var transcript strings.Builder
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	numVars := 1 + int(next()%12)
+	lit := func() Lit {
+		b := next()
+		return MkLit(int(b>>1)%numVars, b&1 == 1)
+	}
+	ref := NewNaive()
+	s.maxLearnts = 1 // white-box: reduce the learnt database on every query
+	for v := 0; v < numVars; v++ {
+		s.NewVar()
+		ref.NewVar()
+	}
+	var clauses [][]Lit
+	query := func(assumptions []Lit) {
+		got := s.Solve(assumptions...)
+		want, _ := ref.Solve(assumptions...)
+		if got != want {
+			t.Fatalf("verdict %v, naive %v (clauses %v, assumptions %v)", got, want, clauses, assumptions)
+		}
+		fmt.Fprintf(&transcript, "%v c=%d d=%d p=%d l=%d r=%d model=%v\n",
+			got, s.Conflicts, s.Decisions, s.Propagations, s.Learned, s.Removed, s.Model())
+		if got != StatusSat {
+			return
+		}
+		model := s.Model()
+		checkModel(t, clauses, model)
+		for _, a := range assumptions {
+			if v := model[a.Var()]; (v == True) == a.IsNeg() {
+				t.Fatalf("model violates assumption %v (clauses %v)", a, clauses)
+			}
+		}
+	}
+	for len(data) > 0 {
+		switch op := next(); {
+		case op < 0x30: // a query under up to three assumptions
+			assumptions := make([]Lit, int(op%4))
+			for i := range assumptions {
+				assumptions[i] = lit()
+			}
+			query(assumptions)
+		case op == 0xff: // the empty clause
+			clauses = append(clauses, nil)
+			s.AddClause()
+			ref.AddClause()
+		default:
+			cl := make([]Lit, 1+int(op%4))
+			for i := range cl {
+				cl[i] = lit()
+			}
+			clauses = append(clauses, cl)
+			s.AddClause(cl...)
+			ref.AddClause(cl...)
+		}
+	}
+	query(nil)
+	return transcript.String()
 }

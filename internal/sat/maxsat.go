@@ -85,12 +85,14 @@ type Result struct {
 
 // Solve minimizes violated soft weight subject to the hard clauses.
 func (m *MaxSolver) Solve() Result {
-	// First, hard clauses alone.
-	base := m.buildSolver()
-	if st := base.Solve(); st != StatusSat {
+	// First, hard clauses alone. Every step of the search below reloads
+	// this one solver, so it grows once.
+	s := NewSolver(Options{})
+	m.load(s)
+	if st := s.Solve(); st != StatusSat {
 		return Result{Status: st}
 	}
-	bestModel := base.Model()[:m.numVars]
+	bestModel := s.Model()[:m.numVars]
 	bestCost := m.cost(bestModel)
 	if bestCost == 0 || len(m.soft) == 0 {
 		return Result{Status: StatusSat, Model: bestModel, Cost: bestCost}
@@ -100,10 +102,10 @@ func (m *MaxSolver) Solve() Result {
 	// relaxed soft clause is built in one reused buffer, which AddClause
 	// never keeps.
 	var relaxed []Lit
+	relax := make([]Lit, len(m.soft))
+	weights := make([]int, len(m.soft))
 	for bestCost > 0 {
-		s := m.buildSolver()
-		relax := make([]Lit, len(m.soft))
-		weights := make([]int, len(m.soft))
+		m.load(s)
 		for i, sc := range m.soft {
 			r := s.NewVar()
 			relax[i] = PosLit(r)
@@ -130,8 +132,9 @@ func (m *MaxSolver) Solve() Result {
 	return Result{Status: StatusSat, Model: bestModel, Cost: bestCost}
 }
 
-func (m *MaxSolver) buildSolver() *Solver {
-	s := NewSolver(Options{MaxConflicts: m.MaxConflicts, Context: m.Context, Telemetry: m.Telemetry})
+// load resets s and adds the problem variables and hard clauses.
+func (m *MaxSolver) load(s *Solver) {
+	s.Reset(Options{MaxConflicts: m.MaxConflicts, Context: m.Context, Telemetry: m.Telemetry})
 	s.SetSpan(m.Span)
 	for s.NumVars() < m.numVars {
 		s.NewVar()
@@ -141,7 +144,6 @@ func (m *MaxSolver) buildSolver() *Solver {
 		s.AddClause(m.hardLits[start:end]...)
 		start = end
 	}
-	return s
 }
 
 func (m *MaxSolver) cost(model []Tribool) int {
@@ -193,42 +195,36 @@ func encodeWeightedAtMost(s *Solver, lits []Lit, weights []int, bound int) {
 	}
 
 	// prevGE[j] is a variable meaning "the partial sum of the first i
-	// literals is >= j" (1-based j); sums are capped at bound+1.
+	// literals is >= j" (1-based j); sums are capped at bound+1. Row i is
+	// built in curGE from row i-1 in prevGE, and the two rows swap, so every
+	// column of curGE is rewritten before it is read.
 	capSum := bound + 1
-	prevGE := make([]Lit, capSum+1)
-	hasPrev := make([]bool, capSum+1)
+	prevGE, curGE := make([]Lit, capSum+1), make([]Lit, capSum+1)
+	hasPrev, hasCur := make([]bool, capSum+1), make([]bool, capSum+1)
 	for i, l := range useLits {
 		w := useW[i]
-		curGE := make([]Lit, capSum+1)
-		hasCur := make([]bool, capSum+1)
 		for j := 1; j <= capSum; j++ {
 			// sum_i >= j iff sum_{i-1} >= j, or (l_i and sum_{i-1} >= j-w).
-			var cases [][]Lit
-			if hasPrev[j] {
-				cases = append(cases, []Lit{prevGE[j]})
-			}
-			if j-w <= 0 {
-				cases = append(cases, []Lit{l})
-			} else if hasPrev[j-w] {
-				cases = append(cases, []Lit{l, prevGE[j-w]})
-			}
-			if len(cases) == 0 {
+			// Each case implies v; only that direction matters for at-most.
+			viaLit := j-w <= 0 || hasPrev[j-w]
+			hasCur[j] = hasPrev[j] || viaLit
+			if !hasCur[j] {
 				continue
 			}
 			v := PosLit(s.NewVar())
 			curGE[j] = v
-			hasCur[j] = true
-			// v <- each case (we only need the -> direction for at-most).
-			for _, cs := range cases {
-				cl := make([]Lit, 0, len(cs)+1)
-				for _, x := range cs {
-					cl = append(cl, x.Not())
-				}
-				cl = append(cl, v)
-				s.AddClause(cl...)
+			if hasPrev[j] {
+				s.AddClause(prevGE[j].Not(), v)
+			}
+			switch {
+			case j-w <= 0:
+				s.AddClause(l.Not(), v)
+			case viaLit:
+				s.AddClause(l.Not(), prevGE[j-w].Not(), v)
 			}
 		}
-		prevGE, hasPrev = curGE, hasCur
+		prevGE, curGE = curGE, prevGE
+		hasPrev, hasCur = hasCur, hasPrev
 	}
 	if hasPrev[capSum] {
 		s.AddClause(prevGE[capSum].Not())

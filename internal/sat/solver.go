@@ -153,6 +153,40 @@ func NewSolver(opts Options) *Solver {
 	return s
 }
 
+// Reset returns the solver to the state NewSolver(opts) gives, keeping the
+// capacity of its clause arena, watch lists, per-variable slices, heap and
+// scratch buffers, so that a recycled solver grows without reallocating.
+// Every later call behaves exactly as on a new solver.
+func (s *Solver) Reset(opts Options) {
+	// Watch lists past numVars keep their backing arrays for NewVar; the
+	// stale LBD stamps are all below lbdGen, which only ever counts up, so
+	// none of them can match a later stamp.
+	*s = Solver{
+		opts:      opts,
+		arena:     s.arena[:0],
+		watches:   s.watches[:0],
+		assigns:   s.assigns[:0],
+		level:     s.level[:0],
+		reason:    s.reason[:0],
+		polarity:  s.polarity[:0],
+		trail:     s.trail[:0],
+		trailLim:  s.trailLim[:0],
+		activity:  s.activity[:0],
+		varInc:    1.0,
+		order:     s.order,
+		clauseInc: 1.0,
+		seen:      s.seen[:0],
+		anaToClr:  s.anaToClr[:0],
+		model:     s.model[:0],
+		lbdStamp:  s.lbdStamp,
+		lbdGen:    s.lbdGen,
+		addBuf:    s.addBuf[:0],
+		learntBuf: s.learntBuf[:0],
+		reduceBuf: s.reduceBuf[:0],
+	}
+	s.order.heap, s.order.pos = s.order.heap[:0], s.order.pos[:0]
+}
+
 // SetSpan parents subsequent solves' trace spans to sp: each Solve call then
 // emits one "sat.solve" child carrying its conflict/decision/propagation
 // deltas. Nil (the default) keeps solving span-free at zero cost.
@@ -197,8 +231,9 @@ func (s *Solver) NewVar() int {
 	}
 	v := s.numVars
 	s.numVars++
+	// A reset solver's watch lists keep their backing arrays.
 	s.watches = s.watches[:2*v+2]
-	s.watches[2*v], s.watches[2*v+1] = nil, nil
+	s.watches[2*v], s.watches[2*v+1] = s.watches[2*v][:0], s.watches[2*v+1][:0]
 	s.assigns = s.assigns[:v+1]
 	s.assigns[v] = Unassigned
 	s.level = s.level[:v+1]

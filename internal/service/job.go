@@ -143,7 +143,7 @@ func (s Submission) checkTests(mod *ast.Module) error {
 // runTests runs every test once against mod and reports each one that
 // cannot run: its formula does not parse or does not evaluate over the spec,
 // say by naming a relation the spec lacks or taking the closure of a set. A
-// technique would fail or panic on such a test on every run. A spec that
+// technique would fail on such a test on every run. A spec that
 // does not lower is left to the technique, since no test can run against it.
 func (s Submission) runTests(mod *ast.Module) error {
 	if len(s.Tests) == 0 {
@@ -153,20 +153,11 @@ func (s Submission) runTests(mod *ast.Module) error {
 	if model.Err() != nil {
 		return nil
 	}
-	run := func(t *aunit.Test) (err error) {
-		// The evaluator panics on some ill-typed formulas; aunit does not
-		// type-check a test's formula.
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("test %s: evaluating: %v", t.Name, v)
-			}
-		}()
-		return model.Run(t).Err
-	}
+	results, _ := model.RunAll(s.suite())
 	var problems []string
-	for i, t := range s.Tests {
-		if err := run(t); err != nil {
-			problems = append(problems, fmt.Sprintf("test %d: %v", i, err))
+	for i, r := range results {
+		if r.Err != nil {
+			problems = append(problems, fmt.Sprintf("test %d: %v", i, r.Err))
 		}
 	}
 	if len(problems) > 0 {

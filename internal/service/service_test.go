@@ -112,7 +112,7 @@ var malformedValuations = []struct {
 
 // unrunnableFormulas cannot run against faultySrc: the first does not
 // parse, the second names a relation the spec lacks, and the third takes
-// the closure of a set, on which the evaluator panics.
+// the closure of a set, an evaluation error.
 var unrunnableFormulas = []string{"some n: Node |", "some Foo", "some *Node"}
 
 // valuationTest asserts "some Node" under val.

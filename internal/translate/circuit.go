@@ -196,6 +196,24 @@ type CNFBuilder struct {
 // NewCNFBuilder returns a builder over the sink with numProblemVars
 // already-allocated problem variables.
 func NewCNFBuilder(solver ClauseSink, numProblemVars int) *CNFBuilder {
+	cb := &CNFBuilder{
+		memo:    map[Node]sat.Lit{},
+		memoPos: map[Node]sat.Lit{},
+		memoNeg: map[Node]sat.Lit{},
+	}
+	cb.Reset(solver, numProblemVars)
+	return cb
+}
+
+// Reset points the builder at a new sink with numProblemVars problem
+// variables, as NewCNFBuilder does, keeping the storage of its memo maps and
+// scratch stack.
+func (cb *CNFBuilder) Reset(solver ClauseSink, numProblemVars int) {
+	clear(cb.memo)
+	clear(cb.memoPos)
+	clear(cb.memoNeg)
+	cb.buf = cb.buf[:0]
+	cb.solver = solver
 	// Bulk-grow sinks that support it (one reallocation per slice instead of
 	// a capacity-doubling cascade during the NewVar storm below).
 	if g, ok := solver.(interface{ Grow(int) }); ok {
@@ -203,12 +221,6 @@ func NewCNFBuilder(solver ClauseSink, numProblemVars int) *CNFBuilder {
 	}
 	for solver.NumVars() < numProblemVars {
 		solver.NewVar()
-	}
-	return &CNFBuilder{
-		solver:  solver,
-		memo:    map[Node]sat.Lit{},
-		memoPos: map[Node]sat.Lit{},
-		memoNeg: map[Node]sat.Lit{},
 	}
 }
 
