@@ -109,17 +109,6 @@ func (op BinOp) IsLogical() bool {
 	}
 }
 
-// IsComparison reports whether the operator compares two relational or
-// integer expressions and yields a formula.
-func (op BinOp) IsComparison() bool {
-	switch op {
-	case BinIn, BinNotIn, BinEq, BinNotEq, BinLt, BinGt, BinLtEq, BinGtEq:
-		return true
-	default:
-		return false
-	}
-}
-
 // UnOp enumerates unary operators. The zero value is invalid.
 type UnOp int
 

@@ -47,9 +47,6 @@ func (u *Universe) Size() int { return len(u.atoms) }
 // Atom returns the name of atom i.
 func (u *Universe) Atom(i int) string { return u.atoms[i] }
 
-// Atoms returns all atom names in order.
-func (u *Universe) Atoms() []string { return append([]string(nil), u.atoms...) }
-
 // IndexOf returns the index of the named atom, or -1.
 func (u *Universe) IndexOf(name string) int {
 	if i, ok := u.index[name]; ok {

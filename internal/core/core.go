@@ -91,20 +91,18 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 		})
 	}
 	fs := []Factory{
-		{Name: "ARepair", NewWith: func(col *telemetry.Collector) repair.Technique {
-			return arepair.New(arepair.Options{Telemetry: col})
+		{Name: "ARepair", NewWith: func(*telemetry.Collector) repair.Technique {
+			return arepair.New(arepair.Options{})
 		}},
 		{Name: "ICEBAR", NewWith: func(col *telemetry.Collector) repair.Technique {
 			opts := icebar.DefaultOptions()
 			opts.Analyzer = newAnalyzer(col)
-			opts.Telemetry = col
 			return icebar.New(opts)
 		}},
 		{Name: "BeAFix", NewWith: func(col *telemetry.Collector) repair.Technique {
 			opts := beafix.DefaultOptions()
 			opts.MaxCandidates = beafixMaxCandidates
 			opts.Analyzer = newAnalyzer(col)
-			opts.Telemetry = col
 			return beafix.New(opts)
 		}},
 		{Name: "ATR", NewWith: func(col *telemetry.Collector) repair.Technique {
@@ -121,10 +119,9 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 			Name: "Single-Round_" + setting.String(),
 			NewWith: func(col *telemetry.Collector) repair.Technique {
 				return singleround.New(singleround.Options{
-					Setting:   setting,
-					Client:    llm.NewSimulatedModel(seed),
-					Analyzer:  newAnalyzer(col),
-					Telemetry: col,
+					Setting:  setting,
+					Client:   llm.NewSimulatedModel(seed),
+					Analyzer: newAnalyzer(col),
 				})
 			},
 		})
@@ -135,10 +132,9 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 			Name: "Multi-Round_" + fb.String(),
 			NewWith: func(col *telemetry.Collector) repair.Technique {
 				return multiround.New(multiround.Options{
-					Feedback:  fb,
-					Client:    llm.NewSimulatedModel(seed),
-					Analyzer:  newAnalyzer(col),
-					Telemetry: col,
+					Feedback: fb,
+					Client:   llm.NewSimulatedModel(seed),
+					Analyzer: newAnalyzer(col),
 				})
 			},
 		})

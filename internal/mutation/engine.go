@@ -149,17 +149,6 @@ func extendScope(info *types.Info, s map[string]int, decls []*ast.Decl) map[stri
 // Sites returns all scoped sites, outermost first.
 func (e *Engine) Sites() []ScopedSite { return e.sites }
 
-// FormulaSites returns only the formula-valued sites.
-func (e *Engine) FormulaSites() []ScopedSite {
-	var out []ScopedSite
-	for _, s := range e.sites {
-		if s.IsFormula {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Apply replaces the node at the site in the engine's module, returning a
 // fresh module.
 func (e *Engine) Apply(s Site, repl ast.Expr) (*ast.Module, error) {

@@ -31,8 +31,6 @@ type Options struct {
 	MaxSites int
 	// Budget selects mutation aggressiveness.
 	Budget mutation.Budget
-	// Telemetry records live test-run counts. Nil disables instrumentation.
-	Telemetry *telemetry.Collector
 }
 
 // DefaultOptions mirror the search depth ARepair uses in the study.
@@ -42,18 +40,15 @@ func DefaultOptions() Options {
 
 // Tool is the ARepair technique.
 type Tool struct {
-	opts     Options
-	testRuns *telemetry.Counter
+	opts Options
 }
 
 // New returns the technique with the given options.
 func New(opts Options) *Tool {
 	if opts.MaxIterations == 0 {
-		tel := opts.Telemetry
 		opts = DefaultOptions()
-		opts.Telemetry = tel
 	}
-	return &Tool{opts: opts, testRuns: opts.Telemetry.TechCounter("ARepair", "test_runs")}
+	return &Tool{opts: opts}
 }
 
 var _ repair.Technique = (*Tool)(nil)
@@ -71,7 +66,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 
 	_, passed := p.Tests.RunAll(current)
 	out.Stats.TestRuns++
-	t.testRuns.Inc()
 	best := passed
 	if best == p.Tests.Len() {
 		out.Repaired = true
@@ -90,7 +84,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		iterSpan.End()
 		out.Stats.CandidatesTried += tried
 		out.Stats.TestRuns += tried
-		t.testRuns.Add(int64(tried))
 		if err != nil {
 			return out, err
 		}
@@ -100,7 +93,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		current = cand
 		_, best = p.Tests.RunAll(current)
 		out.Stats.TestRuns++
-		t.testRuns.Inc()
 		if best == p.Tests.Len() {
 			out.Repaired = true
 			break

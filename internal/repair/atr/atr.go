@@ -23,7 +23,6 @@ import (
 	"sort"
 
 	"specrepair/internal/alloy/ast"
-	"specrepair/internal/alloy/printer"
 	"specrepair/internal/alloy/types"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/bounds"
@@ -43,8 +42,8 @@ type Options struct {
 	Budget mutation.Budget
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Telemetry records the search's live effort, including the PMaxSAT
-	// nearest-instance solves. Nil disables instrumentation.
+	// Telemetry records the PMaxSAT nearest-instance solves' effort. Nil
+	// disables instrumentation.
 	Telemetry *telemetry.Collector
 }
 
@@ -55,9 +54,8 @@ func DefaultOptions() Options {
 
 // Tool is the ATR technique.
 type Tool struct {
-	opts       Options
-	an         *analyzer.Analyzer
-	candidates *telemetry.Counter
+	opts Options
+	an   *analyzer.Analyzer
 }
 
 // New returns the technique with the given options.
@@ -72,11 +70,7 @@ func New(opts Options) *Tool {
 	if an == nil {
 		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
 	}
-	return &Tool{
-		opts:       opts,
-		an:         an,
-		candidates: opts.Telemetry.TechCounter("ATR", "candidates"),
-	}
+	return &Tool{opts: opts, an: an}
 }
 
 var _ repair.Technique = (*Tool)(nil)
@@ -154,42 +148,29 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		enumSpan.End()
 	}()
 
-	seen := map[string]bool{printer.Module(p.Faulty): true}
+	val := repair.NewValidator(ctx, oracle, p.Faulty, t.opts.MaxCandidates, &out.Stats)
+	survives := func(m *ast.Module) bool { return t.survivesPruning(m, pairs) }
+	typedAndSurvives := func(m *ast.Module) bool {
+		_, err := types.Check(m)
+		return err == nil && survives(m)
+	}
 	for _, s := range sites {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		cands := eng.Candidates(s, t.opts.Budget)
-		for _, c := range cands {
-			if out.Stats.CandidatesTried >= t.opts.MaxCandidates {
+		for _, c := range eng.Candidates(s, t.opts.Budget) {
+			if val.Exhausted() {
 				return out, nil
 			}
 			candMod, err := eng.Apply(s.Site, c)
 			if err != nil {
 				continue
 			}
-			key := printer.Module(candMod)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if _, err := types.Check(candMod); err != nil {
-				continue
-			}
-			if !t.survivesPruning(candMod, pairs) {
-				continue
-			}
-			out.Stats.CandidatesTried++
-			t.candidates.Inc()
-			pass, err := oracle.PassesAll(candMod)
-			out.Stats.AnalyzerCalls++
+			verdict, err := val.Validate(candMod, typedAndSurvives)
 			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return out, cerr
-				}
-				continue
+				return out, err
 			}
-			if pass {
+			if verdict == repair.Passed {
 				out.Repaired = true
 				out.Candidate = candMod
 				return out, nil
@@ -201,28 +182,14 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 			continue
 		}
 		for _, candMod := range drops {
-			if out.Stats.CandidatesTried >= t.opts.MaxCandidates {
+			if val.Exhausted() {
 				return out, nil
 			}
-			key := printer.Module(candMod)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			if !t.survivesPruning(candMod, pairs) {
-				continue
-			}
-			out.Stats.CandidatesTried++
-			t.candidates.Inc()
-			pass, err := oracle.PassesAll(candMod)
-			out.Stats.AnalyzerCalls++
+			verdict, err := val.Validate(candMod, survives)
 			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return out, cerr
-				}
-				continue
+				return out, err
 			}
-			if pass {
+			if verdict == repair.Passed {
 				out.Repaired = true
 				out.Candidate = candMod
 				return out, nil

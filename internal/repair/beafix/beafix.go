@@ -19,7 +19,6 @@ import (
 	"context"
 
 	"specrepair/internal/alloy/ast"
-	"specrepair/internal/alloy/printer"
 	"specrepair/internal/alloy/types"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/faultloc"
@@ -43,9 +42,6 @@ type Options struct {
 	DisablePruning bool
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Telemetry records the search's live effort (candidates tried, solver
-	// work). Nil disables instrumentation; results are unaffected either way.
-	Telemetry *telemetry.Collector
 }
 
 // DefaultOptions mirror the study's configuration.
@@ -55,9 +51,8 @@ func DefaultOptions() Options {
 
 // Tool is the BeAFix technique.
 type Tool struct {
-	opts       Options
-	an         *analyzer.Analyzer
-	candidates *telemetry.Counter
+	opts Options
+	an   *analyzer.Analyzer
 }
 
 // New returns the technique with the given options.
@@ -66,18 +61,13 @@ func New(opts Options) *Tool {
 		d := DefaultOptions()
 		d.DisablePruning = opts.DisablePruning
 		d.Analyzer = opts.Analyzer
-		d.Telemetry = opts.Telemetry
 		opts = d
 	}
 	an := opts.Analyzer
 	if an == nil {
-		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
+		an = analyzer.New(analyzer.Options{})
 	}
-	return &Tool{
-		opts:       opts,
-		an:         an,
-		candidates: opts.Telemetry.TechCounter("BeAFix", "candidates"),
-	}
+	return &Tool{opts: opts, an: an}
 }
 
 var _ repair.Technique = (*Tool)(nil)
@@ -141,10 +131,10 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	// every mutant shares the base's signatures, so bounds, relation
 	// variables, and learned clauses carry over between validations.
 	oracle := an.Evaluator(p.Faulty)
+	val := repair.NewValidator(ctx, oracle, p.Faulty, t.opts.MaxCandidates, &out.Stats)
 
 	// Breadth-first over mutation depth: each frontier entry is a module.
 	frontier := []*ast.Module{p.Faulty}
-	seen := map[string]bool{printer.Module(p.Faulty): true}
 
 	// One trace span per BFS depth; candidate evaluations nest under the
 	// active one. The deferred End closes whichever span an early return
@@ -173,42 +163,29 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 					continue
 				}
 				for _, c := range eng.Candidates(s, t.opts.Budget) {
-					if out.Stats.CandidatesTried >= t.opts.MaxCandidates {
-						out.Candidate = nil
+					if val.Exhausted() {
 						return out, nil
 					}
 					cand, err := eng.Apply(s.Site, c)
 					if err != nil {
 						continue
 					}
-					key := printer.Module(cand)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					if _, err := types.Check(cand); err != nil {
-						continue
-					}
-					// Counterexample screening.
-					if pruning && !t.changesOnInstances(low, cand, s, c, failing) {
-						continue
-					}
-					out.Stats.CandidatesTried++
-					t.candidates.Inc()
-					pass, err := oracle.PassesAll(cand)
-					out.Stats.AnalyzerCalls++
-					if err != nil {
-						if cerr := ctx.Err(); cerr != nil {
-							return out, cerr
+					verdict, err := val.Validate(cand, func(m *ast.Module) bool {
+						if _, err := types.Check(m); err != nil {
+							return false
 						}
-						continue
+						// Counterexample screening.
+						return !pruning || t.changesOnInstances(low, m, s, c, failing)
+					})
+					if err != nil {
+						return out, err
 					}
-					if pass {
+					if verdict == repair.Passed {
 						out.Repaired = true
 						out.Candidate = cand
 						return out, nil
 					}
-					if depth < t.opts.MaxDepth && len(next) < 40 {
+					if verdict == repair.Failed && depth < t.opts.MaxDepth && len(next) < 40 {
 						next = append(next, cand)
 					}
 				}
@@ -218,26 +195,14 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 					continue
 				}
 				for _, cand := range drops {
-					if out.Stats.CandidatesTried >= t.opts.MaxCandidates {
-						out.Candidate = nil
+					if val.Exhausted() {
 						return out, nil
 					}
-					key := printer.Module(cand)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					out.Stats.CandidatesTried++
-					t.candidates.Inc()
-					pass, err := oracle.PassesAll(cand)
-					out.Stats.AnalyzerCalls++
+					verdict, err := val.Validate(cand, nil)
 					if err != nil {
-						if cerr := ctx.Err(); cerr != nil {
-							return out, cerr
-						}
-						continue
+						return out, err
 					}
-					if pass {
+					if verdict == repair.Passed {
 						out.Repaired = true
 						out.Candidate = cand
 						return out, nil

@@ -27,9 +27,6 @@ type Options struct {
 	ARepair arepair.Options
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Telemetry records the refinement loop's live iteration count and is
-	// propagated to the inner ARepair. Nil disables instrumentation.
-	Telemetry *telemetry.Collector
 }
 
 // DefaultOptions mirror the study's configuration.
@@ -44,10 +41,9 @@ func DefaultOptions() Options {
 
 // Tool is the ICEBAR technique.
 type Tool struct {
-	opts       Options
-	an         *analyzer.Analyzer
-	inner      *arepair.Tool
-	iterations *telemetry.Counter
+	opts  Options
+	an    *analyzer.Analyzer
+	inner *arepair.Tool
 }
 
 // New returns the technique with the given options.
@@ -55,22 +51,13 @@ func New(opts Options) *Tool {
 	if opts.MaxIterations == 0 {
 		d := DefaultOptions()
 		d.Analyzer = opts.Analyzer
-		d.Telemetry = opts.Telemetry
 		opts = d
 	}
 	an := opts.Analyzer
 	if an == nil {
-		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
+		an = analyzer.New(analyzer.Options{})
 	}
-	if opts.ARepair.Telemetry == nil {
-		opts.ARepair.Telemetry = opts.Telemetry
-	}
-	return &Tool{
-		opts:       opts,
-		an:         an,
-		inner:      arepair.New(opts.ARepair),
-		iterations: opts.Telemetry.TechCounter("ICEBAR", "iterations"),
-	}
+	return &Tool{opts: opts, an: an, inner: arepair.New(opts.ARepair)}
 }
 
 var _ repair.Technique = (*Tool)(nil)
@@ -128,7 +115,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 			return out, err
 		}
 		out.Stats.Iterations++
-		t.iterations.Inc()
 		// The iteration span nests the inner ARepair run (via iterCtx), the
 		// oracle validation, and the suite refinement under one node.
 		iterCtx, iterSpan := telemetry.StartChild(ctx, "icebar.iteration")

@@ -30,8 +30,6 @@ type Options struct {
 	Client llm.Client
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Telemetry records live round counts. Nil disables instrumentation.
-	Telemetry *telemetry.Collector
 }
 
 // DefaultRounds is the per-spec proposal budget.
@@ -39,9 +37,8 @@ const DefaultRounds = 12
 
 // Tool is the Multi-Round technique under one feedback setting.
 type Tool struct {
-	opts   Options
-	an     *analyzer.Analyzer
-	rounds *telemetry.Counter
+	opts Options
+	an   *analyzer.Analyzer
 }
 
 // New returns the technique. A Client is required.
@@ -54,11 +51,9 @@ func New(opts Options) *Tool {
 	}
 	an := opts.Analyzer
 	if an == nil {
-		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
+		an = analyzer.New(analyzer.Options{})
 	}
-	t := &Tool{opts: opts, an: an}
-	t.rounds = opts.Telemetry.TechCounter(t.Name(), "rounds")
-	return t
+	return &Tool{opts: opts, an: an}
 }
 
 var _ repair.Technique = (*Tool)(nil)
@@ -97,7 +92,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 			return out, err
 		}
 		out.Stats.Iterations++
-		t.rounds.Inc()
 		roundSpan.End()
 		roundSpan = parent.Child("multiround.round")
 		roundSpan.SetMetric("round", int64(round+1))

@@ -56,26 +56,21 @@ type Options struct {
 	Client  llm.Client
 	// Analyzer overrides the default analyzer (mainly for tests).
 	Analyzer *analyzer.Analyzer
-	// Telemetry records live candidate counts. Nil disables instrumentation.
-	Telemetry *telemetry.Collector
 }
 
 // Tool is the Single-Round technique under one prompt setting.
 type Tool struct {
-	opts       Options
-	an         *analyzer.Analyzer
-	candidates *telemetry.Counter
+	opts Options
+	an   *analyzer.Analyzer
 }
 
 // New returns the technique. A Client is required.
 func New(opts Options) *Tool {
 	an := opts.Analyzer
 	if an == nil {
-		an = analyzer.New(analyzer.Options{Telemetry: opts.Telemetry})
+		an = analyzer.New(analyzer.Options{})
 	}
-	t := &Tool{opts: opts, an: an}
-	t.candidates = opts.Telemetry.TechCounter(t.Name(), "candidates")
-	return t
+	return &Tool{opts: opts, an: an}
 }
 
 var _ repair.Technique = (*Tool)(nil)
@@ -130,7 +125,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	}
 	out.Stats.Iterations = 1
 	out.Stats.CandidatesTried = 1
-	t.candidates.Inc()
 
 	src, ok := llm.ExtractSpec(reply)
 	if !ok {

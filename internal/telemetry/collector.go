@@ -251,16 +251,6 @@ func (c *Collector) RecordIncrementalCarryover(learnts int64) {
 	c.job.incCarried.Add(learnts)
 }
 
-// TechCounter returns a live counter labeled with a technique name
-// ("technique.<metric>|<technique>"), for search loops that want their
-// progress visible mid-run (candidates enumerated, rounds completed).
-func (c *Collector) TechCounter(technique, metric string) *Counter {
-	if c == nil {
-		return nil
-	}
-	return c.reg.Counter("technique." + metric + labelSep + technique)
-}
-
 // BeginJob resets the job-effort accumulator; the owning worker calls it
 // immediately before each job.
 func (c *Collector) BeginJob() {

@@ -29,14 +29,6 @@ func sanitizeMetric(name string) string {
 	return b.String()
 }
 
-// splitLabel separates "base|technique" series names.
-func splitLabel(name string) (base, technique string) {
-	if i := strings.Index(name, labelSep); i >= 0 {
-		return name[:i], name[i+len(labelSep):]
-	}
-	return name, ""
-}
-
 func promLabels(pairs ...string) string {
 	var parts []string
 	for i := 0; i+1 < len(pairs); i += 2 {
@@ -52,10 +44,12 @@ func promLabels(pairs ...string) string {
 }
 
 // WritePrometheus renders every counter, gauge, and histogram in the
-// Prometheus text exposition format. Series named "base|technique" are
-// exported as one family with a technique label. Finished spans are
-// exported per kind as span_self_ns and span_count counters with a kind
-// label.
+// Prometheus text exposition format. The per-technique aggregates RecordJob
+// keeps are exported with a technique label: the effort sums as
+// technique_candidates, technique_analyzer_calls, technique_test_runs and
+// technique_iterations counters, the job wall clock as a job_duration_ns
+// histogram. Finished spans are exported per kind as span_self_ns and
+// span_count counters with a kind label.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
@@ -65,12 +59,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		value       int64
 	}
 
-	collect := func(m *[]sample, src func(func(string, int64))) {
-		src(func(name string, v int64) {
-			base, tech := splitLabel(name)
-			*m = append(*m, sample{name: base, label: tech, value: v})
-		})
-	}
 	emitScalar := func(kind, labelName string, samples []sample) {
 		sort.Slice(samples, func(i, j int) bool {
 			if samples[i].name != samples[j].name {
@@ -89,23 +77,27 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 	}
 
+	techs := r.Techniques()
 	var counters []sample
-	collect(&counters, func(emit func(string, int64)) {
-		r.counters.Range(func(k, v any) bool {
-			emit(k.(string), v.(*Counter).Value())
-			return true
-		})
+	r.counters.Range(func(k, v any) bool {
+		counters = append(counters, sample{name: k.(string), value: v.(*Counter).Value()})
+		return true
 	})
+	for _, ts := range techs {
+		counters = append(counters,
+			sample{name: "technique.candidates", label: ts.Technique, value: ts.Candidates},
+			sample{name: "technique.analyzer_calls", label: ts.Technique, value: ts.AnalyzerCalls},
+			sample{name: "technique.test_runs", label: ts.Technique, value: ts.TestRuns},
+			sample{name: "technique.iterations", label: ts.Technique, value: ts.Iterations})
+	}
 	emitScalar("counter", "technique", counters)
 
 	var gauges []sample
-	collect(&gauges, func(emit func(string, int64)) {
-		r.gauges.Range(func(k, v any) bool {
-			emit(k.(string), v.(func() int64)())
-			return true
-		})
+	r.gauges.Range(func(k, v any) bool {
+		gauges = append(gauges, sample{name: k.(string), value: v.(func() int64)()})
+		return true
 	})
-	emitScalar("gauge", "technique", gauges)
+	emitScalar("gauge", "", gauges)
 
 	var spans []sample
 	r.spanKinds(func(kind string, selfNs, count int64) {
@@ -123,11 +115,10 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	var hists []histSample
 	r.hists.Range(func(k, v any) bool {
-		base, tech := splitLabel(k.(string))
-		hists = append(hists, histSample{name: base, technique: tech, snap: v.(*Histogram).Snapshot()})
+		hists = append(hists, histSample{name: k.(string), snap: v.(*Histogram).Snapshot()})
 		return true
 	})
-	for _, ts := range r.Techniques() {
+	for _, ts := range techs {
 		hists = append(hists, histSample{name: HistJobDurationNs, technique: ts.Technique, snap: ts.Duration})
 	}
 	sort.Slice(hists, func(i, j int) bool {

@@ -16,12 +16,11 @@ func populatedRegistry() *Registry {
 	col.RecordSolve(2*time.Millisecond, 50, 40, 900, true)
 	col.RecordLookup(EPCommand, true, time.Microsecond)
 	col.RecordLookup(EPPassesAll, false, time.Millisecond)
-	col.TechCounter("BeAFix", "candidates").Add(7)
 	reg.SetGauge("anacache.entries", func() int64 { return 123 })
 	reg.RecordJob(JobRecord{
 		Technique: "BeAFix", Spec: "A4F/x", Start: time.Now(),
 		Duration: 3 * time.Millisecond, Outcome: OutcomeRepaired, REP: 1,
-		Effort: col.TakeJobEffort(),
+		Candidates: 7, Effort: col.TakeJobEffort(),
 	})
 	return reg
 }

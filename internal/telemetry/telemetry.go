@@ -6,8 +6,9 @@
 // One *Registry is threaded through the whole pipeline the way
 // anacache.Cache is: the SAT solver records per-solve latency and effort,
 // the analyzer records per-entry-point cache hit/miss latency and
-// translation sizes, the repair techniques record live search counters, and
-// the evaluation runner records one span per (technique, spec) job.
+// translation sizes, and the evaluation runner records one span per
+// (technique, spec) job together with the search effort the technique
+// reported for it.
 //
 // Everything is nil-safe: a nil *Registry (and the nil *Collector and nil
 // *Counter it hands out) turns every recording call into a no-op branch, so
@@ -100,10 +101,6 @@ const (
 	OutcomeFailed   = "failed"
 	OutcomeError    = "error"
 )
-
-// labelSep separates a series' base name from an optional technique label
-// ("job.duration_ns|BeAFix"). Exporters render the suffix as a label.
-const labelSep = "|"
 
 // Counter is a named monotonic counter. A nil *Counter ignores updates, so
 // callers may hold counters obtained from a nil Registry.

@@ -32,7 +32,6 @@ func TestNilSafety(t *testing.T) {
 	col.RecordSolve(time.Millisecond, 1, 2, 3, true)
 	col.RecordLookup(EPCommand, true, time.Millisecond)
 	col.RecordTranslation(1, 2, 3)
-	col.TechCounter("T", "m").Inc()
 	col.BeginJob()
 	if e := col.TakeJobEffort(); e != (JobEffort{}) {
 		t.Errorf("nil collector effort = %+v", e)
@@ -63,15 +62,15 @@ func TestConcurrentHammer(t *testing.T) {
 				col.RecordSolve(time.Microsecond, 3, 5, 7, i%10 == 0)
 				col.RecordLookup(EPCommand, i%2 == 0, time.Microsecond)
 				col.RecordTranslation(10, 20, 30)
-				col.TechCounter("Hammer", "candidates").Inc()
 				eff := col.TakeJobEffort()
 				reg.RecordJob(JobRecord{
-					Technique: "Hammer",
-					Spec:      "spec",
-					Start:     time.Now(),
-					Duration:  time.Microsecond,
-					Outcome:   OutcomeRepaired,
-					Effort:    eff,
+					Technique:  "Hammer",
+					Spec:       "spec",
+					Start:      time.Now(),
+					Duration:   time.Microsecond,
+					Outcome:    OutcomeRepaired,
+					Candidates: 1,
+					Effort:     eff,
 				})
 			}
 		}()
@@ -94,9 +93,6 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := reg.CounterValue(CtrJobs); got != total {
 		t.Errorf("jobs = %d, want %d", got, total)
 	}
-	if got := reg.CounterValue("technique.candidates|Hammer"); got != total {
-		t.Errorf("tech counter = %d, want %d", got, total)
-	}
 	snap, ok := reg.HistogramSnapshot(HistSolveNs)
 	if !ok || snap.Count != total {
 		t.Errorf("solve histogram count = %d (ok=%v), want %d", snap.Count, ok, total)
@@ -111,6 +107,9 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if techs[0].Conflicts != 3*total {
 		t.Errorf("tech conflicts = %d, want %d", techs[0].Conflicts, 3*total)
+	}
+	if techs[0].Candidates != total {
+		t.Errorf("tech candidates = %d, want %d", techs[0].Candidates, total)
 	}
 	specs := reg.Specs()
 	if len(specs) != 1 || specs[0].Jobs != total || specs[0].Solves != total {

@@ -451,18 +451,3 @@ func atLeastNodes(nodes []Node, k int) Node {
 	}
 	return ge[k]
 }
-
-// CountCompare builds the formula "#m OP #o" by comparing counter prefixes.
-func CountCompare(m, o Matrix, geBothWays func(geM, geO []Node) Node) Node {
-	maxN := m.Len()
-	if o.Len() > maxN {
-		maxN = o.Len()
-	}
-	geM := make([]Node, maxN+2)
-	geO := make([]Node, maxN+2)
-	for j := 0; j <= maxN+1; j++ {
-		geM[j] = atLeastNodes(m.nodes, j)
-		geO[j] = atLeastNodes(o.nodes, j)
-	}
-	return geBothWays(geM, geO)
-}
