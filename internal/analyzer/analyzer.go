@@ -315,7 +315,7 @@ func (a *Analyzer) newScope(info *types.Info, sc ast.Scope, facts []*ast.Fact, s
 	}
 	parts := []translate.Node{implicit}
 	for _, f := range facts {
-		n, err := st.tr.Formula(f.Body, nil)
+		n, err := st.tr.Formula(f.Body)
 		if err != nil {
 			st.err = fmt.Errorf("translating fact %s: %w", f.Name, err)
 			return st
@@ -342,7 +342,7 @@ func (s *session) run(cmd *ast.Command) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	goalNode, err := st.tr.Formula(goal, nil)
+	goalNode, err := st.tr.Formula(goal)
 	if err != nil {
 		return nil, fmt.Errorf("translating %s %s: %w", cmd.Kind, cmd.Name, err)
 	}

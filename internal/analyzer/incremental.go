@@ -314,7 +314,7 @@ func (st *incScope) gate(low *ast.Module, body ast.Expr, neg bool, callFP *strin
 		return g, nil
 	}
 	st.tr.SetCallModule(low)
-	node, err := st.tr.Formula(body, nil)
+	node, err := st.tr.Formula(body)
 	st.tr.SetCallModule(nil)
 	if err != nil {
 		return 0, err

@@ -253,7 +253,7 @@ func (t *Tool) nearestSatisfying(ctx context.Context, low *ast.Module, info *typ
 	}
 	parts := []translate.Node{implicit}
 	for _, f := range low.Facts {
-		n, err := tr.Formula(f.Body, nil)
+		n, err := tr.Formula(f.Body)
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +263,7 @@ func (t *Tool) nearestSatisfying(ctx context.Context, low *ast.Module, info *typ
 	if as == nil {
 		return nil, nil
 	}
-	n, err := tr.Formula(as.Body, nil)
+	n, err := tr.Formula(as.Body)
 	if err != nil {
 		return nil, err
 	}

@@ -140,7 +140,7 @@ func (tr *Translator) fieldConstraints(f *types.Field, fm Matrix) (Node, error) 
 	// under at least one declaration.
 	ranges := make([]Matrix, len(f.Decls))
 	for i, d := range f.Decls {
-		rm, err := tr.Expr(stripMults(d.Expr), Env{})
+		rm, err := tr.Expr(stripMults(d.Expr))
 		if err != nil {
 			return nil, fmt.Errorf("field %s: %w", f.Name, err)
 		}
@@ -236,11 +236,11 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 
 	// Product range: apply RightMult per (src, left) prefix and LeftMult per
 	// (src, right) pair. Only the outermost arrow's annotations are applied.
-	leftM, err := tr.Expr(stripMults(prod.Left), Env{})
+	leftM, err := tr.Expr(stripMults(prod.Left))
 	if err != nil {
 		return nil, err
 	}
-	rightM, err := tr.Expr(stripMults(prod.Right), Env{})
+	rightM, err := tr.Expr(stripMults(prod.Right))
 	if err != nil {
 		return nil, err
 	}

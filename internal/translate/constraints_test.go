@@ -33,7 +33,7 @@ func solveWith(t *testing.T, src, extra string, scope ast.Scope) sat.Status {
 	}
 	parts := []Node{implicit}
 	for _, f := range low.Facts {
-		n, err := tr.Formula(f.Body, nil)
+		n, err := tr.Formula(f.Body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func solveWith(t *testing.T, src, extra string, scope ast.Scope) sat.Status {
 			t.Fatal(err)
 		}
 		e = types.RewriteCalls(low, e)
-		n, err := tr.Formula(e, nil)
+		n, err := tr.Formula(e)
 		if err != nil {
 			t.Fatal(err)
 		}

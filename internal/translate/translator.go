@@ -128,13 +128,23 @@ func (tr *Translator) RelMatrix(name string) (Matrix, bool) {
 	return m, ok
 }
 
-// Formula translates a formula to a circuit node.
-func (tr *Translator) Formula(e ast.Expr, env Env) (Node, error) {
+// And conjoins nodes with constant folding.
+func (tr *Translator) And(subs ...Node) Node { return And(subs...) }
+
+// NewCNFBuilder returns a builder over the sink with numProblemVars
+// already-allocated problem variables.
+func (tr *Translator) NewCNFBuilder(solver ClauseSink, numProblemVars int) *CNFBuilder {
+	return NewCNFBuilder(solver, numProblemVars)
+}
+
+// Formula translates a closed formula to a circuit node.
+func (tr *Translator) Formula(e ast.Expr) (Node, error) {
+	return tr.formula(e, Env{})
+}
+
+func (tr *Translator) formula(e ast.Expr, env Env) (Node, error) {
 	if err := tr.ctxErr(); err != nil {
 		return nil, err
-	}
-	if env == nil {
-		env = Env{}
 	}
 	v, err := tr.translate(e, env)
 	if err != nil {
@@ -147,13 +157,14 @@ func (tr *Translator) Formula(e ast.Expr, env Env) (Node, error) {
 	return n, nil
 }
 
-// Expr translates a relational expression to a matrix.
-func (tr *Translator) Expr(e ast.Expr, env Env) (Matrix, error) {
+// Expr translates a closed relational expression to a matrix.
+func (tr *Translator) Expr(e ast.Expr) (Matrix, error) {
+	return tr.expr(e, Env{})
+}
+
+func (tr *Translator) expr(e ast.Expr, env Env) (Matrix, error) {
 	if err := tr.ctxErr(); err != nil {
 		return Matrix{}, err
-	}
-	if env == nil {
-		env = Env{}
 	}
 	v, err := tr.translate(e, env)
 	if err != nil {
@@ -209,12 +220,12 @@ func (tr *Translator) translate(e ast.Expr, env Env) (any, error) {
 	case *ast.Binary:
 		return tr.translateBinary(x, env)
 	case *ast.BoxJoin:
-		cur, err := tr.Expr(x.Target, env)
+		cur, err := tr.expr(x.Target, env)
 		if err != nil {
 			return nil, err
 		}
 		for _, a := range x.Args {
-			am, err := tr.Expr(a, env)
+			am, err := tr.expr(a, env)
 			if err != nil {
 				return nil, err
 			}
@@ -230,7 +241,7 @@ func (tr *Translator) translate(e ast.Expr, env Env) (any, error) {
 	case *ast.Let:
 		inner := env.clone()
 		for i, n := range x.Names {
-			m, err := tr.Expr(x.Values[i], env)
+			m, err := tr.expr(x.Values[i], env)
 			if err != nil {
 				return nil, err
 			}
@@ -238,7 +249,7 @@ func (tr *Translator) translate(e ast.Expr, env Env) (any, error) {
 		}
 		return tr.translate(x.Body, inner)
 	case *ast.IfElse:
-		c, err := tr.Formula(x.Cond, env)
+		c, err := tr.formula(x.Cond, env)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +275,7 @@ func (tr *Translator) translate(e ast.Expr, env Env) (any, error) {
 	case *ast.Block:
 		var parts []Node
 		for _, sub := range x.Exprs {
-			n, err := tr.Formula(sub, env)
+			n, err := tr.formula(sub, env)
 			if err != nil {
 				return nil, err
 			}
@@ -327,14 +338,14 @@ func (tr *Translator) closureKey(x *ast.Unary, env Env) (string, bool) {
 
 func (tr *Translator) translateUnary(x *ast.Unary, env Env) (any, error) {
 	if x.Op == ast.UnNot {
-		n, err := tr.Formula(x.Sub, env)
+		n, err := tr.formula(x.Sub, env)
 		if err != nil {
 			return nil, err
 		}
 		return Not(n), nil
 	}
 	if x.Op == ast.UnCard {
-		m, err := tr.Expr(x.Sub, env)
+		m, err := tr.expr(x.Sub, env)
 		if err != nil {
 			return nil, err
 		}
@@ -345,7 +356,7 @@ func (tr *Translator) translateUnary(x *ast.Unary, env Env) (any, error) {
 			if m, hit := tr.closureMemo[key]; hit {
 				return m, nil
 			}
-			sub, err := tr.Expr(x.Sub, env)
+			sub, err := tr.expr(x.Sub, env)
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +370,7 @@ func (tr *Translator) translateUnary(x *ast.Unary, env Env) (any, error) {
 			return m, nil
 		}
 	}
-	m, err := tr.Expr(x.Sub, env)
+	m, err := tr.expr(x.Sub, env)
 	if err != nil {
 		return nil, err
 	}
@@ -388,11 +399,11 @@ func (tr *Translator) translateUnary(x *ast.Unary, env Env) (any, error) {
 func (tr *Translator) translateBinary(x *ast.Binary, env Env) (any, error) {
 	switch x.Op {
 	case ast.BinAnd, ast.BinOr, ast.BinImplies, ast.BinIff:
-		l, err := tr.Formula(x.Left, env)
+		l, err := tr.formula(x.Left, env)
 		if err != nil {
 			return nil, err
 		}
-		r, err := tr.Formula(x.Right, env)
+		r, err := tr.formula(x.Right, env)
 		if err != nil {
 			return nil, err
 		}
@@ -535,7 +546,7 @@ func (tr *Translator) translateCall(x *ast.Call, env Env) (any, error) {
 	}
 	inner := Env{}
 	for i, n := range names {
-		m, err := tr.Expr(x.Args[i], env)
+		m, err := tr.expr(x.Args[i], env)
 		if err != nil {
 			return nil, err
 		}
@@ -592,7 +603,7 @@ func (tr *Translator) ground(decls []*ast.Decl, env Env) ([]groundBinding, error
 			return nil
 		}
 		s := flat[i]
-		dom, err := tr.Expr(s.expr, env)
+		dom, err := tr.expr(s.expr, env)
 		if err != nil {
 			return err
 		}
@@ -628,7 +639,7 @@ func (tr *Translator) translateQuantified(x *ast.Quantified, env Env) (any, erro
 	bodies := make([]Node, len(bindings))
 	holds := make([]Node, len(bindings))
 	for i, b := range bindings {
-		body, err := tr.Formula(x.Body, b.env)
+		body, err := tr.formula(x.Body, b.env)
 		if err != nil {
 			return nil, err
 		}
@@ -679,7 +690,7 @@ func (tr *Translator) translateComprehension(x *ast.Comprehension, env Env) (any
 	}
 	es := make([]entry, 0, len(bindings))
 	for _, b := range bindings {
-		body, err := tr.Formula(x.Body, b.env)
+		body, err := tr.formula(x.Body, b.env)
 		if err != nil {
 			return nil, err
 		}
