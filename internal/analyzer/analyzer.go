@@ -211,9 +211,11 @@ type scope struct {
 // ends puts its engines back in enginePool, and newScope resets a pooled
 // engine before it builds a new one, so solvers and builders grow to the
 // workload's problem sizes once instead of from empty in every session.
-// Incremental scopes take pooled engines but never return them: a window
-// of candidate encodings grows an engine far past what a fresh session
-// needs, and pooling it would only keep that memory alive.
+// Incremental scopes take a pooled engine when first built but never
+// return it: a window of candidate encodings grows an engine far past what
+// a fresh session needs, and pooling it would only keep that memory alive.
+// A rebuilt incremental scope resets its predecessor's engine in place
+// instead, so that the regrown solver starts at the size the stream needs.
 type engine struct {
 	solver *sat.Solver
 	cb     *translate.CNFBuilder
@@ -224,16 +226,20 @@ type engine struct {
 var enginePool sync.Pool
 
 // newEngine returns an engine whose solver is as sat.NewSolver(opts) and
-// whose builder is as translate.NewCNFBuilder over numProblemVars problem
-// variables, taken from the pool when it holds one.
-func newEngine(opts sat.Options, numProblemVars int) *engine {
-	e, _ := enginePool.Get().(*engine)
+// whose builder is as tr.NewCNFBuilder over tr's problem variables: e
+// reset in place when it is not nil, else one taken from the pool when it
+// holds one.
+func newEngine(e *engine, opts sat.Options, tr *translate.Translator) *engine {
+	if e == nil {
+		e, _ = enginePool.Get().(*engine)
+	}
 	if e == nil {
 		s := sat.NewSolver(opts)
-		return &engine{solver: s, cb: translate.NewCNFBuilder(s, numProblemVars)}
+		return &engine{solver: s, cb: tr.NewCNFBuilder(s, tr.NumVars())}
 	}
 	e.solver.Reset(opts)
-	e.cb.Reset(e.solver, numProblemVars)
+	e.cb.Bind(tr.Circuit)
+	e.cb.Reset(e.solver, tr.NumVars())
 	return e
 }
 
@@ -242,6 +248,7 @@ func newEngine(opts sat.Options, numProblemVars int) *engine {
 // its context, telemetry or span alive.
 func (e *engine) release() {
 	e.solver.Reset(sat.Options{})
+	e.cb.Bind(nil)
 	e.cb.Reset(e.solver, 0)
 	enginePool.Put(e)
 }
@@ -288,7 +295,7 @@ func (s *session) state(sc ast.Scope) *scope {
 	key := scopeKey(sc)
 	st, ok := s.byScope[key]
 	if !ok {
-		st = s.an.newScope(s.info, sc, s.low.Facts, s.span)
+		st = s.an.newScope(s.info, sc, s.low.Facts, s.span, nil)
 		s.byScope[key] = st
 	}
 	return st
@@ -298,8 +305,10 @@ func (s *session) state(sc ast.Scope) *scope {
 // analyzer's context) and engine, and asserts the implicit
 // constraints together with facts in a single AddAssert. Fresh sessions pass
 // the module's facts; incremental sessions pass none and gate each fact per
-// candidate instead. span parents the solver's spans.
-func (a *Analyzer) newScope(info *types.Info, sc ast.Scope, facts []*ast.Fact, span *telemetry.Span) *scope {
+// candidate instead. span parents the solver's spans. A non-nil reuse is
+// reset in place to serve as the scope's engine; otherwise the engine comes
+// from the pool.
+func (a *Analyzer) newScope(info *types.Info, sc ast.Scope, facts []*ast.Fact, span *telemetry.Span, reuse *engine) *scope {
 	st := &scope{}
 	b, err := bounds.Build(info, sc)
 	if err != nil {
@@ -322,13 +331,13 @@ func (a *Analyzer) newScope(info *types.Info, sc ast.Scope, facts []*ast.Fact, s
 		}
 		parts = append(parts, n)
 	}
-	st.engine = newEngine(sat.Options{
+	st.engine = newEngine(reuse, sat.Options{
 		MaxConflicts: a.opts.MaxConflicts,
 		Context:      a.ctx,
 		Telemetry:    a.opts.Telemetry,
-	}, st.tr.NumVars())
+	}, st.tr)
 	st.solver.SetSpan(span)
-	st.cb.AddAssert(translate.And(parts...))
+	st.cb.AddAssert(st.tr.And(parts...))
 	return st
 }
 

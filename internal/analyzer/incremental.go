@@ -216,13 +216,16 @@ func sigFingerprint(mod *ast.Module) string {
 // rebuilding it once a window's worth of dead candidate gates accumulated.
 func (s *incSession) state(sc ast.Scope) *incScope {
 	key := scopeKey(sc)
+	var reuse *engine
 	if st, ok := s.byScope[key]; ok {
 		if st.err != nil || st.baseGates < 0 || len(st.gates) < st.baseGates+gateWindow {
 			return st
 		}
-		// Fall through: rebuild a fresh solver for this scope.
+		// Rebuild the scope, on its own engine reset in place: the stream
+		// regrows the solver to the same size, and the old scope is dropped.
+		reuse = st.engine
 	}
-	st := &incScope{scope: s.an.newScope(s.info, sc, nil, nil), gates: map[string]sat.Lit{}, baseGates: -1}
+	st := &incScope{scope: s.an.newScope(s.info, sc, nil, nil, reuse), gates: map[string]sat.Lit{}, baseGates: -1}
 	s.byScope[key] = st
 	return st
 }

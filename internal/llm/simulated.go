@@ -145,8 +145,8 @@ func (m *SimulatedModel) conversation(spec string) *conversationMemo {
 // conversationMemo holds what a repair reply derives from the faulty spec
 // alone, so the later rounds of a conversation reuse it instead of
 // rebuilding it: the parse, the mutation engine and its candidates, the
-// normalized prior proposals, each shortlisted edit's printed source, and
-// each (edit, counterexample) verdict. Every entry is a pure function of its
+// normalized prior proposals, each shortlisted edit's printed source, each
+// counterexample's probe test, and each (edit, counterexample) verdict. Every entry is a pure function of its
 // key — the spec text, site and candidate indices in the memo's own engine,
 // a proposal's text, a counterexample's text — never of a position in the
 // transcript, so a model answers exactly as a fresh one would whatever
@@ -169,6 +169,11 @@ type conversationMemo struct {
 	normalized map[string]string // prior proposal -> normalizeSpec of it
 	edits      map[editKey]*builtEdit
 	verdicts   map[verdictKey]float64
+	// probes holds the probe test of each counterexample text. A test
+	// resolves its valuation on its first run and keeps it, so each
+	// counterexample is resolved once per conversation, not once per edit
+	// judged against it.
+	probes map[string]*aunit.Test
 }
 
 // memoSite caches one engine site's strings and candidates, each built on
@@ -207,6 +212,7 @@ func newConversationMemo(spec string) *conversationMemo {
 		normalized: map[string]string{},
 		edits:      map[editKey]*builtEdit{},
 		verdicts:   map[verdictKey]float64{},
+		probes:     map[string]*aunit.Test{},
 	}
 	mod, err := parser.Parse(spec)
 	if err != nil {
@@ -544,7 +550,12 @@ func (c *conversationMemo) cexAdjustment(k editKey, b *builtEdit, v conversation
 			if model == nil {
 				model = aunit.Prepare(b.mod)
 			}
-			d = verdict(model, cex.valuation)
+			p, ok := c.probes[cex.text]
+			if !ok {
+				p = probe(cex.valuation)
+				c.probes[cex.text] = p
+			}
+			d = judge(model, p)
 			c.verdicts[vk] = d
 		}
 		adj += d
@@ -552,11 +563,16 @@ func (c *conversationMemo) cexAdjustment(k editKey, b *builtEdit, v conversation
 	return adj
 }
 
-// verdict scores a candidate against one counterexample: a penalty if its
-// facts still accept it, a small reward if they rule it out, nothing if the
-// check fails to run.
-func verdict(model *aunit.Model, valuation map[string][][]string) float64 {
-	t := &aunit.Test{Name: "model_probe", Valuation: valuation, Formula: aunit.FactsFormula, Expect: false}
+// probe returns the test that asks whether a model's facts rule out the
+// counterexample valuation.
+func probe(valuation map[string][][]string) *aunit.Test {
+	return &aunit.Test{Name: "model_probe", Valuation: valuation, Formula: aunit.FactsFormula, Expect: false}
+}
+
+// judge scores a candidate against one counterexample, given as its probe
+// test: a penalty if its facts still accept it, a small reward if they rule
+// it out, nothing if the check fails to run.
+func judge(model *aunit.Model, t *aunit.Test) float64 {
 	switch r := model.Run(t); {
 	case r.Err != nil:
 		return 0

@@ -274,8 +274,8 @@ func (t *Tool) nearestSatisfying(ctx context.Context, low *ast.Module, info *typ
 	ms.Context = ctx
 	ms.Telemetry = t.opts.Telemetry
 	ms.Span = telemetry.SpanFromContext(ctx)
-	cb := translate.NewCNFBuilder(ms, tr.NumVars())
-	cb.AddAssert(translate.And(parts...))
+	cb := tr.NewCNFBuilder(ms, tr.NumVars())
+	cb.AddAssert(tr.And(parts...))
 
 	// Soft agreement with the counterexample.
 	addSoft(ms, tr, b, cex)

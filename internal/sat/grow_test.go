@@ -44,7 +44,7 @@ func TestNewVarInitializesState(t *testing.T) {
 // BenchmarkNewVar measures variable allocation, the inner loop of every
 // translation: "incremental" lets NewVar grow capacity on demand,
 // "pregrown" reserves the full problem size up front via Grow, as
-// translate.NewCNFBuilder does.
+// translate.(*Circuit).NewCNFBuilder does.
 func BenchmarkNewVar(b *testing.B) {
 	const vars = 1 << 16
 	b.Run("incremental", func(b *testing.B) {

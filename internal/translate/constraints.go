@@ -15,7 +15,7 @@ import (
 // symmetry breaking on top-level signature blocks.
 func (tr *Translator) ImplicitConstraints() (Node, error) {
 	if err := tr.ctxErr(); err != nil {
-		return nil, err
+		return FalseNode, err
 	}
 	var parts []Node
 
@@ -42,7 +42,7 @@ func (tr *Translator) ImplicitConstraints() (Node, error) {
 			add(m.SubsetOf(tr.matrices[s.Parent]))
 		}
 		if len(s.Subset) > 0 {
-			union := NewMatrix(1)
+			union := tr.NewMatrix(1)
 			for _, sup := range s.Subset {
 				union = union.Union(tr.matrices[sup])
 			}
@@ -51,7 +51,7 @@ func (tr *Translator) ImplicitConstraints() (Node, error) {
 
 		// Abstract = union of children (when it has any).
 		if s.Abstract && len(children[name]) > 0 {
-			union := NewMatrix(1)
+			union := tr.NewMatrix(1)
 			for _, c := range children[name] {
 				union = union.Union(tr.matrices[c])
 			}
@@ -86,7 +86,7 @@ func (tr *Translator) ImplicitConstraints() (Node, error) {
 			for i := 1; i < len(block); i++ {
 				cur := m.Get(bounds.Tuple{block[i]})
 				prev := m.Get(bounds.Tuple{block[i-1]})
-				add(Implies(cur, prev))
+				add(tr.Implies(cur, prev))
 			}
 		}
 	}
@@ -100,7 +100,7 @@ func (tr *Translator) ImplicitConstraints() (Node, error) {
 					if IsFalse(c.Get(t)) {
 						continue
 					}
-					add(Not(And(a.Get(t), c.Get(t))))
+					add(Not(tr.And(a.Get(t), c.Get(t))))
 				}
 			}
 		}
@@ -120,13 +120,13 @@ func (tr *Translator) ImplicitConstraints() (Node, error) {
 			}
 			n, err := tr.fieldConstraints(f, fm)
 			if err != nil {
-				return nil, err
+				return FalseNode, err
 			}
 			add(n)
 		}
 	}
 
-	return And(parts...), nil
+	return tr.And(parts...), nil
 }
 
 // fieldConstraints encodes typing and multiplicity for one field relation
@@ -142,7 +142,7 @@ func (tr *Translator) fieldConstraints(f *types.Field, fm Matrix) (Node, error) 
 	for i, d := range f.Decls {
 		rm, err := tr.Expr(stripMults(d.Expr))
 		if err != nil {
-			return nil, fmt.Errorf("field %s: %w", f.Name, err)
+			return FalseNode, fmt.Errorf("field %s: %w", f.Name, err)
 		}
 		ranges[i] = rm
 	}
@@ -151,9 +151,9 @@ func (tr *Translator) fieldConstraints(f *types.Field, fm Matrix) (Node, error) 
 		for i := range f.Decls {
 			src := tr.matrices[f.Sigs[i]].Get(bounds.Tuple{t[0]})
 			rng := ranges[i].Get(t[1:])
-			cases = append(cases, And(src, rng))
+			cases = append(cases, tr.And(src, rng))
 		}
-		parts = append(parts, Implies(fm.Get(t), Or(cases...)))
+		parts = append(parts, tr.Implies(fm.Get(t), tr.Or(cases...)))
 	}
 
 	// Multiplicities, per declaration.
@@ -161,11 +161,11 @@ func (tr *Translator) fieldConstraints(f *types.Field, fm Matrix) (Node, error) 
 		owner := tr.matrices[f.Sigs[i]]
 		n, err := tr.fieldMultiplicity(d, owner, fm)
 		if err != nil {
-			return nil, fmt.Errorf("field %s: %w", f.Name, err)
+			return FalseNode, fmt.Errorf("field %s: %w", f.Name, err)
 		}
 		parts = append(parts, n)
 	}
-	return And(parts...), nil
+	return tr.And(parts...), nil
 }
 
 // stripMults removes arrow multiplicity annotations for range translation.
@@ -195,7 +195,7 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 				es = append(es, entry{proj(t).Key(), fm.nodes[i]})
 			}
 		}
-		return collect(arity, es)
+		return collect(tr.Circuit, arity, es)
 	}
 	rowOf := func(srcAtom int) Matrix {
 		return group(fm.Arity()-1,
@@ -206,11 +206,11 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 	applyMult := func(guard Node, m Matrix, mult ast.Mult) {
 		switch mult {
 		case ast.MultOne:
-			parts = append(parts, Implies(guard, m.One()))
+			parts = append(parts, tr.Implies(guard, m.One()))
 		case ast.MultLone:
-			parts = append(parts, Implies(guard, m.Lone()))
+			parts = append(parts, tr.Implies(guard, m.Lone()))
 		case ast.MultSome:
-			parts = append(parts, Implies(guard, m.Some()))
+			parts = append(parts, tr.Implies(guard, m.Some()))
 		}
 	}
 
@@ -231,18 +231,18 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 		for _, t := range owner.Tuples() {
 			applyMult(owner.Get(t), rowOf(t[0]), mult)
 		}
-		return And(parts...), nil
+		return tr.And(parts...), nil
 	}
 
 	// Product range: apply RightMult per (src, left) prefix and LeftMult per
 	// (src, right) pair. Only the outermost arrow's annotations are applied.
 	leftM, err := tr.Expr(stripMults(prod.Left))
 	if err != nil {
-		return nil, err
+		return FalseNode, err
 	}
 	rightM, err := tr.Expr(stripMults(prod.Right))
 	if err != nil {
-		return nil, err
+		return FalseNode, err
 	}
 	if prod.RightMult != 0 && prod.RightMult != ast.MultSet && leftM.Arity() == 1 {
 		for _, src := range owner.Tuples() {
@@ -250,7 +250,7 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 				g := group(rightM.Arity(),
 					func(t bounds.Tuple) bool { return t[0] == src[0] && t[1] == lt[0] },
 					func(t bounds.Tuple) bounds.Tuple { return t[2:] })
-				guard := And(owner.Get(src), leftM.Get(lt))
+				guard := tr.And(owner.Get(src), leftM.Get(lt))
 				applyMult(guard, g, prod.RightMult)
 			}
 		}
@@ -261,10 +261,10 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 				g := group(leftM.Arity(),
 					func(t bounds.Tuple) bool { return t[0] == src[0] && t[len(t)-1] == rt[0] },
 					func(t bounds.Tuple) bounds.Tuple { return t[1 : len(t)-1] })
-				guard := And(owner.Get(src), rightM.Get(rt))
+				guard := tr.And(owner.Get(src), rightM.Get(rt))
 				applyMult(guard, g, prod.LeftMult)
 			}
 		}
 	}
-	return And(parts...), nil
+	return tr.And(parts...), nil
 }

@@ -52,8 +52,8 @@ func solveWith(t *testing.T, src, extra string, scope ast.Scope) sat.Status {
 		parts = append(parts, n)
 	}
 	solver := sat.NewSolver(sat.Options{})
-	cb := NewCNFBuilder(solver, tr.NumVars())
-	cb.AddAssert(And(parts...))
+	cb := tr.NewCNFBuilder(solver, tr.NumVars())
+	cb.AddAssert(tr.And(parts...))
 	return solver.Solve()
 }
 

@@ -15,7 +15,10 @@ import (
 // order with their nodes alongside, never a definitely-false node. Matrices
 // are immutable values: no operation modifies its operands, and results may
 // share an operand's storage.
+// A matrix carries the circuit its nodes live in, and an operation builds
+// its gates in its receiver's circuit, which must be its operands' too.
 type Matrix struct {
+	c     *Circuit
 	arity int
 	keys  []uint64
 	nodes []Node
@@ -42,18 +45,20 @@ func lastLane(k uint64) uint64 { return k >> (8 * (keyArity(k) - 1)) & 0xff }
 var trueOne = []Node{TrueNode}
 
 // NewMatrix returns an empty matrix of the given arity.
-func NewMatrix(arity int) Matrix { return Matrix{arity: arity} }
+func (c *Circuit) NewMatrix(arity int) Matrix { return Matrix{c: c, arity: arity} }
 
 // SingletonMatrix returns a matrix that is true exactly at tuple t.
-func SingletonMatrix(t bounds.Tuple) Matrix { return singletonKey(t.Key()) }
+func (c *Circuit) SingletonMatrix(t bounds.Tuple) Matrix { return singleton(c, []uint64{t.Key()}) }
 
-func singletonKey(k uint64) Matrix {
-	return Matrix{arity: keyArity(k), keys: []uint64{k}, nodes: trueOne}
+// singleton returns the matrix of circuit c that is true exactly at the one
+// key of keys, sharing keys as its storage.
+func singleton(c *Circuit, keys []uint64) Matrix {
+	return Matrix{c: c, arity: keyArity(keys[0]), keys: keys[:1:1], nodes: trueOne}
 }
 
 // ConstMatrix returns a matrix that is true exactly on the given tuple set.
-func ConstMatrix(ts bounds.TupleSet) Matrix {
-	m := Matrix{arity: ts.Arity(), keys: make([]uint64, 0, ts.Len()), nodes: make([]Node, 0, ts.Len())}
+func (c *Circuit) ConstMatrix(ts bounds.TupleSet) Matrix {
+	m := Matrix{c: c, arity: ts.Arity(), keys: make([]uint64, 0, ts.Len()), nodes: make([]Node, 0, ts.Len())}
 	for _, t := range ts.Tuples() {
 		m.add(t.Key(), TrueNode)
 	}
@@ -80,10 +85,9 @@ type entry struct {
 // collect returns the matrix of the emitted entries. Keys may come in any
 // order and repeat: the entries are stably sorted by key, the nodes of equal
 // keys are ORed in emission order, and definitely-false results dropped.
-func collect(arity int, es []entry) Matrix {
+func collect(c *Circuit, arity int, es []entry) Matrix {
 	slices.SortStableFunc(es, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
-	m := Matrix{arity: arity, keys: make([]uint64, 0, len(es)), nodes: make([]Node, 0, len(es))}
-	var group []Node
+	m := Matrix{c: c, arity: arity, keys: make([]uint64, 0, len(es)), nodes: make([]Node, 0, len(es))}
 	for i := 0; i < len(es); {
 		j := i + 1
 		for j < len(es) && es[j].key == es[i].key {
@@ -91,11 +95,12 @@ func collect(arity int, es []entry) Matrix {
 		}
 		n := es[i].node
 		if j-i > 1 {
-			group = group[:0]
+			base := len(c.scratch)
 			for _, e := range es[i:j] {
-				group = append(group, e.node)
+				c.scratch = append(c.scratch, e.node)
 			}
-			n = Or(group...)
+			n = c.Or(c.scratch[base:]...)
+			c.scratch = c.scratch[:base]
 		}
 		m.add(es[i].key, n)
 		i = j
@@ -134,18 +139,18 @@ func (m Matrix) Tuples() []bounds.Tuple {
 func (m Matrix) Nodes() []Node { return m.nodes }
 
 // merge walks the entries of m and o in ascending key order, calling f with
-// each key and its nodes in m and o (nil where absent), and returns the
-// matrix of f's results.
+// each key and its nodes in m and o (FalseNode where absent, which no entry
+// holds), and returns the matrix of f's results.
 func (m Matrix) merge(o Matrix, arity int, f func(k uint64, mn, on Node) Node) Matrix {
-	out := Matrix{arity: arity, keys: make([]uint64, 0, len(m.keys)+len(o.keys)), nodes: make([]Node, 0, len(m.keys)+len(o.keys))}
+	out := Matrix{c: m.c, arity: arity, keys: make([]uint64, 0, len(m.keys)+len(o.keys)), nodes: make([]Node, 0, len(m.keys)+len(o.keys))}
 	i, j := 0, 0
 	for i < len(m.keys) || j < len(o.keys) {
 		switch {
 		case j == len(o.keys) || i < len(m.keys) && m.keys[i] < o.keys[j]:
-			out.add(m.keys[i], f(m.keys[i], m.nodes[i], nil))
+			out.add(m.keys[i], f(m.keys[i], m.nodes[i], FalseNode))
 			i++
 		case i == len(m.keys) || o.keys[j] < m.keys[i]:
-			out.add(o.keys[j], f(o.keys[j], nil, o.nodes[j]))
+			out.add(o.keys[j], f(o.keys[j], FalseNode, o.nodes[j]))
 			j++
 		default:
 			out.add(m.keys[i], f(m.keys[i], m.nodes[i], o.nodes[j]))
@@ -164,27 +169,28 @@ func (m Matrix) Union(o Matrix) Matrix {
 	case len(o.keys) == 0:
 		return m
 	}
+	c := m.c
 	return m.merge(o, m.arity, func(_ uint64, mn, on Node) Node {
 		switch {
-		case on == nil:
+		case on == FalseNode:
 			return mn
-		case mn == nil:
+		case mn == FalseNode:
 			return on
 		}
-		return Or(mn, on)
+		return c.Or(mn, on)
 	})
 }
 
 // Intersect returns entrywise AND.
 func (m Matrix) Intersect(o Matrix) Matrix {
-	out := Matrix{arity: m.arity}
+	out := Matrix{c: m.c, arity: m.arity}
 	j := 0
 	for i, k := range m.keys {
 		for j < len(o.keys) && o.keys[j] < k {
 			j++
 		}
 		if j < len(o.keys) && o.keys[j] == k {
-			out.add(k, And(m.nodes[i], o.nodes[j]))
+			out.add(k, out.c.And(m.nodes[i], o.nodes[j]))
 		}
 	}
 	return out
@@ -195,7 +201,7 @@ func (m Matrix) Diff(o Matrix) Matrix {
 	if len(o.keys) == 0 {
 		return m
 	}
-	out := Matrix{arity: m.arity, keys: make([]uint64, 0, len(m.keys)), nodes: make([]Node, 0, len(m.keys))}
+	out := Matrix{c: m.c, arity: m.arity, keys: make([]uint64, 0, len(m.keys)), nodes: make([]Node, 0, len(m.keys))}
 	j := 0
 	for i, k := range m.keys {
 		for j < len(o.keys) && o.keys[j] < k {
@@ -205,7 +211,7 @@ func (m Matrix) Diff(o Matrix) Matrix {
 		if j < len(o.keys) && o.keys[j] == k {
 			on = o.nodes[j]
 		}
-		out.add(k, And(m.nodes[i], Not(on)))
+		out.add(k, out.c.And(m.nodes[i], Not(on)))
 	}
 	return out
 }
@@ -214,12 +220,12 @@ func (m Matrix) Diff(o Matrix) Matrix {
 // lanes, so visiting o's entries outside m's emits ascending keys.
 func (m Matrix) Product(o Matrix) Matrix {
 	n := len(m.keys) * len(o.keys)
-	out := Matrix{arity: m.arity + o.arity, keys: make([]uint64, 0, n), nodes: make([]Node, 0, n)}
+	out := Matrix{c: m.c, arity: m.arity + o.arity, keys: make([]uint64, 0, n), nodes: make([]Node, 0, n)}
 	for j, b := range o.keys {
 		bn := keyArity(b)
 		for i, a := range m.keys {
 			an := keyArity(a)
-			out.add(header(an+bn)|(b&lanes(bn))<<(8*an)|a&lanes(an), And(m.nodes[i], o.nodes[j]))
+			out.add(header(an+bn)|(b&lanes(bn))<<(8*an)|a&lanes(an), out.c.And(m.nodes[i], o.nodes[j]))
 		}
 	}
 	return out
@@ -254,6 +260,7 @@ func (m Matrix) Join(o Matrix) Matrix {
 		last := lastLane(a)
 		total += int(start[last+1] - start[last])
 	}
+	c := m.c
 	es := make([]entry, 0, total)
 	for i, a := range m.keys {
 		an := keyArity(a)
@@ -264,11 +271,11 @@ func (m Matrix) Join(o Matrix) Matrix {
 			bn := keyArity(b)
 			es = append(es, entry{
 				key:  header(an+bn-2) | (b&lanes(bn))>>8<<(8*(an-1)) | prefix,
-				node: And(m.nodes[i], o.nodes[j]),
+				node: c.And(m.nodes[i], o.nodes[j]),
 			})
 		}
 	}
-	return collect(m.arity+o.arity-2, es)
+	return collect(c, m.arity+o.arity-2, es)
 }
 
 // Transpose flips a binary matrix.
@@ -277,7 +284,7 @@ func (m Matrix) Transpose() Matrix {
 	for i, k := range m.keys {
 		es[i] = entry{header(2) | (k&0xff)<<8 | k>>8&0xff, m.nodes[i]}
 	}
-	return collect(2, es)
+	return collect(m.c, 2, es)
 }
 
 // Closure returns the transitive closure by iterative squaring.
@@ -309,97 +316,106 @@ func (m Matrix) ReflClosure(univAtoms []int) Matrix {
 	for i, a := range univAtoms {
 		iden[i] = entry{bounds.Tuple{a, a}.Key(), TrueNode}
 	}
-	return m.Closure().Union(collect(2, iden))
+	return m.Closure().Union(collect(m.c, 2, iden))
 }
 
 // Override returns m ++ o: o's entries, plus each entry of m guarded by
 // NOT (the OR of o's entries sharing its first atom).
 func (m Matrix) Override(o Matrix) Matrix {
+	c := m.c
 	idx, start := o.byFirstLane()
-	var dom [256]Node // nil where o has no entry with that first atom
-	group := make([]Node, 0, len(idx))
+	// dom is FalseNode where o has no entry with that first atom: an OR of
+	// o's entries, which are never definitely false, is not FalseNode.
+	var dom [256]Node
 	for l := range dom {
 		if start[l] == start[l+1] {
 			continue
 		}
-		group = group[:0]
+		base := len(c.scratch)
 		for _, j := range idx[start[l]:start[l+1]] {
-			group = append(group, o.nodes[j])
+			c.scratch = append(c.scratch, o.nodes[j])
 		}
-		dom[l] = Or(group...)
+		dom[l] = c.Or(c.scratch[base:]...)
+		c.scratch = c.scratch[:base]
 	}
 	return m.merge(o, m.arity, func(k uint64, mn, on Node) Node {
-		if mn == nil {
+		if mn == FalseNode {
 			return on
 		}
-		guard := TrueNode
-		if d := dom[k&0xff]; d != nil {
-			guard = Not(d)
-		}
-		kept := And(mn, guard)
-		if on == nil {
+		kept := c.And(mn, Not(dom[k&0xff]))
+		if on == FalseNode {
 			return kept
 		}
-		return Or(on, kept)
+		return c.Or(on, kept)
 	})
 }
 
 // DomRestr returns s <: m for unary s.
 func (m Matrix) DomRestr(s Matrix) Matrix {
-	out := Matrix{arity: m.arity}
+	out := Matrix{c: m.c, arity: m.arity}
 	for i, k := range m.keys {
-		out.add(k, And(s.get(header(1)|k&0xff), m.nodes[i]))
+		out.add(k, out.c.And(s.get(header(1)|k&0xff), m.nodes[i]))
 	}
 	return out
 }
 
 // RanRestr returns m :> s for unary s.
 func (m Matrix) RanRestr(s Matrix) Matrix {
-	out := Matrix{arity: m.arity}
+	out := Matrix{c: m.c, arity: m.arity}
 	for i, k := range m.keys {
-		out.add(k, And(m.nodes[i], s.get(header(1)|lastLane(k))))
+		out.add(k, out.c.And(m.nodes[i], s.get(header(1)|lastLane(k))))
 	}
 	return out
 }
 
 // Ite returns the entrywise conditional.
 func (m Matrix) Ite(cond Node, e Matrix) Matrix {
+	c := m.c
 	return m.merge(e, m.arity, func(_ uint64, mn, en Node) Node {
 		then := FalseNode
-		if mn != nil {
-			then = And(cond, mn)
+		if mn != FalseNode {
+			then = c.And(cond, mn)
 		}
-		if en == nil {
+		if en == FalseNode {
 			return then
 		}
-		return Or(then, And(Not(cond), en))
+		return c.Or(then, c.And(Not(cond), en))
 	})
 }
 
 // Some returns the formula "m is non-empty".
-func (m Matrix) Some() Node { return Or(m.nodes...) }
+func (m Matrix) Some() Node { return m.c.Or(m.nodes...) }
 
 // None returns the formula "m is empty".
 func (m Matrix) None() Node { return Not(m.Some()) }
 
 // Lone returns the formula "m has at most one tuple".
-func (m Matrix) Lone() Node {
-	nodes := m.nodes
-	var pairs []Node
+func (m Matrix) Lone() Node { return m.c.lone(m.nodes) }
+
+// lone returns the formula "at most one of the nodes is true": the
+// conjunction of NOT (a AND b) over every pair.
+func (c *Circuit) lone(nodes []Node) Node {
+	if len(nodes) < 2 {
+		return TrueNode
+	}
+	base := len(c.scratch)
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
-			pairs = append(pairs, Not(And(nodes[i], nodes[j])))
+			c.scratch = append(c.scratch, Not(c.And(nodes[i], nodes[j])))
 		}
 	}
-	return And(pairs...)
+	n := c.And(c.scratch[base:]...)
+	c.scratch = c.scratch[:base]
+	return n
 }
 
 // One returns the formula "m has exactly one tuple".
-func (m Matrix) One() Node { return And(m.Some(), m.Lone()) }
+func (m Matrix) One() Node { return m.c.And(m.Some(), m.Lone()) }
 
 // SubsetOf returns the formula "m ⊆ o".
 func (m Matrix) SubsetOf(o Matrix) Node {
-	parts := make([]Node, len(m.keys))
+	c := m.c
+	base := len(c.scratch)
 	j := 0
 	for i, k := range m.keys {
 		for j < len(o.keys) && o.keys[j] < k {
@@ -409,29 +425,31 @@ func (m Matrix) SubsetOf(o Matrix) Node {
 		if j < len(o.keys) && o.keys[j] == k {
 			on = o.nodes[j]
 		}
-		parts[i] = Implies(m.nodes[i], on)
+		c.scratch = append(c.scratch, c.Implies(m.nodes[i], on))
 	}
-	return And(parts...)
+	n := c.And(c.scratch[base:]...)
+	c.scratch = c.scratch[:base]
+	return n
 }
 
 // EqualTo returns the formula "m = o".
 func (m Matrix) EqualTo(o Matrix) Node {
-	return And(m.SubsetOf(o), o.SubsetOf(m))
+	return m.c.And(m.SubsetOf(o), o.SubsetOf(m))
 }
 
 // AtLeast returns the formula "at least k entries of m are true", built with
 // a sequential-counter circuit.
 func (m Matrix) AtLeast(k int) Node {
-	return atLeastNodes(m.nodes, k)
+	return m.c.atLeast(m.nodes, k)
 }
 
 // AtMost returns the formula "at most k entries of m are true".
 func (m Matrix) AtMost(k int) Node {
-	return Not(atLeastNodes(m.nodes, k+1))
+	return Not(m.c.atLeast(m.nodes, k+1))
 }
 
-// atLeastNodes builds s_{n,k}: at least k of the nodes are true.
-func atLeastNodes(nodes []Node, k int) Node {
+// atLeast builds s_{n,k}: at least k of the nodes are true.
+func (c *Circuit) atLeast(nodes []Node, k int) Node {
 	if k <= 0 {
 		return TrueNode
 	}
@@ -446,7 +464,7 @@ func atLeastNodes(nodes []Node, k int) Node {
 	}
 	for _, n := range nodes {
 		for j := k; j >= 1; j-- {
-			ge[j] = Or(ge[j], And(n, ge[j-1]))
+			ge[j] = c.Or(ge[j], c.And(n, ge[j-1]))
 		}
 	}
 	return ge[k]

@@ -216,7 +216,8 @@ func TestCountNodes(t *testing.T) {
 	a, b := Var(0), Var(1)
 	shared := And(a, b)
 	n := Or(shared, Not(shared))
-	if got := CountNodes(n); got < 4 {
-		t.Errorf("CountNodes = %d, want >= 4", got)
+	// The or gate, the shared and gate, its negation, a and b.
+	if got := testCircuit.CountNodes(n); got != 5 {
+		t.Errorf("CountNodes = %d, want 5", got)
 	}
 }

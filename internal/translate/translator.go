@@ -12,23 +12,15 @@ import (
 	"specrepair/internal/sat"
 )
 
-// Env binds quantified variables and inlined parameters to matrices.
-type Env map[string]Matrix
-
-func (e Env) clone() Env {
-	out := make(Env, len(e)+2)
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
 // Translator compiles formulas of one module (lowered, checked) under fixed
 // bounds into circuit nodes, allocating one boolean variable per undetermined
 // relation tuple.
 type Translator struct {
 	Info   *types.Info
 	Bounds *bounds.Bounds
+	// Circuit is the arena every node of the translator's formulas and
+	// matrices lives in; it grows for as long as the translator is used.
+	*Circuit
 
 	numVars  int
 	relVars  map[string]map[uint64]int // relation -> tuple key -> var
@@ -58,6 +50,21 @@ type Translator struct {
 	// matrices), and reusing their circuit nodes lets the CNF builder's
 	// per-node memo skip re-encoding them too.
 	closureMemo map[string]Matrix
+
+	// env is the slot stack of bound names: quantified variables, let names
+	// and inlined call parameters, innermost last. A name resolves to its
+	// topmost binding at or above base, the first slot of the current call
+	// frame, so a called body sees only its parameters. The entry points
+	// start from an empty stack; an error may leave bindings behind.
+	env  []binding
+	base int
+}
+
+// binding is one slot of the environment stack. A slot with an empty name
+// holds a let value or call argument whose name is not in scope yet.
+type binding struct {
+	name string
+	m    Matrix
 }
 
 // SetCallModule overrides the module used to resolve pred/fun calls during
@@ -81,6 +88,7 @@ func New(info *types.Info, b *bounds.Bounds) *Translator {
 	tr := &Translator{
 		Info:        info,
 		Bounds:      b,
+		Circuit:     &Circuit{},
 		relVars:     map[string]map[uint64]int{},
 		matrices:    map[string]Matrix{},
 		closureMemo: map[string]Matrix{},
@@ -100,7 +108,7 @@ func New(info *types.Info, b *bounds.Bounds) *Translator {
 			continue
 		}
 		vars := map[uint64]int{}
-		m := Matrix{arity: rb.Arity, keys: make([]uint64, 0, rb.Upper.Len()), nodes: make([]Node, 0, rb.Upper.Len())}
+		m := Matrix{c: tr.Circuit, arity: rb.Arity, keys: make([]uint64, 0, rb.Upper.Len()), nodes: make([]Node, 0, rb.Upper.Len())}
 		for _, t := range rb.Upper.Tuples() {
 			if rb.Lower.Contains(t) {
 				m.add(t.Key(), TrueNode)
@@ -128,167 +136,193 @@ func (tr *Translator) RelMatrix(name string) (Matrix, bool) {
 	return m, ok
 }
 
-// And conjoins nodes with constant folding.
-func (tr *Translator) And(subs ...Node) Node { return And(subs...) }
-
-// NewCNFBuilder returns a builder over the sink with numProblemVars
-// already-allocated problem variables.
-func (tr *Translator) NewCNFBuilder(solver ClauseSink, numProblemVars int) *CNFBuilder {
-	return NewCNFBuilder(solver, numProblemVars)
-}
-
 // Formula translates a closed formula to a circuit node.
 func (tr *Translator) Formula(e ast.Expr) (Node, error) {
-	return tr.formula(e, Env{})
-}
-
-func (tr *Translator) formula(e ast.Expr, env Env) (Node, error) {
 	if err := tr.ctxErr(); err != nil {
-		return nil, err
+		return FalseNode, err
 	}
-	v, err := tr.translate(e, env)
-	if err != nil {
-		return nil, err
-	}
-	n, ok := v.(Node)
-	if !ok {
-		return nil, fmt.Errorf("%s: expected formula", e.Pos())
-	}
-	return n, nil
+	tr.env, tr.base = tr.env[:0], 0
+	return tr.formula(e)
 }
 
 // Expr translates a closed relational expression to a matrix.
 func (tr *Translator) Expr(e ast.Expr) (Matrix, error) {
-	return tr.expr(e, Env{})
-}
-
-func (tr *Translator) expr(e ast.Expr, env Env) (Matrix, error) {
 	if err := tr.ctxErr(); err != nil {
 		return Matrix{}, err
 	}
-	v, err := tr.translate(e, env)
+	tr.env, tr.base = tr.env[:0], 0
+	return tr.expr(e)
+}
+
+func (tr *Translator) formula(e ast.Expr) (Node, error) {
+	v, err := tr.translate(e)
+	if err != nil {
+		return FalseNode, err
+	}
+	if v.kind != kindFormula {
+		return FalseNode, fmt.Errorf("%s: expected formula", e.Pos())
+	}
+	return v.node, nil
+}
+
+func (tr *Translator) expr(e ast.Expr) (Matrix, error) {
+	v, err := tr.translate(e)
 	if err != nil {
 		return Matrix{}, err
 	}
-	m, ok := v.(Matrix)
-	if !ok {
+	if v.kind != kindMatrix {
 		return Matrix{}, fmt.Errorf("%s: expected relational expression", e.Pos())
 	}
-	return m, nil
+	return v.m, nil
 }
 
-// intCount is the translation of an integer expression: the cardinality of a
-// matrix, or a literal.
-type intCount struct {
-	nodes []Node // nil when literal
-	lit   int
-	isLit bool
+// lookup returns the innermost binding of name in the current frame.
+func (tr *Translator) lookup(name string) (Matrix, bool) {
+	for i := len(tr.env) - 1; i >= tr.base; i-- {
+		if tr.env[i].name == name {
+			return tr.env[i].m, true
+		}
+	}
+	return Matrix{}, false
 }
 
-func (tr *Translator) translate(e ast.Expr, env Env) (any, error) {
+// kind tells what an expression translated to.
+type kind uint8
+
+const (
+	kindFormula kind = iota // a circuit node
+	kindMatrix              // a relational expression's matrix
+	kindCount               // the cardinality of a matrix
+	kindInt                 // an integer literal
+)
+
+// value is the translation of an expression: the node of a formula, the
+// matrix of a relational expression or of a cardinality (whose entries
+// are counted), or an integer literal.
+type value struct {
+	kind kind
+	node Node
+	m    Matrix
+	lit  int
+}
+
+func formulaValue(n Node) value  { return value{kind: kindFormula, node: n} }
+func matrixValue(m Matrix) value { return value{kind: kindMatrix, m: m} }
+
+// isInt reports whether v is an integer expression.
+func (v value) isInt() bool { return v.kind == kindCount || v.kind == kindInt }
+
+func (tr *Translator) translate(e ast.Expr) (value, error) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		if m, ok := env[x.Name]; ok && !x.NoImplicit {
-			return m, nil
+		if !x.NoImplicit {
+			if m, ok := tr.lookup(x.Name); ok {
+				return matrixValue(m), nil
+			}
 		}
 		if m, ok := tr.matrices[x.Name]; ok {
-			return m, nil
+			return matrixValue(m), nil
 		}
-		return nil, fmt.Errorf("%s: unbound name %q", e.Pos(), x.Name)
+		return value{}, fmt.Errorf("%s: unbound name %q", e.Pos(), x.Name)
 	case *ast.Const:
 		switch x.Kind {
 		case ast.ConstNone:
-			return NewMatrix(1), nil
+			return matrixValue(tr.NewMatrix(1)), nil
 		case ast.ConstUniv:
-			return tr.univMatrix(), nil
+			return matrixValue(tr.univMatrix()), nil
 		default:
-			return tr.idenMatrix(), nil
+			return matrixValue(tr.idenMatrix()), nil
 		}
 	case *ast.IntLit:
-		return intCount{lit: x.Value, isLit: true}, nil
+		return value{kind: kindInt, lit: x.Value}, nil
 	case *ast.Prime:
 		id, ok := x.Sub.(*ast.Ident)
 		if !ok {
-			return nil, fmt.Errorf("%s: prime applies to relation names", e.Pos())
+			return value{}, fmt.Errorf("%s: prime applies to relation names", e.Pos())
 		}
 		if m, ok := tr.matrices[id.Name+"'"]; ok {
-			return m, nil
+			return matrixValue(m), nil
 		}
-		return nil, fmt.Errorf("%s: no primed relation %q", e.Pos(), id.Name)
+		return value{}, fmt.Errorf("%s: no primed relation %q", e.Pos(), id.Name)
 	case *ast.Unary:
-		return tr.translateUnary(x, env)
+		return tr.translateUnary(x)
 	case *ast.Binary:
-		return tr.translateBinary(x, env)
+		return tr.translateBinary(x)
 	case *ast.BoxJoin:
-		cur, err := tr.expr(x.Target, env)
+		cur, err := tr.expr(x.Target)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
 		for _, a := range x.Args {
-			am, err := tr.expr(a, env)
+			am, err := tr.expr(a)
 			if err != nil {
-				return nil, err
+				return value{}, err
 			}
 			cur = am.Join(cur)
 		}
-		return cur, nil
+		return matrixValue(cur), nil
 	case *ast.Call:
-		return tr.translateCall(x, env)
+		return tr.translateCall(x)
 	case *ast.Quantified:
-		return tr.translateQuantified(x, env)
+		return tr.translateQuantified(x)
 	case *ast.Comprehension:
-		return tr.translateComprehension(x, env)
+		return tr.translateComprehension(x)
 	case *ast.Let:
-		inner := env.clone()
+		// Every value is computed in the enclosing scope, so the names come
+		// into scope only once all of them are.
+		mark := len(tr.env)
+		for i := range x.Names {
+			m, err := tr.expr(x.Values[i])
+			if err != nil {
+				return value{}, err
+			}
+			tr.env = append(tr.env, binding{m: m})
+		}
 		for i, n := range x.Names {
-			m, err := tr.expr(x.Values[i], env)
-			if err != nil {
-				return nil, err
-			}
-			inner[n] = m
+			tr.env[mark+i].name = n
 		}
-		return tr.translate(x.Body, inner)
+		v, err := tr.translate(x.Body)
+		tr.env = tr.env[:mark]
+		return v, err
 	case *ast.IfElse:
-		c, err := tr.formula(x.Cond, env)
+		c, err := tr.formula(x.Cond)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		tv, err := tr.translate(x.Then, env)
+		tv, err := tr.translate(x.Then)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		ev, err := tr.translate(x.Else, env)
+		ev, err := tr.translate(x.Else)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		tn, tIsNode := tv.(Node)
-		en, eIsNode := ev.(Node)
-		if tIsNode && eIsNode {
-			return Ite(c, tn, en), nil
+		switch {
+		case tv.kind == kindFormula && ev.kind == kindFormula:
+			return formulaValue(tr.Ite(c, tv.node, ev.node)), nil
+		case tv.kind == kindMatrix && ev.kind == kindMatrix:
+			return matrixValue(tv.m.Ite(c, ev.m)), nil
 		}
-		tm, tIsMat := tv.(Matrix)
-		em, eIsMat := ev.(Matrix)
-		if tIsMat && eIsMat {
-			return tm.Ite(c, em), nil
-		}
-		return nil, fmt.Errorf("%s: incompatible if-else branches", e.Pos())
+		return value{}, fmt.Errorf("%s: incompatible if-else branches", e.Pos())
 	case *ast.Block:
-		var parts []Node
+		base := len(tr.scratch)
 		for _, sub := range x.Exprs {
-			n, err := tr.formula(sub, env)
+			n, err := tr.formula(sub)
 			if err != nil {
-				return nil, err
+				return value{}, err
 			}
-			parts = append(parts, n)
+			tr.scratch = append(tr.scratch, n)
 		}
-		return And(parts...), nil
+		n := tr.And(tr.scratch[base:]...)
+		tr.scratch = tr.scratch[:base]
+		return formulaValue(n), nil
 	default:
-		return nil, fmt.Errorf("%s: cannot translate %T", e.Pos(), e)
+		return value{}, fmt.Errorf("%s: cannot translate %T", e.Pos(), e)
 	}
 }
 
 func (tr *Translator) univMatrix() Matrix {
-	out := NewMatrix(1)
+	out := tr.NewMatrix(1)
 	for _, name := range tr.Info.SigOrder {
 		if tr.Bounds.TopOf[name] != name {
 			continue
@@ -300,7 +334,7 @@ func (tr *Translator) univMatrix() Matrix {
 
 func (tr *Translator) idenMatrix() Matrix {
 	u := tr.univMatrix()
-	out := Matrix{arity: 2, keys: make([]uint64, 0, u.Len()), nodes: make([]Node, 0, u.Len())}
+	out := Matrix{c: tr.Circuit, arity: 2, keys: make([]uint64, 0, u.Len()), nodes: make([]Node, 0, u.Len())}
 	for i, k := range u.keys {
 		out.add(header(2)|(k&0xff)<<8|k&0xff, u.nodes[i])
 	}
@@ -308,19 +342,19 @@ func (tr *Translator) idenMatrix() Matrix {
 }
 
 // closureKey returns the memo key for a closure expression, and whether the
-// expression is cacheable: its operand must not reference any
-// environment-bound name (a quantified variable or inlined parameter would
-// make the matrix depend on the enclosing instantiation) and must not
-// contain pred/fun calls (their inlined bodies follow the per-candidate
-// call module, not the translator).
-func (tr *Translator) closureKey(x *ast.Unary, env Env) (string, bool) {
+// expression is cacheable: its operand must not reference any name bound in
+// the current frame (a quantified variable or inlined parameter would make
+// the matrix depend on the enclosing instantiation) and must not contain
+// pred/fun calls (their inlined bodies follow the per-candidate call
+// module, not the translator).
+func (tr *Translator) closureKey(x *ast.Unary) (string, bool) {
 	cacheable := true
 	ast.Walk(x.Sub, func(e ast.Expr) bool {
 		switch y := e.(type) {
 		case *ast.Call:
 			cacheable = false
 		case *ast.Ident:
-			if _, bound := env[y.Name]; bound {
+			if _, bound := tr.lookup(y.Name); bound {
 				cacheable = false
 			}
 		}
@@ -336,29 +370,29 @@ func (tr *Translator) closureKey(x *ast.Unary, env Env) (string, bool) {
 	return op + printer.Expr(x.Sub), true
 }
 
-func (tr *Translator) translateUnary(x *ast.Unary, env Env) (any, error) {
+func (tr *Translator) translateUnary(x *ast.Unary) (value, error) {
 	if x.Op == ast.UnNot {
-		n, err := tr.formula(x.Sub, env)
+		n, err := tr.formula(x.Sub)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		return Not(n), nil
+		return formulaValue(Not(n)), nil
 	}
 	if x.Op == ast.UnCard {
-		m, err := tr.expr(x.Sub, env)
+		m, err := tr.expr(x.Sub)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		return intCount{nodes: m.Nodes()}, nil
+		return value{kind: kindCount, m: m}, nil
 	}
 	if x.Op == ast.UnClosure || x.Op == ast.UnReflClose {
-		if key, ok := tr.closureKey(x, env); ok {
+		if key, ok := tr.closureKey(x); ok {
 			if m, hit := tr.closureMemo[key]; hit {
-				return m, nil
+				return matrixValue(m), nil
 			}
-			sub, err := tr.expr(x.Sub, env)
+			sub, err := tr.expr(x.Sub)
 			if err != nil {
-				return nil, err
+				return value{}, err
 			}
 			var m Matrix
 			if x.Op == ast.UnClosure {
@@ -367,149 +401,148 @@ func (tr *Translator) translateUnary(x *ast.Unary, env Env) (any, error) {
 				m = sub.ReflClosure(tr.Bounds.AllAtoms())
 			}
 			tr.closureMemo[key] = m
-			return m, nil
+			return matrixValue(m), nil
 		}
 	}
-	m, err := tr.expr(x.Sub, env)
+	m, err := tr.expr(x.Sub)
 	if err != nil {
-		return nil, err
+		return value{}, err
 	}
 	switch x.Op {
 	case ast.UnTranspose:
-		return m.Transpose(), nil
+		return matrixValue(m.Transpose()), nil
 	case ast.UnClosure:
-		return m.Closure(), nil
+		return matrixValue(m.Closure()), nil
 	case ast.UnReflClose:
-		return m.ReflClosure(tr.Bounds.AllAtoms()), nil
+		return matrixValue(m.ReflClosure(tr.Bounds.AllAtoms())), nil
 	case ast.UnNo:
-		return m.None(), nil
+		return formulaValue(m.None()), nil
 	case ast.UnSome:
-		return m.Some(), nil
+		return formulaValue(m.Some()), nil
 	case ast.UnLone:
-		return m.Lone(), nil
+		return formulaValue(m.Lone()), nil
 	case ast.UnOne:
-		return m.One(), nil
+		return formulaValue(m.One()), nil
 	case ast.UnSet:
-		return TrueNode, nil
+		return formulaValue(TrueNode), nil
 	default:
-		return nil, fmt.Errorf("%s: cannot translate unary %s", x.Pos(), x.Op)
+		return value{}, fmt.Errorf("%s: cannot translate unary %s", x.Pos(), x.Op)
 	}
 }
 
-func (tr *Translator) translateBinary(x *ast.Binary, env Env) (any, error) {
+func (tr *Translator) translateBinary(x *ast.Binary) (value, error) {
 	switch x.Op {
 	case ast.BinAnd, ast.BinOr, ast.BinImplies, ast.BinIff:
-		l, err := tr.formula(x.Left, env)
+		l, err := tr.formula(x.Left)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		r, err := tr.formula(x.Right, env)
+		r, err := tr.formula(x.Right)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
 		switch x.Op {
 		case ast.BinAnd:
-			return And(l, r), nil
+			return formulaValue(tr.And(l, r)), nil
 		case ast.BinOr:
-			return Or(l, r), nil
+			return formulaValue(tr.Or(l, r)), nil
 		case ast.BinImplies:
-			return Implies(l, r), nil
+			return formulaValue(tr.Implies(l, r)), nil
 		default:
-			return Iff(l, r), nil
+			return formulaValue(tr.Iff(l, r)), nil
 		}
 	}
 
-	lv, err := tr.translate(x.Left, env)
+	lv, err := tr.translate(x.Left)
 	if err != nil {
-		return nil, err
+		return value{}, err
 	}
-	rv, err := tr.translate(x.Right, env)
+	rv, err := tr.translate(x.Right)
 	if err != nil {
-		return nil, err
+		return value{}, err
 	}
 
-	lc, lIsInt := lv.(intCount)
-	rc, rIsInt := rv.(intCount)
-	if lIsInt || rIsInt {
-		if !lIsInt || !rIsInt {
-			return nil, fmt.Errorf("%s: mixing Int and relational operands", x.Pos())
+	if lv.isInt() || rv.isInt() {
+		if !lv.isInt() || !rv.isInt() {
+			return value{}, fmt.Errorf("%s: mixing Int and relational operands", x.Pos())
 		}
-		return tr.intCompare(x.Op, lc, rc, x.Pos().String())
+		n, err := tr.intCompare(x.Op, lv, rv, x.Pos().String())
+		return formulaValue(n), err
 	}
 
-	l, ok := lv.(Matrix)
-	if !ok {
-		return nil, fmt.Errorf("%s: expected relational left operand", x.Pos())
+	if lv.kind != kindMatrix {
+		return value{}, fmt.Errorf("%s: expected relational left operand", x.Pos())
 	}
-	r, ok := rv.(Matrix)
-	if !ok {
-		return nil, fmt.Errorf("%s: expected relational right operand", x.Pos())
+	if rv.kind != kindMatrix {
+		return value{}, fmt.Errorf("%s: expected relational right operand", x.Pos())
 	}
+	l, r := lv.m, rv.m
 	switch x.Op {
 	case ast.BinJoin:
-		return l.Join(r), nil
+		return matrixValue(l.Join(r)), nil
 	case ast.BinProduct:
-		return l.Product(r), nil
+		return matrixValue(l.Product(r)), nil
 	case ast.BinUnion:
-		return l.Union(r), nil
+		return matrixValue(l.Union(r)), nil
 	case ast.BinDiff:
-		return l.Diff(r), nil
+		return matrixValue(l.Diff(r)), nil
 	case ast.BinIntersect:
-		return l.Intersect(r), nil
+		return matrixValue(l.Intersect(r)), nil
 	case ast.BinOverride:
-		return l.Override(r), nil
+		return matrixValue(l.Override(r)), nil
 	case ast.BinDomRestr:
-		return r.DomRestr(l), nil
+		return matrixValue(r.DomRestr(l)), nil
 	case ast.BinRanRestr:
-		return l.RanRestr(r), nil
+		return matrixValue(l.RanRestr(r)), nil
 	case ast.BinIn:
-		return l.SubsetOf(r), nil
+		return formulaValue(l.SubsetOf(r)), nil
 	case ast.BinNotIn:
-		return Not(l.SubsetOf(r)), nil
+		return formulaValue(Not(l.SubsetOf(r))), nil
 	case ast.BinEq:
-		return l.EqualTo(r), nil
+		return formulaValue(l.EqualTo(r)), nil
 	case ast.BinNotEq:
-		return Not(l.EqualTo(r)), nil
+		return formulaValue(Not(l.EqualTo(r))), nil
 	default:
-		return nil, fmt.Errorf("%s: cannot translate binary %s", x.Pos(), x.Op)
+		return value{}, fmt.Errorf("%s: cannot translate binary %s", x.Pos(), x.Op)
 	}
 }
 
-// intCompare encodes comparisons between integer counts.
-func (tr *Translator) intCompare(op ast.BinOp, l, r intCount, where string) (Node, error) {
-	// atLeast(c, j): formula "count c >= j".
-	atLeast := func(c intCount, j int) Node {
-		if c.isLit {
+// intCompare encodes comparisons between integer values: cardinalities and
+// literals.
+func (tr *Translator) intCompare(op ast.BinOp, l, r value, where string) (Node, error) {
+	// atLeast(c, j): formula "c >= j".
+	atLeast := func(c value, j int) Node {
+		if c.kind == kindInt {
 			if c.lit >= j {
 				return TrueNode
 			}
 			return FalseNode
 		}
-		return atLeastNodes(c.nodes, j)
+		return tr.atLeast(c.m.nodes, j)
 	}
-	maxOf := func(c intCount) int {
-		if c.isLit {
+	maxOf := func(c value) int {
+		if c.kind == kindInt {
 			return c.lit
 		}
-		return len(c.nodes)
+		return len(c.m.nodes)
 	}
-	n := maxOf(l)
-	if m := maxOf(r); m > n {
-		n = m
-	}
+	n := max(maxOf(l), maxOf(r))
 	// l >= r  iff  for every j, r >= j implies l >= j.
-	geq := func(a, b intCount) Node {
-		var parts []Node
+	geq := func(a, b value) Node {
+		base := len(tr.scratch)
 		for j := 1; j <= n+1; j++ {
-			parts = append(parts, Implies(atLeast(b, j), atLeast(a, j)))
+			part := tr.Implies(atLeast(b, j), atLeast(a, j))
+			tr.scratch = append(tr.scratch, part)
 		}
-		return And(parts...)
+		g := tr.And(tr.scratch[base:]...)
+		tr.scratch = tr.scratch[:base]
+		return g
 	}
 	switch op {
 	case ast.BinEq:
-		return And(geq(l, r), geq(r, l)), nil
+		return tr.And(geq(l, r), geq(r, l)), nil
 	case ast.BinNotEq:
-		return Not(And(geq(l, r), geq(r, l))), nil
+		return Not(tr.And(geq(l, r), geq(r, l))), nil
 	case ast.BinLtEq:
 		return geq(r, l), nil
 	case ast.BinGtEq:
@@ -519,11 +552,14 @@ func (tr *Translator) intCompare(op ast.BinOp, l, r intCount, where string) (Nod
 	case ast.BinGt:
 		return Not(geq(r, l)), nil
 	default:
-		return nil, fmt.Errorf("%s: unsupported Int operator %s", where, op)
+		return FalseNode, fmt.Errorf("%s: unsupported Int operator %s", where, op)
 	}
 }
 
-func (tr *Translator) translateCall(x *ast.Call, env Env) (any, error) {
+// translateCall inlines a pred or fun body: the arguments are computed in
+// the caller's scope, and the body runs in a frame that sees only its
+// parameters.
+func (tr *Translator) translateCall(x *ast.Call) (value, error) {
 	mod := tr.callMod
 	if mod == nil {
 		mod = tr.Info.Module
@@ -535,44 +571,76 @@ func (tr *Translator) translateCall(x *ast.Call, env Env) (any, error) {
 	} else if f := mod.LookupFun(x.Name); f != nil {
 		params, body = f.Params, f.Body
 	} else {
-		return nil, fmt.Errorf("%s: unknown call target %q", x.Pos(), x.Name)
+		return value{}, fmt.Errorf("%s: unknown call target %q", x.Pos(), x.Name)
 	}
-	var names []string
+	names := 0
 	for _, d := range params {
-		names = append(names, d.Names...)
+		names += len(d.Names)
 	}
-	if len(names) != len(x.Args) {
-		return nil, fmt.Errorf("%s: %s expects %d args, got %d", x.Pos(), x.Name, len(names), len(x.Args))
+	if names != len(x.Args) {
+		return value{}, fmt.Errorf("%s: %s expects %d args, got %d", x.Pos(), x.Name, names, len(x.Args))
 	}
-	inner := Env{}
-	for i, n := range names {
-		m, err := tr.expr(x.Args[i], env)
+	mark := len(tr.env)
+	for _, a := range x.Args {
+		m, err := tr.expr(a)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		inner[n] = m
+		tr.env = append(tr.env, binding{m: m})
 	}
-	return tr.translate(body, inner)
+	i := mark
+	for _, d := range params {
+		for _, n := range d.Names {
+			tr.env[i].name = n
+			i++
+		}
+	}
+	base := tr.base
+	tr.base = mark
+	v, err := tr.translate(body)
+	tr.env, tr.base = tr.env[:mark], base
+	return v, err
 }
 
-// groundBinding is one grounded assignment of quantifier variables: the
-// guard collects decl membership conditions.
-type groundBinding struct {
-	env   Env
-	guard Node
+// grounding is the bindings of a quantifier's variables over their upper
+// bounds: binding i gives names[j] the tuple keys[i*len(names)+j], and its
+// guard guards[i] is the condition that each tuple is in its bound.
+type grounding struct {
+	names  []string
+	keys   []uint64
+	guards []Node
+}
+
+// bind pushes the names of g onto the environment stack, one slot each,
+// and returns the first slot; set fills them with a binding's tuples.
+func (tr *Translator) bind(g *grounding) int {
+	mark := len(tr.env)
+	for _, n := range g.names {
+		tr.env = append(tr.env, binding{name: n})
+	}
+	return mark
+}
+
+// set binds the names of g, pushed at mark, to the tuples of binding i.
+func (tr *Translator) set(g *grounding, mark, i int) {
+	n := len(g.names)
+	for j := range g.names {
+		tr.env[mark+j].m = singleton(tr.Circuit, g.keys[i*n+j:])
+	}
 }
 
 // ground enumerates all bindings of the declarations over their upper
-// bounds. Each decl bound is re-translated under the partial environment so
-// dependent bounds (y: x.f) work.
-func (tr *Translator) ground(decls []*ast.Decl, env Env) ([]groundBinding, error) {
-	// slot is one quantified variable; disj lists the flat positions of the
-	// earlier variables of its decl when the decl is disjoint.
+// bounds. Each decl bound is translated with the earlier variables bound
+// to their tuples, so dependent bounds (y: x.f) work.
+func (tr *Translator) ground(decls []*ast.Decl) (*grounding, error) {
+	// slot is one quantified variable; a variable of a disjoint decl must
+	// differ from those at flat positions disj up to its own, the earlier
+	// variables of its decl.
 	type slot struct {
-		name string
 		expr ast.Expr
-		disj []int
+		disj int
 	}
+	g := &grounding{}
 	var flat []slot
 	for _, d := range decls {
 		if d.Mult == ast.MultSet {
@@ -580,131 +648,125 @@ func (tr *Translator) ground(decls []*ast.Decl, env Env) ([]groundBinding, error
 		}
 		first := len(flat)
 		for _, n := range d.Names {
-			s := slot{name: n, expr: d.Expr}
+			s := slot{expr: d.Expr, disj: len(flat)}
 			if d.Disj {
-				for p := first; p < len(flat); p++ {
-					s.disj = append(s.disj, p)
-				}
+				s.disj = first
 			}
 			flat = append(flat, s)
+			g.names = append(g.names, n)
 		}
 	}
-	out := []groundBinding{}
 	// chosen[p] is the tuple key bound at flat position p; rec(i) reads only
 	// positions below i, which its callers have set.
 	chosen := make([]uint64, len(flat))
-	var rec func(i int, env Env, guard Node) error
-	rec = func(i int, env Env, guard Node) error {
+	var rec func(i int, guard Node) error
+	rec = func(i int, guard Node) error {
 		if err := tr.ctxErr(); err != nil {
 			return err
 		}
 		if i == len(flat) {
-			out = append(out, groundBinding{env: env, guard: guard})
+			g.keys = append(g.keys, chosen...)
+			g.guards = append(g.guards, guard)
 			return nil
 		}
 		s := flat[i]
-		dom, err := tr.expr(s.expr, env)
+		dom, err := tr.expr(s.expr)
 		if err != nil {
 			return err
 		}
+		top := len(tr.env)
+		tr.env = append(tr.env, binding{name: g.names[i]})
 	tuples:
 		for j, k := range dom.keys {
-			for _, p := range s.disj {
-				if chosen[p] == k {
+			for _, p := range chosen[s.disj:i] {
+				if p == k {
 					continue tuples
 				}
 			}
-			inner := env.clone()
-			inner[s.name] = singletonKey(k)
+			tr.env[top].m = singleton(tr.Circuit, dom.keys[j:])
 			chosen[i] = k
-			if err := rec(i+1, inner, And(guard, dom.nodes[j])); err != nil {
+			if err := rec(i+1, tr.And(guard, dom.nodes[j])); err != nil {
 				return err
 			}
 		}
+		tr.env = tr.env[:top]
 		return nil
 	}
-	if err := rec(0, env, TrueNode); err != nil {
+	if err := rec(0, TrueNode); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return g, nil
 }
 
-func (tr *Translator) translateQuantified(x *ast.Quantified, env Env) (any, error) {
-	bindings, err := tr.ground(x.Decls, env)
+func (tr *Translator) translateQuantified(x *ast.Quantified) (value, error) {
+	g, err := tr.ground(x.Decls)
 	if err != nil {
-		return nil, err
+		return value{}, err
 	}
-	// For each grounded binding translate the body once; "holds" is
-	// guard AND body, used by the counting quantifiers.
-	bodies := make([]Node, len(bindings))
-	holds := make([]Node, len(bindings))
-	for i, b := range bindings {
-		body, err := tr.formula(x.Body, b.env)
+	// Translate the body once per binding: "all" conjoins guard -> body,
+	// the others count the bindings where guard AND body holds.
+	mark := tr.bind(g)
+	base := len(tr.scratch)
+	for i, guard := range g.guards {
+		tr.set(g, mark, i)
+		body, err := tr.formula(x.Body)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
-		bodies[i] = body
-		holds[i] = And(b.guard, body)
+		if x.Quant == ast.QuantAll {
+			body = tr.Implies(guard, body)
+		} else {
+			body = tr.And(guard, body)
+		}
+		tr.scratch = append(tr.scratch, body)
 	}
+	tr.env = tr.env[:mark]
+	parts := tr.scratch[base:]
+	var n Node
 	switch x.Quant {
 	case ast.QuantAll:
-		// all x | body == AND over bindings (guard -> body).
-		parts := make([]Node, 0, len(bindings))
-		for i, b := range bindings {
-			parts = append(parts, Implies(b.guard, bodies[i]))
-		}
-		return And(parts...), nil
+		n = tr.And(parts...)
 	case ast.QuantSome:
-		return Or(holds...), nil
+		n = tr.Or(parts...)
 	case ast.QuantNo:
-		return Not(Or(holds...)), nil
+		n = Not(tr.Or(parts...))
 	case ast.QuantLone:
-		return loneOf(holds), nil
+		n = tr.lone(parts)
 	case ast.QuantOne:
-		return And(Or(holds...), loneOf(holds)), nil
+		n = tr.And(tr.Or(parts...), tr.lone(parts))
 	default:
-		return nil, fmt.Errorf("%s: unknown quantifier", x.Pos())
+		return value{}, fmt.Errorf("%s: unknown quantifier", x.Pos())
 	}
+	tr.scratch = tr.scratch[:base]
+	return formulaValue(n), nil
 }
 
-func loneOf(nodes []Node) Node {
-	var pairs []Node
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			pairs = append(pairs, Not(And(nodes[i], nodes[j])))
-		}
-	}
-	return And(pairs...)
-}
-
-func (tr *Translator) translateComprehension(x *ast.Comprehension, env Env) (any, error) {
-	bindings, err := tr.ground(x.Decls, env)
+func (tr *Translator) translateComprehension(x *ast.Comprehension) (value, error) {
+	g, err := tr.ground(x.Decls)
 	if err != nil {
-		return nil, err
+		return value{}, err
 	}
-	var names []string
-	total := 0
-	for _, d := range x.Decls {
-		names = append(names, d.Names...)
-		total += len(d.Names)
-	}
-	es := make([]entry, 0, len(bindings))
-	for _, b := range bindings {
-		body, err := tr.formula(x.Body, b.env)
+	mark := tr.bind(g)
+	es := make([]entry, 0, len(g.guards))
+	for i, guard := range g.guards {
+		tr.set(g, mark, i)
+		body, err := tr.formula(x.Body)
 		if err != nil {
-			return nil, err
+			return value{}, err
 		}
 		// The binding's tuple concatenates each variable's singleton tuple.
 		var key uint64
 		arity := 0
-		for _, n := range names {
-			k := b.env[n].keys[0]
+		for _, n := range g.names {
+			m, _ := tr.lookup(n)
+			k := m.keys[0]
 			key |= (k & lanes(keyArity(k))) << (8 * arity)
 			arity += keyArity(k)
 		}
-		es = append(es, entry{header(arity) | key, And(b.guard, body)})
+		es = append(es, entry{header(arity) | key, tr.And(guard, body)})
 	}
-	return collect(total, es), nil
+	tr.env = tr.env[:mark]
+	return matrixValue(collect(tr.Circuit, len(g.names), es)), nil
 }
 
 // Decode extracts a concrete instance from a SAT model.
