@@ -59,6 +59,10 @@ func run(ctx context.Context, args []string, onReady func(addr string)) error {
 	}
 
 	reg := telemetry.New()
+	// A discarding span sink turns span construction on, so /metrics shows
+	// per-kind span_self_ns and span_count, as -metrics-addr does for the
+	// batch CLIs.
+	reg.SetSink(telemetry.Discard)
 	svc, err := service.New(service.Options{
 		Journal:      *journal,
 		QueueDepth:   *queueDepth,

@@ -192,3 +192,45 @@ func TestDaemonRestartResumesJournal(t *testing.T) {
 		}
 	}
 }
+
+// The daemon builds spans: after one job, /metrics.json counts a finished
+// span of the job kind.
+func TestDaemonMetricsCountJobSpans(t *testing.T) {
+	baseURL, shutdown := startDaemon(t, "-nocache")
+	defer shutdown()
+
+	id, status, _ := submit(t, baseURL, faultySrc, "BeAFix", 1)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", status)
+	}
+	resp, err := http.Get(baseURL + "/jobs/" + id + "?wait=60s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	// The job span ends as the job's result is recorded; poll briefly so
+	// the check does not race the worker.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var m struct {
+			SpanCount map[string]int64 `json:"span_count"`
+		}
+		res, err := http.Get(baseURL + "/metrics.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(res.Body).Decode(&m)
+		res.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.SpanCount["job"] >= 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/metrics.json span_count = %v, want a job span", m.SpanCount)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
