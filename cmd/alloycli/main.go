@@ -95,7 +95,9 @@ func evalFormula(an *analyzer.Analyzer, mod *ast.Module, formula string) error {
 	if err != nil {
 		return fmt.Errorf("parsing formula: %w", err)
 	}
-	witness := mod.Clone()
+	// A header copy: the module is immutable, so the witness shares every
+	// paragraph and swaps in its own command list.
+	witness := *mod
 	witness.Commands = []*ast.Command{{
 		Kind:   ast.CmdRun,
 		Name:   "eval$witness",
@@ -103,7 +105,7 @@ func evalFormula(an *analyzer.Analyzer, mod *ast.Module, formula string) error {
 		Scope:  ast.Scope{Default: 3},
 		Expect: -1,
 	}}
-	results, err := an.ExecuteAll(witness)
+	results, err := an.ExecuteAll(&witness)
 	if err != nil {
 		return err
 	}

@@ -3,9 +3,17 @@
 //
 // The tree is deliberately simple: one Expr interface implemented by a small
 // set of node structs, plus declaration nodes for module-level paragraphs.
-// Repair tools mutate these trees, the translator compiles them to SAT, the
-// instance evaluator interprets them, and the printer renders them back to
-// concrete syntax.
+// Repair tools derive edited variants of these trees, the translator compiles
+// them to SAT, the instance evaluator interprets them, and the printer renders
+// them back to concrete syntax.
+//
+// Ownership: a node — expression, declaration, paragraph or module — is never
+// written after it is built. Trees therefore share freely: an edit rebuilds
+// only the path from the edited node to its paragraph (WithChild, Rewrite) and
+// shares everything else, and modules, paragraphs and subtrees are handed
+// between specs, techniques, candidates and goroutines without copying. The
+// one place a subtree must not be shared is inside a single module checked
+// with per-node types, which are keyed by node pointer (see types.Info).
 package ast
 
 import (
@@ -25,8 +33,6 @@ type Node interface {
 type Expr interface {
 	Node
 	exprNode()
-	// CloneExpr returns a deep copy of the expression.
-	CloneExpr() Expr
 }
 
 // ---------------------------------------------------------------------------
@@ -213,9 +219,6 @@ type Ident struct {
 func (e *Ident) Pos() token.Pos { return e.IdentPos }
 func (e *Ident) exprNode()      {}
 
-// CloneExpr implements Expr.
-func (e *Ident) CloneExpr() Expr { c := *e; return &c }
-
 // ConstKind enumerates the built-in constants.
 type ConstKind int
 
@@ -247,9 +250,6 @@ type Const struct {
 func (e *Const) Pos() token.Pos { return e.ConstPos }
 func (e *Const) exprNode()      {}
 
-// CloneExpr implements Expr.
-func (e *Const) CloneExpr() Expr { c := *e; return &c }
-
 // IntLit is an integer literal, used in cardinality comparisons.
 type IntLit struct {
 	Value  int
@@ -259,9 +259,6 @@ type IntLit struct {
 // Pos implements Node.
 func (e *IntLit) Pos() token.Pos { return e.IntPos }
 func (e *IntLit) exprNode()      {}
-
-// CloneExpr implements Expr.
-func (e *IntLit) CloneExpr() Expr { c := *e; return &c }
 
 // Unary is a unary operator application.
 type Unary struct {
@@ -273,11 +270,6 @@ type Unary struct {
 // Pos implements Node.
 func (e *Unary) Pos() token.Pos { return e.OpPos }
 func (e *Unary) exprNode()      {}
-
-// CloneExpr implements Expr.
-func (e *Unary) CloneExpr() Expr {
-	return &Unary{Op: e.Op, Sub: e.Sub.CloneExpr(), OpPos: e.OpPos}
-}
 
 // Binary is a binary operator application.
 //
@@ -296,17 +288,6 @@ type Binary struct {
 func (e *Binary) Pos() token.Pos { return e.Left.Pos() }
 func (e *Binary) exprNode()      {}
 
-// CloneExpr implements Expr.
-func (e *Binary) CloneExpr() Expr {
-	return &Binary{
-		Op:        e.Op,
-		Left:      e.Left.CloneExpr(),
-		Right:     e.Right.CloneExpr(),
-		LeftMult:  e.LeftMult,
-		RightMult: e.RightMult,
-	}
-}
-
 // BoxJoin is the bracket join e[a, b] which desugars to b.(a.e); retaining
 // it as a node preserves source shape for printing and similarity metrics.
 type BoxJoin struct {
@@ -318,15 +299,6 @@ type BoxJoin struct {
 func (e *BoxJoin) Pos() token.Pos { return e.Target.Pos() }
 func (e *BoxJoin) exprNode()      {}
 
-// CloneExpr implements Expr.
-func (e *BoxJoin) CloneExpr() Expr {
-	args := make([]Expr, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.CloneExpr()
-	}
-	return &BoxJoin{Target: e.Target.CloneExpr(), Args: args}
-}
-
 // Prime marks a post-state reference r'. The analyzer models r' as an
 // implicitly declared shadow relation with the same bounds as r, which gives
 // pre/post predicates standard bounded-relational semantics.
@@ -337,9 +309,6 @@ type Prime struct {
 // Pos implements Node.
 func (e *Prime) Pos() token.Pos { return e.Sub.Pos() }
 func (e *Prime) exprNode()      {}
-
-// CloneExpr implements Expr.
-func (e *Prime) CloneExpr() Expr { return &Prime{Sub: e.Sub.CloneExpr()} }
 
 // Decl is a variable declaration "disj? names : mult? expr" used by
 // quantifiers, comprehensions, predicate parameters and field declarations.
@@ -354,13 +323,6 @@ type Decl struct {
 // Pos implements Node.
 func (d *Decl) Pos() token.Pos { return d.DeclPos }
 
-// Clone returns a deep copy of the declaration.
-func (d *Decl) Clone() *Decl {
-	names := make([]string, len(d.Names))
-	copy(names, d.Names)
-	return &Decl{Names: names, Disj: d.Disj, Mult: d.Mult, Expr: d.Expr.CloneExpr(), DeclPos: d.DeclPos}
-}
-
 // Quantified is a quantified formula "quant decls | body".
 type Quantified struct {
 	Quant    Quant
@@ -373,15 +335,6 @@ type Quantified struct {
 func (e *Quantified) Pos() token.Pos { return e.QuantPos }
 func (e *Quantified) exprNode()      {}
 
-// CloneExpr implements Expr.
-func (e *Quantified) CloneExpr() Expr {
-	decls := make([]*Decl, len(e.Decls))
-	for i, d := range e.Decls {
-		decls[i] = d.Clone()
-	}
-	return &Quantified{Quant: e.Quant, Decls: decls, Body: e.Body.CloneExpr(), QuantPos: e.QuantPos}
-}
-
 // Comprehension is a set comprehension "{decls | body}".
 type Comprehension struct {
 	Decls   []*Decl
@@ -392,15 +345,6 @@ type Comprehension struct {
 // Pos implements Node.
 func (e *Comprehension) Pos() token.Pos { return e.OpenPos }
 func (e *Comprehension) exprNode()      {}
-
-// CloneExpr implements Expr.
-func (e *Comprehension) CloneExpr() Expr {
-	decls := make([]*Decl, len(e.Decls))
-	for i, d := range e.Decls {
-		decls[i] = d.Clone()
-	}
-	return &Comprehension{Decls: decls, Body: e.Body.CloneExpr(), OpenPos: e.OpenPos}
-}
 
 // Let binds names to expressions within a body.
 type Let struct {
@@ -414,17 +358,6 @@ type Let struct {
 func (e *Let) Pos() token.Pos { return e.LetPos }
 func (e *Let) exprNode()      {}
 
-// CloneExpr implements Expr.
-func (e *Let) CloneExpr() Expr {
-	names := make([]string, len(e.Names))
-	copy(names, e.Names)
-	vals := make([]Expr, len(e.Values))
-	for i, v := range e.Values {
-		vals[i] = v.CloneExpr()
-	}
-	return &Let{Names: names, Values: vals, Body: e.Body.CloneExpr(), LetPos: e.LetPos}
-}
-
 // IfElse is "cond implies then else else" / "cond => then else else".
 // It covers both formula-level and expression-level conditionals.
 type IfElse struct {
@@ -437,11 +370,6 @@ type IfElse struct {
 func (e *IfElse) Pos() token.Pos { return e.Cond.Pos() }
 func (e *IfElse) exprNode()      {}
 
-// CloneExpr implements Expr.
-func (e *IfElse) CloneExpr() Expr {
-	return &IfElse{Cond: e.Cond.CloneExpr(), Then: e.Then.CloneExpr(), Else: e.Else.CloneExpr()}
-}
-
 // Block is a brace-delimited sequence of formulas, interpreted as their
 // conjunction. Fact, predicate, and assertion bodies are blocks.
 type Block struct {
@@ -452,15 +380,6 @@ type Block struct {
 // Pos implements Node.
 func (e *Block) Pos() token.Pos { return e.OpenPos }
 func (e *Block) exprNode()      {}
-
-// CloneExpr implements Expr.
-func (e *Block) CloneExpr() Expr {
-	exprs := make([]Expr, len(e.Exprs))
-	for i, x := range e.Exprs {
-		exprs[i] = x.CloneExpr()
-	}
-	return &Block{Exprs: exprs, OpenPos: e.OpenPos}
-}
 
 // Call is an explicit predicate or function application "name[args]" where
 // name resolves to a pred or fun rather than a relation. The parser produces
@@ -475,15 +394,6 @@ type Call struct {
 // Pos implements Node.
 func (e *Call) Pos() token.Pos { return e.NamePos }
 func (e *Call) exprNode()      {}
-
-// CloneExpr implements Expr.
-func (e *Call) CloneExpr() Expr {
-	args := make([]Expr, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = a.CloneExpr()
-	}
-	return &Call{Name: e.Name, Args: args, NamePos: e.NamePos}
-}
 
 // ---------------------------------------------------------------------------
 // Paragraphs (module-level declarations)
@@ -504,25 +414,6 @@ type Sig struct {
 // Pos implements Node.
 func (s *Sig) Pos() token.Pos { return s.SigPos }
 
-// Clone returns a deep copy of the signature declaration.
-func (s *Sig) Clone() *Sig {
-	c := &Sig{
-		Names:    append([]string(nil), s.Names...),
-		Abstract: s.Abstract,
-		Mult:     s.Mult,
-		Parent:   s.Parent,
-		Subset:   append([]string(nil), s.Subset...),
-		SigPos:   s.SigPos,
-	}
-	for _, f := range s.Fields {
-		c.Fields = append(c.Fields, f.Clone())
-	}
-	if s.Fact != nil {
-		c.Fact = s.Fact.CloneExpr()
-	}
-	return c
-}
-
 // Fact is a named or anonymous fact paragraph.
 type Fact struct {
 	Name    string // "" if anonymous
@@ -532,11 +423,6 @@ type Fact struct {
 
 // Pos implements Node.
 func (f *Fact) Pos() token.Pos { return f.FactPos }
-
-// Clone returns a deep copy of the fact.
-func (f *Fact) Clone() *Fact {
-	return &Fact{Name: f.Name, Body: f.Body.CloneExpr(), FactPos: f.FactPos}
-}
 
 // Pred is a predicate declaration.
 type Pred struct {
@@ -548,15 +434,6 @@ type Pred struct {
 
 // Pos implements Node.
 func (p *Pred) Pos() token.Pos { return p.PredPos }
-
-// Clone returns a deep copy of the predicate.
-func (p *Pred) Clone() *Pred {
-	c := &Pred{Name: p.Name, Body: p.Body.CloneExpr(), PredPos: p.PredPos}
-	for _, d := range p.Params {
-		c.Params = append(c.Params, d.Clone())
-	}
-	return c
-}
 
 // Fun is a function declaration.
 type Fun struct {
@@ -570,15 +447,6 @@ type Fun struct {
 // Pos implements Node.
 func (f *Fun) Pos() token.Pos { return f.FunPos }
 
-// Clone returns a deep copy of the function.
-func (f *Fun) Clone() *Fun {
-	c := &Fun{Name: f.Name, Result: f.Result.CloneExpr(), Body: f.Body.CloneExpr(), FunPos: f.FunPos}
-	for _, d := range f.Params {
-		c.Params = append(c.Params, d.Clone())
-	}
-	return c
-}
-
 // Assert is an assertion paragraph.
 type Assert struct {
 	Name      string
@@ -588,11 +456,6 @@ type Assert struct {
 
 // Pos implements Node.
 func (a *Assert) Pos() token.Pos { return a.AssertPos }
-
-// Clone returns a deep copy of the assertion.
-func (a *Assert) Clone() *Assert {
-	return &Assert{Name: a.Name, Body: a.Body.CloneExpr(), AssertPos: a.AssertPos}
-}
 
 // CommandKind distinguishes run from check commands.
 type CommandKind int
@@ -619,24 +482,6 @@ type Scope struct {
 	Bitwidth int            // integer bitwidth; 0 means analyzer default
 }
 
-// Clone returns a deep copy of the scope.
-func (s Scope) Clone() Scope {
-	c := Scope{Default: s.Default, Bitwidth: s.Bitwidth}
-	if s.Exact != nil {
-		c.Exact = make(map[string]int, len(s.Exact))
-		for k, v := range s.Exact {
-			c.Exact[k] = v
-		}
-	}
-	if s.PerSig != nil {
-		c.PerSig = make(map[string]int, len(s.PerSig))
-		for k, v := range s.PerSig {
-			c.PerSig[k] = v
-		}
-	}
-	return c
-}
-
 // Command is a run or check command.
 type Command struct {
 	Kind   CommandKind
@@ -651,16 +496,6 @@ type Command struct {
 // Pos implements Node.
 func (c *Command) Pos() token.Pos { return c.CmdPos }
 
-// Clone returns a deep copy of the command.
-func (c *Command) Clone() *Command {
-	cc := *c
-	cc.Scope = c.Scope.Clone()
-	if c.Block != nil {
-		cc.Block = c.Block.CloneExpr()
-	}
-	return &cc
-}
-
 // Module is a parsed Alloy module.
 type Module struct {
 	Name     string
@@ -672,28 +507,22 @@ type Module struct {
 	Commands []*Command
 }
 
-// Clone returns a deep copy of the module.
+// Clone returns a header copy of the module: its own paragraph slices,
+// holding the same paragraphs.
+//
+// Deprecated: modules are immutable, so a copy is never needed to keep one
+// safe. To swap out a paragraph list, copy the Module struct and assign the
+// new slice.
 func (m *Module) Clone() *Module {
-	c := &Module{Name: m.Name}
-	for _, s := range m.Sigs {
-		c.Sigs = append(c.Sigs, s.Clone())
+	return &Module{
+		Name:     m.Name,
+		Sigs:     append([]*Sig(nil), m.Sigs...),
+		Facts:    append([]*Fact(nil), m.Facts...),
+		Preds:    append([]*Pred(nil), m.Preds...),
+		Funs:     append([]*Fun(nil), m.Funs...),
+		Asserts:  append([]*Assert(nil), m.Asserts...),
+		Commands: append([]*Command(nil), m.Commands...),
 	}
-	for _, f := range m.Facts {
-		c.Facts = append(c.Facts, f.Clone())
-	}
-	for _, p := range m.Preds {
-		c.Preds = append(c.Preds, p.Clone())
-	}
-	for _, f := range m.Funs {
-		c.Funs = append(c.Funs, f.Clone())
-	}
-	for _, a := range m.Asserts {
-		c.Asserts = append(c.Asserts, a.Clone())
-	}
-	for _, cmd := range m.Commands {
-		c.Commands = append(c.Commands, cmd.Clone())
-	}
-	return c
 }
 
 // LookupSig returns the signature declaring name, or nil.

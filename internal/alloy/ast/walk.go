@@ -1,181 +1,205 @@
 package ast
 
+// The child protocol. NumChildren, Child and WithChild are the only code
+// that knows each node type's child layout: the direct sub-expressions of a
+// node in source order, declaration bounding expressions counting as
+// children and a binder's body (Quantified, Comprehension, Let) coming last.
+// Walk, Rewrite and every path-addressed edit go through them.
+
+// NumChildren returns the number of direct sub-expressions of expr.
+func NumChildren(expr Expr) int {
+	switch e := expr.(type) {
+	case *Unary, *Prime:
+		return 1
+	case *Binary:
+		return 2
+	case *IfElse:
+		return 3
+	case *BoxJoin:
+		return 1 + len(e.Args)
+	case *Quantified:
+		return len(e.Decls) + 1
+	case *Comprehension:
+		return len(e.Decls) + 1
+	case *Let:
+		return len(e.Values) + 1
+	case *Block:
+		return len(e.Exprs)
+	case *Call:
+		return len(e.Args)
+	default: // *Ident, *Const, *IntLit
+		return 0
+	}
+}
+
+// Child returns the i-th direct sub-expression of expr, for
+// 0 <= i < NumChildren(expr). It does not allocate.
+func Child(expr Expr, i int) Expr {
+	switch e := expr.(type) {
+	case *Unary:
+		return e.Sub
+	case *Prime:
+		return e.Sub
+	case *Binary:
+		if i == 0 {
+			return e.Left
+		}
+		return e.Right
+	case *IfElse:
+		switch i {
+		case 0:
+			return e.Cond
+		case 1:
+			return e.Then
+		}
+		return e.Else
+	case *BoxJoin:
+		if i == 0 {
+			return e.Target
+		}
+		return e.Args[i-1]
+	case *Quantified:
+		if i < len(e.Decls) {
+			return e.Decls[i].Expr
+		}
+		return e.Body
+	case *Comprehension:
+		if i < len(e.Decls) {
+			return e.Decls[i].Expr
+		}
+		return e.Body
+	case *Let:
+		if i < len(e.Values) {
+			return e.Values[i]
+		}
+		return e.Body
+	case *Block:
+		return e.Exprs[i]
+	case *Call:
+		return e.Args[i]
+	}
+	panic("ast: Child of a leaf")
+}
+
+// WithChild returns a new node equal to expr except that its i-th direct
+// sub-expression is kid, for 0 <= i < NumChildren(expr). Every other child,
+// declaration and name is shared with expr, which is left as it is.
+func WithChild(expr Expr, i int, kid Expr) Expr {
+	switch e := expr.(type) {
+	case *Unary:
+		c := *e
+		c.Sub = kid
+		return &c
+	case *Prime:
+		c := *e
+		c.Sub = kid
+		return &c
+	case *Binary:
+		c := *e
+		if i == 0 {
+			c.Left = kid
+		} else {
+			c.Right = kid
+		}
+		return &c
+	case *IfElse:
+		c := *e
+		switch i {
+		case 0:
+			c.Cond = kid
+		case 1:
+			c.Then = kid
+		default:
+			c.Else = kid
+		}
+		return &c
+	case *BoxJoin:
+		c := *e
+		if i == 0 {
+			c.Target = kid
+		} else {
+			c.Args = withElem(e.Args, i-1, kid)
+		}
+		return &c
+	case *Quantified:
+		c := *e
+		if i < len(e.Decls) {
+			c.Decls = withDeclExpr(e.Decls, i, kid)
+		} else {
+			c.Body = kid
+		}
+		return &c
+	case *Comprehension:
+		c := *e
+		if i < len(e.Decls) {
+			c.Decls = withDeclExpr(e.Decls, i, kid)
+		} else {
+			c.Body = kid
+		}
+		return &c
+	case *Let:
+		c := *e
+		if i < len(e.Values) {
+			c.Values = withElem(e.Values, i, kid)
+		} else {
+			c.Body = kid
+		}
+		return &c
+	case *Block:
+		c := *e
+		c.Exprs = withElem(e.Exprs, i, kid)
+		return &c
+	case *Call:
+		c := *e
+		c.Args = withElem(e.Args, i, kid)
+		return &c
+	}
+	panic("ast: WithChild of a leaf")
+}
+
+// withElem returns a copy of list with element i replaced.
+func withElem(list []Expr, i int, x Expr) []Expr {
+	out := append([]Expr(nil), list...)
+	out[i] = x
+	return out
+}
+
+// withDeclExpr returns a copy of decls whose i-th declaration is a copy
+// bounded by x.
+func withDeclExpr(decls []*Decl, i int, x Expr) []*Decl {
+	out := append([]*Decl(nil), decls...)
+	d := *decls[i]
+	d.Expr = x
+	out[i] = &d
+	return out
+}
+
 // Walk calls fn for expr and every expression beneath it, in pre-order.
 // If fn returns false for a node, its children are not visited.
 func Walk(expr Expr, fn func(Expr) bool) {
 	if expr == nil || !fn(expr) {
 		return
 	}
-	for _, child := range Children(expr) {
-		Walk(child, fn)
-	}
-}
-
-// Children returns the direct sub-expressions of expr, in source order.
-// Declaration bounding expressions count as children.
-func Children(expr Expr) []Expr {
-	switch e := expr.(type) {
-	case *Ident, *Const, *IntLit:
-		return nil
-	case *Unary:
-		return []Expr{e.Sub}
-	case *Binary:
-		return []Expr{e.Left, e.Right}
-	case *BoxJoin:
-		out := make([]Expr, 0, len(e.Args)+1)
-		out = append(out, e.Target)
-		out = append(out, e.Args...)
-		return out
-	case *Prime:
-		return []Expr{e.Sub}
-	case *Quantified:
-		out := make([]Expr, 0, len(e.Decls)+1)
-		for _, d := range e.Decls {
-			out = append(out, d.Expr)
-		}
-		out = append(out, e.Body)
-		return out
-	case *Comprehension:
-		out := make([]Expr, 0, len(e.Decls)+1)
-		for _, d := range e.Decls {
-			out = append(out, d.Expr)
-		}
-		out = append(out, e.Body)
-		return out
-	case *Let:
-		out := make([]Expr, 0, len(e.Values)+1)
-		out = append(out, e.Values...)
-		out = append(out, e.Body)
-		return out
-	case *IfElse:
-		return []Expr{e.Cond, e.Then, e.Else}
-	case *Block:
-		return append([]Expr(nil), e.Exprs...)
-	case *Call:
-		return append([]Expr(nil), e.Args...)
-	default:
-		return nil
+	for i := range NumChildren(expr) {
+		Walk(Child(expr, i), fn)
 	}
 }
 
 // Rewrite applies fn bottom-up to every expression under expr and returns the
 // rewritten tree. fn receives each node after its children were rewritten; it
 // may return the node unchanged or a replacement. The input tree is not
-// modified: parents of replaced children are re-allocated.
+// modified: parents of replaced children are rebuilt with WithChild, and
+// every unchanged subtree is shared.
 func Rewrite(expr Expr, fn func(Expr) Expr) Expr {
 	if expr == nil {
 		return nil
 	}
-	switch e := expr.(type) {
-	case *Ident, *Const, *IntLit:
-		return fn(expr)
-	case *Unary:
-		sub := Rewrite(e.Sub, fn)
-		if sub != e.Sub {
-			expr = &Unary{Op: e.Op, Sub: sub, OpPos: e.OpPos}
-		}
-		return fn(expr)
-	case *Binary:
-		l, r := Rewrite(e.Left, fn), Rewrite(e.Right, fn)
-		if l != e.Left || r != e.Right {
-			expr = &Binary{Op: e.Op, Left: l, Right: r, LeftMult: e.LeftMult, RightMult: e.RightMult}
-		}
-		return fn(expr)
-	case *BoxJoin:
-		target := Rewrite(e.Target, fn)
-		args, changed := rewriteSlice(e.Args, fn)
-		if target != e.Target || changed {
-			expr = &BoxJoin{Target: target, Args: args}
-		}
-		return fn(expr)
-	case *Prime:
-		sub := Rewrite(e.Sub, fn)
-		if sub != e.Sub {
-			expr = &Prime{Sub: sub}
-		}
-		return fn(expr)
-	case *Quantified:
-		decls, dchanged := rewriteDecls(e.Decls, fn)
-		body := Rewrite(e.Body, fn)
-		if dchanged || body != e.Body {
-			expr = &Quantified{Quant: e.Quant, Decls: decls, Body: body, QuantPos: e.QuantPos}
-		}
-		return fn(expr)
-	case *Comprehension:
-		decls, dchanged := rewriteDecls(e.Decls, fn)
-		body := Rewrite(e.Body, fn)
-		if dchanged || body != e.Body {
-			expr = &Comprehension{Decls: decls, Body: body, OpenPos: e.OpenPos}
-		}
-		return fn(expr)
-	case *Let:
-		vals, changed := rewriteSlice(e.Values, fn)
-		body := Rewrite(e.Body, fn)
-		if changed || body != e.Body {
-			expr = &Let{Names: append([]string(nil), e.Names...), Values: vals, Body: body, LetPos: e.LetPos}
-		}
-		return fn(expr)
-	case *IfElse:
-		c, t, el := Rewrite(e.Cond, fn), Rewrite(e.Then, fn), Rewrite(e.Else, fn)
-		if c != e.Cond || t != e.Then || el != e.Else {
-			expr = &IfElse{Cond: c, Then: t, Else: el}
-		}
-		return fn(expr)
-	case *Block:
-		exprs, changed := rewriteSlice(e.Exprs, fn)
-		if changed {
-			expr = &Block{Exprs: exprs, OpenPos: e.OpenPos}
-		}
-		return fn(expr)
-	case *Call:
-		args, changed := rewriteSlice(e.Args, fn)
-		if changed {
-			expr = &Call{Name: e.Name, Args: args, NamePos: e.NamePos}
-		}
-		return fn(expr)
-	default:
-		return fn(expr)
-	}
-}
-
-func rewriteSlice(in []Expr, fn func(Expr) Expr) ([]Expr, bool) {
-	out := in
-	changed := false
-	for i, x := range in {
-		nx := Rewrite(x, fn)
-		if nx != x {
-			if !changed {
-				out = append([]Expr(nil), in...)
-				changed = true
-			}
-			out[i] = nx
+	out := expr
+	for i := range NumChildren(expr) {
+		kid := Child(expr, i)
+		if nk := Rewrite(kid, fn); nk != kid {
+			out = WithChild(out, i, nk)
 		}
 	}
-	return out, changed
-}
-
-func rewriteDecls(in []*Decl, fn func(Expr) Expr) ([]*Decl, bool) {
-	out := in
-	changed := false
-	for i, d := range in {
-		nx := Rewrite(d.Expr, fn)
-		if nx != d.Expr {
-			if !changed {
-				out = append([]*Decl(nil), in...)
-				changed = true
-			}
-			nd := *d
-			nd.Expr = nx
-			out[i] = &nd
-		}
-	}
-	return out, changed
-}
-
-// CountNodes returns the number of expression nodes in the tree rooted at
-// expr, counting expr itself.
-func CountNodes(expr Expr) int {
-	n := 0
-	Walk(expr, func(Expr) bool { n++; return true })
-	return n
+	return fn(out)
 }

@@ -28,8 +28,10 @@ func TestWalkPreOrder(t *testing.T) {
 	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
 		t.Errorf("names = %v", names)
 	}
-	if got := CountNodes(e); got != 6 {
-		t.Errorf("CountNodes = %d, want 6", got)
+	nodes := 0
+	Walk(e, func(Expr) bool { nodes++; return true })
+	if nodes != 6 {
+		t.Errorf("Walk visited %d nodes, want 6", nodes)
 	}
 }
 
@@ -100,20 +102,6 @@ func TestRewriteQuantifiedDecls(t *testing.T) {
 	}
 }
 
-func TestCloneDeep(t *testing.T) {
-	e := &Quantified{
-		Quant: QuantSome,
-		Decls: []*Decl{{Names: []string{"x"}, Expr: id("S"), Mult: MultOne}},
-		Body:  &Binary{Op: BinEq, Left: id("x"), Right: id("x")},
-	}
-	c := e.CloneExpr().(*Quantified)
-	c.Decls[0].Names[0] = "y"
-	c.Body.(*Binary).Left.(*Ident).Name = "q"
-	if e.Decls[0].Names[0] != "x" || e.Body.(*Binary).Left.(*Ident).Name != "x" {
-		t.Error("CloneExpr is not deep")
-	}
-}
-
 func TestModuleLookups(t *testing.T) {
 	m := &Module{
 		Sigs:    []*Sig{{Names: []string{"A", "B"}}},
@@ -132,16 +120,6 @@ func TestModuleLookups(t *testing.T) {
 	}
 	if got := m.SigNames(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
 		t.Errorf("SigNames = %v", got)
-	}
-}
-
-func TestScopeClone(t *testing.T) {
-	s := Scope{Default: 3, Exact: map[string]int{"A": 2}, PerSig: map[string]int{"B": 4}}
-	c := s.Clone()
-	c.Exact["A"] = 9
-	c.PerSig["B"] = 9
-	if s.Exact["A"] != 2 || s.PerSig["B"] != 4 {
-		t.Error("Scope.Clone shares maps")
 	}
 }
 

@@ -3,7 +3,6 @@ package lexer
 
 import (
 	"fmt"
-	"strings"
 
 	"specrepair/internal/alloy/token"
 )
@@ -244,34 +243,4 @@ func Tokenize(src string) []string {
 		}
 	}
 	return out
-}
-
-// StripComments removes line and block comments from src, preserving
-// newlines so line numbers stay meaningful.
-func StripComments(src string) string {
-	var b strings.Builder
-	i := 0
-	for i < len(src) {
-		switch {
-		case strings.HasPrefix(src[i:], "--"), strings.HasPrefix(src[i:], "//"):
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case strings.HasPrefix(src[i:], "/*"):
-			i += 2
-			for i < len(src) && !strings.HasPrefix(src[i:], "*/") {
-				if src[i] == '\n' {
-					b.WriteByte('\n')
-				}
-				i++
-			}
-			if i < len(src) {
-				i += 2
-			}
-		default:
-			b.WriteByte(src[i])
-			i++
-		}
-	}
-	return b.String()
 }

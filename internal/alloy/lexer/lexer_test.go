@@ -122,15 +122,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestStripComments(t *testing.T) {
-	src := "a -- x\nb /* c\nd */ e"
-	got := StripComments(src)
-	want := "a \nb \n e"
-	if got != want {
-		t.Errorf("StripComments = %q, want %q", got, want)
-	}
-}
-
 func TestNumber(t *testing.T) {
 	toks, _ := ScanAll("for 3 but 12 Int")
 	if toks[1].Kind != token.Number || toks[1].Lit != "3" {

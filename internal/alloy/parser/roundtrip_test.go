@@ -128,16 +128,3 @@ func TestPrintParseFixpointRandom(t *testing.T) {
 		}
 	}
 }
-
-// TestRandomExprStructuralEquality re-parses and compares structurally via
-// a second print of a clone, ensuring CloneExpr and the printer agree.
-func TestRandomExprCloneStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	g := &exprGen{rng: rng, vars: []string{"x"}}
-	for i := 0; i < 500; i++ {
-		e := g.formula(3)
-		if printer.Expr(e) != printer.Expr(e.CloneExpr()) {
-			t.Fatalf("iter %d: clone prints differently", i)
-		}
-	}
-}

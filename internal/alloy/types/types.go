@@ -262,7 +262,12 @@ func (c *checker) desugarSigFacts() {
 				Right: id,
 			}
 		})
-		for _, name := range s.Names {
+		for k, name := range s.Names {
+			if k > 0 {
+				// Info.TypeOf is keyed by node pointer, so each name's fact
+				// gets a tree of its own.
+				body = copyTree(body)
+			}
 			fact := &ast.Fact{
 				Name: name + "$fact",
 				Body: &ast.Quantified{
@@ -272,7 +277,7 @@ func (c *checker) desugarSigFacts() {
 						Mult:  ast.MultDefault,
 						Expr:  &ast.Ident{Name: name, IdentPos: s.Pos()},
 					}},
-					Body:     body.CloneExpr(),
+					Body:     body,
 					QuantPos: s.Pos(),
 				},
 				FactPos: s.Pos(),
@@ -294,6 +299,35 @@ func (c *checker) desugarSigFacts() {
 	mod := *c.mod
 	mod.Sigs, mod.Facts = sigs, facts
 	c.mod, c.info.Module = &mod, &mod
+}
+
+// copyTree returns a copy of e that shares no node with it: every node
+// without children is copied, so Rewrite rebuilds every node above one.
+func copyTree(e ast.Expr) ast.Expr {
+	return ast.Rewrite(e, func(x ast.Expr) ast.Expr {
+		switch n := x.(type) {
+		case *ast.Ident:
+			c := *n
+			return &c
+		case *ast.Const:
+			c := *n
+			return &c
+		case *ast.IntLit:
+			c := *n
+			return &c
+		case *ast.Block:
+			if len(n.Exprs) == 0 {
+				c := *n
+				return &c
+			}
+		case *ast.Call:
+			if len(n.Args) == 0 {
+				c := *n
+				return &c
+			}
+		}
+		return x
+	})
 }
 
 func (c *checker) checkParagraphs() {

@@ -405,14 +405,10 @@ func commandGoal(low *ast.Module, cmd *ast.Command) (ast.Expr, error) {
 		if len(p.Params) == 0 {
 			return p.Body, nil
 		}
-		decls := make([]*ast.Decl, len(p.Params))
-		for i, d := range p.Params {
-			decls[i] = d.Clone()
-		}
 		return &ast.Quantified{
 			Quant:    ast.QuantSome,
-			Decls:    decls,
-			Body:     p.Body.CloneExpr(),
+			Decls:    p.Params,
+			Body:     p.Body,
 			QuantPos: p.Pos(),
 		}, nil
 	case ast.CmdCheck:
@@ -531,11 +527,12 @@ func (a *Analyzer) equisatFresh(gtCommands []*ast.Command, verdicts []bool, cand
 	s.span = a.span.Child("analyzer.equisat")
 	defer s.span.End()
 	for i, cmd := range gtCommands {
-		cmd := cmd.Clone()
 		if cmd.Block != nil {
 			// Inline block goals may call predicates; resolve them against
-			// the candidate.
-			cmd.Block = types.RewriteCalls(s.low, cmd.Block)
+			// the candidate, on a copy of the command.
+			c := *cmd
+			c.Block = types.RewriteCalls(s.low, cmd.Block)
+			cmd = &c
 		}
 		cand, err := s.run(cmd)
 		if err != nil {

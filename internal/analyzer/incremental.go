@@ -178,6 +178,11 @@ var gateWindow = 64
 type incScope struct {
 	*scope
 	gates map[string]sat.Lit
+	// hasCall memoizes exprHasCall by body pointer, which is exact because
+	// a body is never written after it is built. Lowering gives a
+	// candidate's call-holding bodies fresh pointers that never hit again,
+	// so the memo is emptied once it outgrows the gate memo by a window.
+	hasCall map[ast.Expr]bool
 
 	// baseGates is the gate count right after the first command served by
 	// this solver — the resident set of base-module formulas. -1 until
@@ -225,7 +230,12 @@ func (s *incSession) state(sc ast.Scope) *incScope {
 		// regrows the solver to the same size, and the old scope is dropped.
 		reuse = st.engine
 	}
-	st := &incScope{scope: s.an.newScope(s.info, sc, nil, nil, reuse), gates: map[string]sat.Lit{}, baseGates: -1}
+	st := &incScope{
+		scope:     s.an.newScope(s.info, sc, nil, nil, reuse),
+		gates:     map[string]sat.Lit{},
+		hasCall:   map[ast.Expr]bool{},
+		baseGates: -1,
+	}
 	s.byScope[key] = st
 	return st
 }
@@ -307,7 +317,7 @@ func (st *incScope) gate(low *ast.Module, body ast.Expr, neg bool, callFP *strin
 	if neg {
 		key = "-" + key
 	}
-	if exprHasCall(body) {
+	if st.callsIn(body) {
 		if *callFP == "" {
 			*callFP = callEnvFingerprint(low)
 		}
@@ -325,6 +335,20 @@ func (st *incScope) gate(low *ast.Module, body ast.Expr, neg bool, callFP *strin
 	g := st.cb.GateLit(node, neg)
 	st.gates[key] = g
 	return g, nil
+}
+
+// callsIn reports whether body contains a pred/fun call, through the
+// scope's memo.
+func (st *incScope) callsIn(body ast.Expr) bool {
+	has, ok := st.hasCall[body]
+	if !ok {
+		if len(st.hasCall) >= len(st.gates)+gateWindow {
+			clear(st.hasCall)
+		}
+		has = exprHasCall(body)
+		st.hasCall[body] = has
+	}
+	return has
 }
 
 // exprHasCall reports whether the expression contains a pred/fun call.

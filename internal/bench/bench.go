@@ -42,11 +42,14 @@ type Spec struct {
 	Hints       repair.Hints
 }
 
-// Problem converts the entry to a repair problem.
+// Problem converts the entry to a repair problem. The problem's module is
+// a struct copy of the spec's: its own header over the same paragraph
+// slices and paragraphs, which are never written.
 func (s *Spec) Problem() repair.Problem {
+	faulty := *s.Faulty
 	return repair.Problem{
 		Name:   s.Name,
-		Faulty: s.Faulty.Clone(),
+		Faulty: &faulty,
 		Tests:  s.Tests,
 		Hints:  s.Hints,
 	}

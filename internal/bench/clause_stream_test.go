@@ -118,11 +118,7 @@ func streamGoal(low *ast.Module, cmd *ast.Command) (ast.Expr, error) {
 	if len(p.Params) == 0 {
 		return p.Body, nil
 	}
-	decls := make([]*ast.Decl, len(p.Params))
-	for i, d := range p.Params {
-		decls[i] = d.Clone()
-	}
-	return &ast.Quantified{Quant: ast.QuantSome, Decls: decls, Body: p.Body.CloneExpr(), QuantPos: p.Pos()}, nil
+	return &ast.Quantified{Quant: ast.QuantSome, Decls: p.Params, Body: p.Body, QuantPos: p.Pos()}, nil
 }
 
 // hashFresh encodes mod as a fresh analysis session does: per scope, the

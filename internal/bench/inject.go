@@ -87,7 +87,7 @@ func (g *Generator) inject(p domainProfile, gt *ast.Module) ([]*Spec, error) {
 			Domain:      p.domain,
 			Depth:       depth,
 			Faulty:      applied,
-			GroundTruth: gt.Clone(),
+			GroundTruth: gt,
 			Tests:       p.tests(),
 			Hints: repair.Hints{
 				Location: first.site.Container.String(),

@@ -220,24 +220,6 @@ func Iden(atoms []int) TupleSet {
 	return FromKeys(2, keys)
 }
 
-// AllTuples returns every tuple of the given arity over the atom indices.
-func AllTuples(atoms []int, arity int) TupleSet {
-	if arity == 0 {
-		return NewTupleSet(0)
-	}
-	keys := []uint64{header(arity)}
-	for col := 0; col < arity; col++ {
-		next := make([]uint64, 0, len(keys)*len(atoms))
-		for _, k := range keys {
-			for _, a := range atoms {
-				next = append(next, k|uint64(a+1)<<(8*col))
-			}
-		}
-		keys = next
-	}
-	return FromKeys(arity, keys)
-}
-
 // UnarySet builds a unary tuple set from atom indices.
 func UnarySet(atoms ...int) TupleSet {
 	keys := make([]uint64, len(atoms))

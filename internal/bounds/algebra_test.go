@@ -177,16 +177,6 @@ func TestProductAndProject(t *testing.T) {
 	}
 }
 
-func TestAllTuples(t *testing.T) {
-	got := AllTuples([]int{0, 1}, 2)
-	if got.Len() != 4 {
-		t.Errorf("AllTuples len = %d, want 4", got.Len())
-	}
-	if AllTuples([]int{0, 1, 2}, 1).Len() != 3 {
-		t.Error("unary AllTuples wrong")
-	}
-}
-
 func TestUniverse(t *testing.T) {
 	u, err := NewUniverse([]string{"A$0", "A$1", "B$0"})
 	if err != nil {

@@ -237,17 +237,6 @@ func checkAlgebra(t *testing.T, pick src) {
 	}
 	check("Iden", Iden(atoms), 2, iden)
 	check("UnarySet", UnarySet(atoms...), 1, unary)
-	all := refSet{"": true}
-	for i := 0; i < na; i++ {
-		next := refSet{}
-		for _, x := range all.tuples() {
-			for _, y := range atoms {
-				next[enc(concat(x, Tuple{y}))] = true
-			}
-		}
-		all = next
-	}
-	check("AllTuples", AllTuples(atoms, na), na, all)
 
 	if na == 2 {
 		tr := refSet{}

@@ -78,7 +78,7 @@ func Localize(mod *ast.Module, failing, passing []Observation) ([]RankedSite, er
 		if _, isBlock := s.Node.(*ast.Block); isBlock {
 			continue
 		}
-		expr := types.RewriteCalls(low, s.Node.CloneExpr())
+		expr := types.RewriteCalls(low, s.Node)
 		guiltyOn := func(obs []Observation) int {
 			guilty := 0
 			for _, o := range obs {
@@ -143,8 +143,8 @@ func CollectInstances(a *analyzer.Analyzer, mod *ast.Module) (failing, passing [
 			witness.Commands = []*ast.Command{{
 				Kind:   ast.CmdRun,
 				Name:   "witness$" + cmd.Target,
-				Block:  as.Body.CloneExpr(),
-				Scope:  cmd.Scope.Clone(),
+				Block:  as.Body,
+				Scope:  cmd.Scope,
 				Expect: -1,
 			}}
 			wres, werr := a.ExecuteAll(&witness)

@@ -377,8 +377,8 @@ func (s *subtrees) push(id int32) { s.kids = append(s.kids, id) }
 
 func (s *subtrees) expr(e ast.Expr) int32 {
 	base := len(s.kids)
-	for _, kid := range ast.Children(e) {
-		s.push(s.expr(kid))
+	for i := range ast.NumChildren(e) {
+		s.push(s.expr(ast.Child(e, i)))
 	}
 	return s.node(base, nodeLabel(e), true)
 }

@@ -127,8 +127,8 @@ func subtreeCounts(m *ast.Module) map[string]int {
 	enc = func(e ast.Expr) string {
 		label := nodeLabel(e)
 		s := "(" + label
-		for _, kid := range ast.Children(e) {
-			s += enc(kid)
+		for i := range ast.NumChildren(e) {
+			s += enc(ast.Child(e, i))
 		}
 		s += ")"
 		counts[s]++

@@ -62,32 +62,14 @@ func (e *Engine) enumerate() {
 			}
 			e.sites = append(e.sites, ss)
 
-			kids := ast.Children(x)
+			// A binder's body, its last child, sees the bound variables;
+			// its declaration bounds and let values see the outer scope.
 			inner := scope
-			// Children that are quantifier bodies see the bound variables.
 			switch q := x.(type) {
 			case *ast.Quantified:
-				// Children are the decl bound expressions (outer scope)
-				// followed by the body (inner scope).
 				inner = extendScope(e.Info, scope, q.Decls)
-				for i, kid := range kids {
-					if i == len(kids)-1 {
-						rec(kid, append(path, i), inner)
-					} else {
-						rec(kid, append(path, i), scope)
-					}
-				}
-				return
 			case *ast.Comprehension:
 				inner = extendScope(e.Info, scope, q.Decls)
-				for i, kid := range kids {
-					if i == len(kids)-1 {
-						rec(kid, append(path, i), inner)
-					} else {
-						rec(kid, append(path, i), scope)
-					}
-				}
-				return
 			case *ast.Let:
 				inner = copyScope(scope)
 				for i, n := range q.Names {
@@ -95,17 +77,14 @@ func (e *Engine) enumerate() {
 						inner[n] = t.Arity
 					}
 				}
-				for i, kid := range kids {
-					if i == len(kids)-1 {
-						rec(kid, append(path, i), inner)
-					} else {
-						rec(kid, append(path, i), scope)
-					}
-				}
-				return
 			}
-			for i, kid := range kids {
-				rec(kid, append(path, i), scope)
+			n := ast.NumChildren(x)
+			for i := range n {
+				kidScope := scope
+				if i == n-1 {
+					kidScope = inner
+				}
+				rec(ast.Child(x, i), append(path, i), kidScope)
 			}
 		}
 		rec(body, nil, baseScope)
@@ -181,32 +160,33 @@ func (e *Engine) Candidates(s ScopedSite, budget Budget) []ast.Expr {
 	switch x := node.(type) {
 	case *ast.Binary:
 		for _, op := range swapOps(x.Op) {
-			add(&ast.Binary{Op: op, Left: x.Left.CloneExpr(), Right: x.Right.CloneExpr(),
-				LeftMult: x.LeftMult, RightMult: x.RightMult})
+			c := *x
+			c.Op = op
+			add(&c)
 		}
 		// Operand swap for non-commutative relational operators.
 		switch x.Op {
 		case ast.BinDiff, ast.BinJoin, ast.BinIn, ast.BinNotIn:
-			add(&ast.Binary{Op: x.Op, Left: x.Right.CloneExpr(), Right: x.Left.CloneExpr()})
+			add(&ast.Binary{Op: x.Op, Left: x.Right, Right: x.Left})
 		}
 	case *ast.Unary:
 		for _, op := range swapUnary(x.Op) {
-			add(&ast.Unary{Op: op, Sub: x.Sub.CloneExpr(), OpPos: x.OpPos})
+			add(&ast.Unary{Op: op, Sub: x.Sub, OpPos: x.OpPos})
 		}
 		if x.Op == ast.UnNot {
-			add(x.Sub.CloneExpr()) // drop negation
+			add(x.Sub) // drop negation
 		}
 		if x.Op == ast.UnClosure || x.Op == ast.UnReflClose || x.Op == ast.UnTranspose {
-			add(x.Sub.CloneExpr()) // drop the operator
+			add(x.Sub) // drop the operator
 		}
 	case *ast.Quantified:
 		for _, q := range []ast.Quant{ast.QuantAll, ast.QuantSome, ast.QuantNo, ast.QuantLone, ast.QuantOne} {
 			if q == x.Quant {
 				continue
 			}
-			c := x.CloneExpr().(*ast.Quantified)
+			c := *x
 			c.Quant = q
-			add(c)
+			add(&c)
 		}
 	case *ast.IntLit:
 		add(&ast.IntLit{Value: x.Value + 1, IntPos: x.IntPos})
@@ -217,7 +197,7 @@ func (e *Engine) Candidates(s ScopedSite, budget Budget) []ast.Expr {
 
 	if s.IsFormula {
 		if _, isNot := node.(*ast.Unary); !isNot {
-			add(&ast.Unary{Op: ast.UnNot, Sub: node.CloneExpr()})
+			add(&ast.Unary{Op: ast.UnNot, Sub: node})
 		}
 	}
 
@@ -259,8 +239,8 @@ func (e *Engine) Candidates(s ScopedSite, budget Budget) []ast.Expr {
 					}
 					sort.Strings(vars)
 					for _, v := range vars {
-						add(&ast.Binary{Op: ast.BinIn, Left: &ast.Ident{Name: v}, Right: u.Sub.CloneExpr()})
-						add(&ast.Binary{Op: ast.BinNotIn, Left: &ast.Ident{Name: v}, Right: u.Sub.CloneExpr()})
+						add(&ast.Binary{Op: ast.BinIn, Left: &ast.Ident{Name: v}, Right: u.Sub})
+						add(&ast.Binary{Op: ast.BinNotIn, Left: &ast.Ident{Name: v}, Right: u.Sub})
 					}
 				}
 			}
@@ -269,7 +249,7 @@ func (e *Engine) Candidates(s ScopedSite, budget Budget) []ast.Expr {
 			if _, isVar := b.Left.(*ast.Ident); isVar {
 				if t, ok := e.Info.TypeOf[b.Right]; ok && !t.Formula && !t.Int && t.Arity == 1 {
 					for _, op := range []ast.UnOp{ast.UnNo, ast.UnSome, ast.UnLone, ast.UnOne} {
-						add(&ast.Unary{Op: op, Sub: b.Right.CloneExpr()})
+						add(&ast.Unary{Op: op, Sub: b.Right})
 					}
 				}
 			}
@@ -278,20 +258,20 @@ func (e *Engine) Candidates(s ScopedSite, budget Budget) []ast.Expr {
 
 	if budget >= BudgetTemplates && s.Arity >= 1 {
 		if s.Arity == 2 {
-			add(&ast.Unary{Op: ast.UnTranspose, Sub: node.CloneExpr()})
-			add(&ast.Unary{Op: ast.UnClosure, Sub: node.CloneExpr()})
+			add(&ast.Unary{Op: ast.UnTranspose, Sub: node})
+			add(&ast.Unary{Op: ast.UnClosure, Sub: node})
 		}
 		for _, rel := range relationsOfArity(e.Info, s.Arity) {
 			r := &ast.Ident{Name: rel}
-			add(&ast.Binary{Op: ast.BinUnion, Left: node.CloneExpr(), Right: r})
-			add(&ast.Binary{Op: ast.BinDiff, Left: node.CloneExpr(), Right: r})
-			add(&ast.Binary{Op: ast.BinIntersect, Left: node.CloneExpr(), Right: r})
+			add(&ast.Binary{Op: ast.BinUnion, Left: node, Right: r})
+			add(&ast.Binary{Op: ast.BinDiff, Left: node, Right: r})
+			add(&ast.Binary{Op: ast.BinIntersect, Left: node, Right: r})
 		}
 		for v, arity := range s.Scope {
 			if arity == s.Arity {
 				r := &ast.Ident{Name: v}
-				add(&ast.Binary{Op: ast.BinUnion, Left: node.CloneExpr(), Right: r})
-				add(&ast.Binary{Op: ast.BinDiff, Left: node.CloneExpr(), Right: r})
+				add(&ast.Binary{Op: ast.BinUnion, Left: node, Right: r})
+				add(&ast.Binary{Op: ast.BinDiff, Left: node, Right: r})
 			}
 		}
 	}

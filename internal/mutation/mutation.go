@@ -56,7 +56,8 @@ func (c Container) String() string {
 }
 
 // Site is one mutable expression node, addressed by the child-index path
-// from its container's body. Paths remain valid across Module.Clone.
+// from its container's body (the child indices of ast.Child). Paths stay
+// valid in every module whose paragraph has the same shape.
 type Site struct {
 	Container Container
 	Path      []int
@@ -105,11 +106,10 @@ func Resolve(mod *ast.Module, s Site) (ast.Expr, error) {
 		return nil, err
 	}
 	for depth, idx := range s.Path {
-		kids := ast.Children(cur)
-		if idx >= len(kids) {
+		if idx >= ast.NumChildren(cur) {
 			return nil, fmt.Errorf("site %v: path step %d/%d out of range", s, depth, idx)
 		}
-		cur = kids[idx]
+		cur = ast.Child(cur, idx)
 	}
 	return cur, nil
 }
@@ -124,8 +124,8 @@ func Sites(mod *ast.Module) []Site {
 		var rec func(e ast.Expr, path []int)
 		rec = func(e ast.Expr, path []int) {
 			out = append(out, Site{Container: c, Path: append([]int(nil), path...), Node: e})
-			for i, kid := range ast.Children(e) {
-				rec(kid, append(path, i))
+			for i := range ast.NumChildren(e) {
+				rec(ast.Child(e, i), append(path, i))
 			}
 		}
 		rec(body, nil)
@@ -146,16 +146,15 @@ func Sites(mod *ast.Module) []Site {
 // input module is not modified.
 //
 // The result is copy-on-write: it shares every paragraph except the edited
-// one with mod, and the edited paragraph's new body shares every subtree off
-// the edited path. That is sound because modules are immutable once built:
-// types.Check, types.Lower and NewEngine build copies where they desugar or
-// rewrite, and no caller modifies a module it did not just allocate.
+// one with mod, the edited paragraph's new body shares every subtree off the
+// edited path, and repl itself is placed as it is. That is sound because no
+// syntax-tree node is written after it is built (see package ast).
 func Apply(mod *ast.Module, s Site, repl ast.Expr) (*ast.Module, error) {
 	body, err := containerBody(mod, s.Container)
 	if err != nil {
 		return nil, err
 	}
-	newBody, err := replaceAt(body, s.Path, repl.CloneExpr())
+	newBody, err := replaceAt(body, s.Path, repl)
 	if err != nil {
 		return nil, fmt.Errorf("site %v: %w", s, err)
 	}
@@ -196,100 +195,14 @@ func replaceAt(e ast.Expr, path []int, repl ast.Expr) (ast.Expr, error) {
 		return repl, nil
 	}
 	idx := path[0]
-	kids := ast.Children(e)
-	if idx >= len(kids) {
-		return nil, fmt.Errorf("path index %d out of range (%d children of %T)", idx, len(kids), e)
+	if n := ast.NumChildren(e); idx >= n {
+		return nil, fmt.Errorf("path index %d out of range (%d children of %T)", idx, n, e)
 	}
-	newKid, err := replaceAt(kids[idx], path[1:], repl)
+	newKid, err := replaceAt(ast.Child(e, idx), path[1:], repl)
 	if err != nil {
 		return nil, err
 	}
-	return rebuildWithChild(e, idx, newKid)
-}
-
-// rebuildWithChild clones e with child i swapped; the child ordering must
-// match ast.Children exactly.
-func rebuildWithChild(e ast.Expr, i int, kid ast.Expr) (ast.Expr, error) {
-	switch x := e.(type) {
-	case *ast.Unary:
-		return &ast.Unary{Op: x.Op, Sub: kid, OpPos: x.OpPos}, nil
-	case *ast.Binary:
-		c := *x
-		if i == 0 {
-			c.Left = kid
-		} else {
-			c.Right = kid
-		}
-		return &c, nil
-	case *ast.Prime:
-		return &ast.Prime{Sub: kid}, nil
-	case *ast.BoxJoin:
-		c := &ast.BoxJoin{Target: x.Target, Args: append([]ast.Expr(nil), x.Args...)}
-		if i == 0 {
-			c.Target = kid
-		} else {
-			c.Args[i-1] = kid
-		}
-		return c, nil
-	case *ast.Quantified:
-		c := &ast.Quantified{Quant: x.Quant, Body: x.Body, QuantPos: x.QuantPos}
-		c.Decls = make([]*ast.Decl, len(x.Decls))
-		for j, d := range x.Decls {
-			c.Decls[j] = d.Clone()
-		}
-		if i < len(c.Decls) {
-			c.Decls[i].Expr = kid
-		} else {
-			c.Body = kid
-		}
-		return c, nil
-	case *ast.Comprehension:
-		c := &ast.Comprehension{Body: x.Body, OpenPos: x.OpenPos}
-		c.Decls = make([]*ast.Decl, len(x.Decls))
-		for j, d := range x.Decls {
-			c.Decls[j] = d.Clone()
-		}
-		if i < len(c.Decls) {
-			c.Decls[i].Expr = kid
-		} else {
-			c.Body = kid
-		}
-		return c, nil
-	case *ast.Let:
-		c := &ast.Let{
-			Names:  append([]string(nil), x.Names...),
-			Values: append([]ast.Expr(nil), x.Values...),
-			Body:   x.Body,
-			LetPos: x.LetPos,
-		}
-		if i < len(c.Values) {
-			c.Values[i] = kid
-		} else {
-			c.Body = kid
-		}
-		return c, nil
-	case *ast.IfElse:
-		c := *x
-		switch i {
-		case 0:
-			c.Cond = kid
-		case 1:
-			c.Then = kid
-		default:
-			c.Else = kid
-		}
-		return &c, nil
-	case *ast.Block:
-		c := &ast.Block{Exprs: append([]ast.Expr(nil), x.Exprs...), OpenPos: x.OpenPos}
-		c.Exprs[i] = kid
-		return c, nil
-	case *ast.Call:
-		c := &ast.Call{Name: x.Name, Args: append([]ast.Expr(nil), x.Args...), NamePos: x.NamePos}
-		c.Args[i] = kid
-		return c, nil
-	default:
-		return nil, fmt.Errorf("cannot rebuild %T", e)
-	}
+	return ast.WithChild(e, idx, newKid), nil
 }
 
 // DropConjunct returns modules with one conjunct of a block removed — the
@@ -309,7 +222,7 @@ func DropConjunct(mod *ast.Module, s Site) ([]*ast.Module, error) {
 		c := &ast.Block{OpenPos: blk.OpenPos}
 		for j, e := range blk.Exprs {
 			if j != drop {
-				c.Exprs = append(c.Exprs, e.CloneExpr())
+				c.Exprs = append(c.Exprs, e)
 			}
 		}
 		m, err := Apply(mod, s, c)

@@ -62,7 +62,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		return repair.Outcome{}, fmt.Errorf("ARepair requires an AUnit test suite for %q", p.Name)
 	}
 	out := repair.Outcome{}
-	current := p.Faulty.Clone()
+	current := p.Faulty
 
 	_, passed := p.Tests.RunAll(current)
 	out.Stats.TestRuns++

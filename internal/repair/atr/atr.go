@@ -93,7 +93,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	}
 	if ok {
 		out.Repaired = true
-		out.Candidate = p.Faulty.Clone()
+		out.Candidate = p.Faulty
 		return out, nil
 	}
 

@@ -91,14 +91,14 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		}
 		if ok {
 			out.Repaired = true
-			out.Candidate = p.Faulty.Clone()
+			out.Candidate = p.Faulty
 			return out, nil
 		}
 	}
 
 	if suite.Len() == 0 {
 		// No tests and no way to derive any: ICEBAR cannot drive ARepair.
-		out.Candidate = p.Faulty.Clone()
+		out.Candidate = p.Faulty
 		return out, nil
 	}
 
@@ -133,7 +133,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		}
 		cand := innerOut.Candidate
 		if cand == nil {
-			cand = current.Clone()
+			cand = current
 		}
 
 		// Validate against the property oracle.
@@ -164,7 +164,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		}
 		current = cand
 	}
-	out.Candidate = current.Clone()
+	out.Candidate = current
 	return out, nil
 }
 
@@ -201,8 +201,8 @@ func (t *Tool) refineSuite(an *analyzer.Analyzer, mod *ast.Module, suite *aunit.
 			witness.Commands = []*ast.Command{{
 				Kind:   ast.CmdRun,
 				Name:   "witness",
-				Block:  as.Body.CloneExpr(),
-				Scope:  cmd.Scope.Clone(),
+				Block:  as.Body,
+				Scope:  cmd.Scope,
 				Expect: -1,
 			}}
 			wres, werr := an.ExecuteAll(&witness)

@@ -240,20 +240,3 @@ func EncodeAtMost(s *Solver, lits []Lit, k int) {
 	}
 	encodeWeightedAtMost(s, lits, weights, k)
 }
-
-// EncodeAtLeast adds clauses to s enforcing that at least k of lits are true.
-func EncodeAtLeast(s *Solver, lits []Lit, k int) {
-	if k <= 0 {
-		return
-	}
-	if k > len(lits) {
-		s.AddClause()
-		return
-	}
-	// At least k of lits  ==  at most len-k of negated lits.
-	neg := make([]Lit, len(lits))
-	for i, l := range lits {
-		neg[i] = l.Not()
-	}
-	EncodeAtMost(s, neg, len(lits)-k)
-}

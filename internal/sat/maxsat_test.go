@@ -173,35 +173,6 @@ func TestEncodeAtMost(t *testing.T) {
 	}
 }
 
-func TestEncodeAtLeast(t *testing.T) {
-	for n := 1; n <= 5; n++ {
-		for k := 0; k <= n+1; k++ {
-			s := NewSolver(Options{})
-			lits := make([]Lit, n)
-			vars := make([]int, n)
-			for i := range lits {
-				vars[i] = s.NewVar()
-				lits[i] = PosLit(vars[i])
-			}
-			EncodeAtLeast(s, lits, k)
-			st := s.Solve()
-			if k > n {
-				if st != StatusUnsat {
-					t.Errorf("n=%d k=%d: %v, want UNSAT", n, k, st)
-				}
-				continue
-			}
-			if st != StatusSat {
-				t.Errorf("n=%d k=%d: %v, want SAT", n, k, st)
-				continue
-			}
-			if got := countTrue(s.Model(), vars); got < k {
-				t.Errorf("n=%d k=%d: model has %d true, want >= %d", n, k, got, k)
-			}
-		}
-	}
-}
-
 func TestMaxSatBudgetReturnsBestSoFar(t *testing.T) {
 	m := NewMaxSolver(2)
 	m.MaxConflicts = 1_000_000 // generous; just exercises the code path
