@@ -1,11 +1,12 @@
 package parser
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/printer"
+	"specrepair/internal/alloy/token"
 )
 
 // hotelSrc is the faulty hotel key-management model from Figure 1 of the
@@ -331,29 +332,37 @@ func TestParseLabeledCommand(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	tests := []string{
-		"sig {",
-		"pred p { all x | x }",
-		"fact { a ++ }",
-		"open util/ordering",
-		"sig A extends {}",
-		"run", // missing target
-		"assert {}",
+	tests := []struct {
+		src string
+		pos token.Pos
+		msg string
+	}{
+		{"sig {", token.Pos{Line: 1, Col: 5}, "expected identifier, found {"},
+		{"pred p { all x | x }", token.Pos{Line: 1, Col: 16}, "expected :, found |"},
+		{"fact { a ++ }", token.Pos{Line: 1, Col: 13}, "unexpected } in expression"},
+		{"open util/ordering", token.Pos{Line: 1, Col: 1}, "open declarations are not supported by this Alloy subset"},
+		{"sig A extends {}", token.Pos{Line: 1, Col: 15}, "expected identifier, found {"},
+		{"run", token.Pos{Line: 1, Col: 4}, "expected target name or block after run"},
+		{"assert {}", token.Pos{Line: 1, Col: 8}, "expected identifier, found {"},
+		{"sig A { f: }", token.Pos{Line: 1, Col: 12}, "unexpected } in expression"},
+		{"fact { a = b = c }", token.Pos{Line: 1, Col: 14}, "unexpected = in expression"},
+		{"fact { no some A }", token.Pos{Line: 1, Col: 11}, "unexpected some in expression"},
+		{"fact { all x: A { x in x } and x }", token.Pos{Line: 1, Col: 28}, "unexpected and in expression"},
 	}
-	for _, src := range tests {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", src)
+	for _, tt := range tests {
+		_, err := Parse(tt.src)
+		var perr *Error
+		if !errors.As(err, &perr) {
+			t.Errorf("Parse(%q) = %v, want a *Error", tt.src, err)
+			continue
+		}
+		if perr.Pos != tt.pos || perr.Msg != tt.msg {
+			t.Errorf("Parse(%q) = %v: %q, want %v: %q", tt.src, perr.Pos, perr.Msg, tt.pos, tt.msg)
+		}
+		if want := tt.pos.String() + ": " + tt.msg; err.Error() != want {
+			t.Errorf("Parse(%q) error text = %q, want %q", tt.src, err.Error(), want)
 		}
 	}
-	var perr *Error
-	_, err := Parse("sig A { f: }")
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if !strings.Contains(err.Error(), ":") {
-		t.Errorf("error should carry position: %v", err)
-	}
-	_ = perr
 }
 
 func TestParseCommentsInterleaved(t *testing.T) {
