@@ -66,33 +66,35 @@ const (
 	BinIff                        // iff / <=>
 )
 
-var binOpNames = [...]string{
-	BinJoin:      ".",
-	BinProduct:   "->",
-	BinUnion:     "+",
-	BinDiff:      "-",
-	BinIntersect: "&",
-	BinOverride:  "++",
-	BinDomRestr:  "<:",
-	BinRanRestr:  ":>",
-	BinIn:        "in",
-	BinNotIn:     "not in",
-	BinEq:        "=",
-	BinNotEq:     "!=",
-	BinLt:        "<",
-	BinGt:        ">",
-	BinLtEq:      "=<",
-	BinGtEq:      ">=",
-	BinAnd:       "and",
-	BinOr:        "or",
-	BinImplies:   "implies",
-	BinIff:       "iff",
+// binOps gives each binary operator its spelling and precedence level.
+var binOps = [...]opInfo{
+	BinJoin:      {".", PrecJoin},
+	BinProduct:   {"->", PrecArrow},
+	BinUnion:     {"+", PrecUnion},
+	BinDiff:      {"-", PrecUnion},
+	BinIntersect: {"&", PrecIntersect},
+	BinOverride:  {"++", PrecOverride},
+	BinDomRestr:  {"<:", PrecRestr},
+	BinRanRestr:  {":>", PrecRestr},
+	BinIn:        {"in", PrecCompare},
+	BinNotIn:     {"not in", PrecCompare},
+	BinEq:        {"=", PrecCompare},
+	BinNotEq:     {"!=", PrecCompare},
+	BinLt:        {"<", PrecCompare},
+	BinGt:        {">", PrecCompare},
+	BinLtEq:      {"=<", PrecCompare},
+	BinGtEq:      {">=", PrecCompare},
+	BinAnd:       {"and", PrecAnd},
+	BinOr:        {"or", PrecOr},
+	BinImplies:   {"implies", PrecImplies},
+	BinIff:       {"iff", PrecIff},
 }
 
 // String returns the Alloy spelling of the operator.
-func (op BinOp) String() string {
-	return name(binOpNames[:], op, "badop")
-}
+func (op BinOp) String() string { return info(binOps[:], op).name }
+
+// Prec returns the precedence level the operator binds at.
+func (op BinOp) Prec() Prec { return info(binOps[:], op).prec }
 
 // name returns names[i], or bad when i has no name. The name tables are
 // arrays indexed by the enum value, so printing an operator costs no map
@@ -132,22 +134,83 @@ const (
 	UnSet                       // set  (declaration multiplicity only)
 )
 
-var unOpNames = [...]string{
-	UnTranspose: "~",
-	UnClosure:   "^",
-	UnReflClose: "*",
-	UnCard:      "#",
-	UnNot:       "not",
-	UnNo:        "no",
-	UnSome:      "some",
-	UnLone:      "lone",
-	UnOne:       "one",
-	UnSet:       "set",
+// unOps gives each unary operator its spelling and precedence level.
+var unOps = [...]opInfo{
+	UnTranspose: {"~", PrecUnary},
+	UnClosure:   {"^", PrecUnary},
+	UnReflClose: {"*", PrecUnary},
+	UnCard:      {"#", PrecCard},
+	UnNot:       {"not", PrecNot},
+	UnNo:        {"no", PrecMultForm},
+	UnSome:      {"some", PrecMultForm},
+	UnLone:      {"lone", PrecMultForm},
+	UnOne:       {"one", PrecMultForm},
+	UnSet:       {"set", PrecMultForm},
 }
 
 // String returns the Alloy spelling of the operator.
-func (op UnOp) String() string {
-	return name(unOpNames[:], op, "badop")
+func (op UnOp) String() string { return info(unOps[:], op).name }
+
+// Prec returns the precedence level the operator binds at.
+func (op UnOp) Prec() Prec { return info(unOps[:], op).prec }
+
+// Prec is a precedence level: how tightly an expression binds. The parser
+// climbs these levels and the printer parenthesizes a child whose level is
+// below what its position requires, so both read this one table. A prefix
+// operator's level is that of the expression it forms.
+type Prec int
+
+// Precedence levels, loosest to tightest.
+const (
+	PrecQuant     Prec = iota // quantified formula, let: the body extends as far right as it can
+	PrecOr                    // or ||
+	PrecIff                   // iff <=>
+	PrecImplies               // implies =>: right associative, optional else
+	PrecAnd                   // and &&
+	PrecNot                   // not ! (prefix)
+	PrecCompare               // in = != < > =< >=: not associative
+	PrecMultForm              // no some lone one set (prefix formulas)
+	PrecUnion                 // + -
+	PrecCard                  // # (prefix)
+	PrecOverride              // ++
+	PrecIntersect             // &
+	PrecArrow                 // -> with optional multiplicities
+	PrecRestr                 // <: :>
+	PrecJoin                  // . and box join e[...]
+	PrecUnary                 // ~ ^ * (prefix)
+	PrecAtom                  // names, literals, parentheses, blocks, comprehensions; ' (postfix)
+)
+
+// PrecOf returns the precedence level at which e binds.
+func PrecOf(e Expr) Prec {
+	switch x := e.(type) {
+	case *Unary:
+		return x.Op.Prec()
+	case *Binary:
+		return x.Op.Prec()
+	case *BoxJoin:
+		return PrecJoin
+	case *Quantified, *Let:
+		return PrecQuant
+	case *IfElse:
+		return PrecImplies
+	default:
+		return PrecAtom
+	}
+}
+
+// opInfo is an operator's spelling and precedence level.
+type opInfo struct {
+	name string
+	prec Prec
+}
+
+// info returns ops[op], or a "badop" atom for an operator with no entry.
+func info[T ~int](ops []opInfo, op T) opInfo {
+	if op > 0 && int(op) < len(ops) && ops[op].name != "" {
+		return ops[op]
+	}
+	return opInfo{"badop", PrecAtom}
 }
 
 // Quant enumerates quantifiers. The zero value is invalid.
@@ -565,13 +628,4 @@ func (m *Module) LookupAssert(name string) *Assert {
 		}
 	}
 	return nil
-}
-
-// SigNames returns every declared signature name in declaration order.
-func (m *Module) SigNames() []string {
-	var names []string
-	for _, s := range m.Sigs {
-		names = append(names, s.Names...)
-	}
-	return names
 }

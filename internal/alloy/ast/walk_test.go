@@ -118,9 +118,6 @@ func TestModuleLookups(t *testing.T) {
 	if m.LookupFun("f") == nil || m.LookupAssert("chk") == nil {
 		t.Error("LookupFun/LookupAssert broken")
 	}
-	if got := m.SigNames(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
-		t.Errorf("SigNames = %v", got)
-	}
 }
 
 func TestPosPropagation(t *testing.T) {

@@ -1,24 +1,12 @@
-// Package parser implements a recursive-descent parser for the Alloy subset.
+// Package parser implements a parser for the Alloy subset: recursive descent
+// for paragraphs and declarations, precedence climbing for expressions.
 //
-// Operator precedence follows the Alloy reference, from loosest to tightest:
-//
-//	let / quantified formula
-//	||  or
-//	<=> iff
-//	=>  implies (right associative, optional else)
-//	&&  and
-//	!   not
-//	in = < > =< >= != (comparisons, non associative)
-//	no some lone one (formula prefixes)
-//	+ -
-//	#
-//	++
-//	&
-//	<:
-//	:>
-//	[] (box join)
-//	.  (dot join)
-//	~ ^ * (prefix), ' (postfix prime)
+// Expressions climb the precedence levels of package ast (ast.Prec), the
+// same table the printer parenthesizes by. Most levels are a table entry: a
+// left-associative infix operator or a prefix operator. Four keep a rule of
+// their own: implies (right associative, with an optional else), the
+// comparisons (not associative, negated by a leading not or !), arrow (with
+// multiplicities) and join (. and the box join e[...]).
 package parser
 
 import (
@@ -109,6 +97,67 @@ func (p *parser) errorf(format string, args ...any) error {
 	return &Error{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// Token tables, indexed by token.Kind. The zero value means the token does
+// not spell one.
+var (
+	// binOps holds the binary operator an infix token spells.
+	binOps = [...]ast.BinOp{
+		token.KwOr: ast.BinOr, token.BarBar: ast.BinOr,
+		token.KwIff: ast.BinIff, token.IffOp: ast.BinIff,
+		token.KwImplies: ast.BinImplies, token.ImpliesOp: ast.BinImplies,
+		token.KwAnd: ast.BinAnd, token.AmpAmp: ast.BinAnd,
+		token.KwIn: ast.BinIn, token.Eq: ast.BinEq, token.NotEq: ast.BinNotEq,
+		token.Lt: ast.BinLt, token.Gt: ast.BinGt, token.LtEq: ast.BinLtEq, token.GtEq: ast.BinGtEq,
+		token.Plus: ast.BinUnion, token.Minus: ast.BinDiff,
+		token.PlusPlus: ast.BinOverride, token.Amp: ast.BinIntersect, token.Arrow: ast.BinProduct,
+		token.DomRestr: ast.BinDomRestr, token.RanRestr: ast.BinRanRestr, token.Dot: ast.BinJoin,
+	}
+	// unOps holds the operator a prefix token spells.
+	unOps = [...]ast.UnOp{
+		token.KwNot: ast.UnNot, token.Bang: ast.UnNot,
+		token.KwNo: ast.UnNo, token.KwSome: ast.UnSome, token.KwLone: ast.UnLone, token.KwOne: ast.UnOne, token.KwSet: ast.UnSet,
+		token.Hash:  ast.UnCard,
+		token.Tilde: ast.UnTranspose, token.Caret: ast.UnClosure, token.Star: ast.UnReflClose,
+	}
+	// quants holds the quantifier a keyword spells.
+	quants = [...]ast.Quant{
+		token.KwAll: ast.QuantAll, token.KwNo: ast.QuantNo, token.KwSome: ast.QuantSome,
+		token.KwLone: ast.QuantLone, token.KwOne: ast.QuantOne,
+	}
+	// mults holds the multiplicity a keyword spells.
+	mults = [...]ast.Mult{
+		token.KwOne: ast.MultOne, token.KwLone: ast.MultLone, token.KwSome: ast.MultSome, token.KwSet: ast.MultSet,
+	}
+)
+
+// lookup returns table[k], or the zero value when k lies past the table.
+func lookup[T any](table []T, k token.Kind) T {
+	if int(k) < len(table) {
+		return table[k]
+	}
+	var zero T
+	return zero
+}
+
+// sigMult returns the multiplicity a keyword gives a signature, or 0: set
+// is not a signature multiplicity.
+func sigMult(k token.Kind) ast.Mult {
+	if k == token.KwSet {
+		return 0
+	}
+	return lookup(mults[:], k)
+}
+
+// mult consumes a multiplicity keyword and returns its multiplicity, or
+// returns 0 when there is none.
+func (p *parser) mult() ast.Mult {
+	m := lookup(mults[:], p.cur().Kind)
+	if m != 0 {
+		p.next()
+	}
+	return m
+}
+
 // ---------------------------------------------------------------------------
 // Module structure
 // ---------------------------------------------------------------------------
@@ -151,24 +200,13 @@ func (p *parser) parseParagraph(mod *ast.Module) error {
 	case token.KwOpen:
 		return p.errorf("open declarations are not supported by this Alloy subset")
 	case token.KwAbstract, token.KwSig:
-		return p.parseSig(mod, false, ast.MultDefault)
+		return p.parseSig(mod, ast.MultDefault)
 	case token.KwOne, token.KwLone, token.KwSome:
 		// one/lone/some sig ...
-		multTok := p.cur().Kind
 		if p.peek().Kind != token.KwSig && p.peek().Kind != token.KwAbstract {
 			return p.errorf("expected sig after %s at top level", p.cur())
 		}
-		p.next()
-		var m ast.Mult
-		switch multTok {
-		case token.KwOne:
-			m = ast.MultOne
-		case token.KwLone:
-			m = ast.MultLone
-		case token.KwSome:
-			m = ast.MultSome
-		}
-		return p.parseSig(mod, false, m)
+		return p.parseSig(mod, sigMult(p.next().Kind))
 	case token.KwFact:
 		return p.parseFact(mod)
 	case token.KwPred:
@@ -195,36 +233,22 @@ func (p *parser) parseParagraph(mod *ast.Module) error {
 	}
 }
 
-func (p *parser) parseSig(mod *ast.Module, abstract bool, mult ast.Mult) error {
-	pos := p.cur().Pos
+func (p *parser) parseSig(mod *ast.Module, mult ast.Mult) error {
+	sig := &ast.Sig{Mult: mult, SigPos: p.cur().Pos}
 	if p.accept(token.KwAbstract) {
-		abstract = true
+		sig.Abstract = true
 		// abstract one sig / abstract sig
-		switch p.cur().Kind {
-		case token.KwOne:
-			mult = ast.MultOne
+		if m := sigMult(p.cur().Kind); m != 0 {
 			p.next()
-		case token.KwLone:
-			mult = ast.MultLone
-			p.next()
-		case token.KwSome:
-			mult = ast.MultSome
-			p.next()
+			sig.Mult = m
 		}
 	}
 	if _, err := p.expect(token.KwSig); err != nil {
 		return err
 	}
-	sig := &ast.Sig{Abstract: abstract, Mult: mult, SigPos: pos}
-	for {
-		t, err := p.expect(token.Ident)
-		if err != nil {
-			return err
-		}
-		sig.Names = append(sig.Names, t.Lit)
-		if !p.accept(token.Comma) {
-			break
-		}
+	var err error
+	if sig.Names, err = p.names(token.Comma); err != nil {
+		return err
 	}
 	switch {
 	case p.accept(token.KwExtends):
@@ -234,87 +258,83 @@ func (p *parser) parseSig(mod *ast.Module, abstract bool, mult ast.Mult) error {
 		}
 		sig.Parent = t.Lit
 	case p.accept(token.KwIn):
-		for {
-			t, err := p.expect(token.Ident)
-			if err != nil {
-				return err
-			}
-			sig.Subset = append(sig.Subset, t.Lit)
-			if !p.accept(token.Plus) {
-				break
-			}
+		if sig.Subset, err = p.names(token.Plus); err != nil {
+			return err
 		}
 	}
 	if _, err := p.expect(token.LBrace); err != nil {
 		return err
 	}
-	for !p.at(token.RBrace) {
-		d, err := p.parseDecl(true)
-		if err != nil {
-			return err
-		}
-		sig.Fields = append(sig.Fields, d)
-		if !p.accept(token.Comma) {
-			break
-		}
+	if sig.Fields, err = p.decls(token.RBrace); err != nil {
+		return err
 	}
 	if _, err := p.expect(token.RBrace); err != nil {
 		return err
 	}
 	// Optional appended signature fact.
 	if p.at(token.LBrace) {
-		blk, err := p.parseBlock()
-		if err != nil {
+		if sig.Fact, err = p.parseBlock(); err != nil {
 			return err
 		}
-		sig.Fact = blk
 	}
 	mod.Sigs = append(mod.Sigs, sig)
 	return nil
 }
 
-// parseDecl parses "disj? names : mult? expr". Field declarations (isField)
-// default the multiplicity of unary ranges to one, per Alloy semantics.
-func (p *parser) parseDecl(isField bool) (*ast.Decl, error) {
-	pos := p.cur().Pos
-	d := &ast.Decl{Mult: ast.MultDefault, DeclPos: pos}
-	if p.at(token.KwDisj) && p.peek().Kind == token.Ident {
-		p.next()
-		d.Disj = true
-	}
+// names parses identifiers separated by sep: "x [sep y]*".
+func (p *parser) names(sep token.Kind) ([]string, error) {
+	var names []string
 	for {
 		t, err := p.expect(token.Ident)
 		if err != nil {
 			return nil, err
 		}
-		d.Names = append(d.Names, t.Lit)
+		names = append(names, t.Lit)
+		if !p.accept(sep) {
+			return names, nil
+		}
+	}
+}
+
+// decls parses comma-separated declarations up to the token end, which it
+// leaves in place. With end 0, which no token has, it parses at least one
+// declaration and stops after the first that no comma follows.
+func (p *parser) decls(end token.Kind) ([]*ast.Decl, error) {
+	var ds []*ast.Decl
+	for !p.at(end) {
+		d, err := p.parseDecl()
+		if err != nil {
+			return nil, err
+		}
+		ds = append(ds, d)
 		if !p.accept(token.Comma) {
 			break
 		}
 	}
+	return ds, nil
+}
+
+// parseDecl parses "disj? names : mult? expr". An omitted multiplicity stays
+// MultDefault; what it means depends on where the declaration stands.
+func (p *parser) parseDecl() (*ast.Decl, error) {
+	d := &ast.Decl{Mult: ast.MultDefault, DeclPos: p.cur().Pos}
+	if p.at(token.KwDisj) && p.peek().Kind == token.Ident {
+		p.next()
+		d.Disj = true
+	}
+	var err error
+	if d.Names, err = p.names(token.Comma); err != nil {
+		return nil, err
+	}
 	if _, err := p.expect(token.Colon); err != nil {
 		return nil, err
 	}
-	switch p.cur().Kind {
-	case token.KwOne:
-		d.Mult = ast.MultOne
-		p.next()
-	case token.KwLone:
-		d.Mult = ast.MultLone
-		p.next()
-	case token.KwSome:
-		d.Mult = ast.MultSome
-		p.next()
-	case token.KwSet:
-		d.Mult = ast.MultSet
-		p.next()
+	if m := p.mult(); m != 0 {
+		d.Mult = m
 	}
-	e, err := p.unionExpr()
-	if err != nil {
+	if d.Expr, err = p.exprAt(ast.PrecUnion); err != nil {
 		return nil, err
 	}
-	d.Expr = e
-	_ = isField
 	return d, nil
 }
 
@@ -344,16 +364,9 @@ func (p *parser) parseParams() ([]*ast.Decl, error) {
 	default:
 		return nil, nil // parameterless
 	}
-	var params []*ast.Decl
-	for !p.at(close) {
-		d, err := p.parseDecl(false)
-		if err != nil {
-			return nil, err
-		}
-		params = append(params, d)
-		if !p.accept(token.Comma) {
-			break
-		}
+	params, err := p.decls(close)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(close); err != nil {
 		return nil, err
@@ -393,12 +406,8 @@ func (p *parser) parseFun(mod *ast.Module) error {
 	if _, err := p.expect(token.Colon); err != nil {
 		return err
 	}
-	// Optional result multiplicity is folded into the result expression.
-	switch p.cur().Kind {
-	case token.KwOne, token.KwLone, token.KwSome, token.KwSet:
-		p.next()
-	}
-	if fn.Result, err = p.unionExpr(); err != nil {
+	p.mult() // an optional result multiplicity is folded into the result expression
+	if fn.Result, err = p.exprAt(ast.PrecUnion); err != nil {
 		return err
 	}
 	if _, err := p.expect(token.LBrace); err != nil {
@@ -489,7 +498,6 @@ func (p *parser) parseScope() (ast.Scope, error) {
 			if err != nil {
 				return p.errorf("bad scope %q", t.Lit)
 			}
-			var name string
 			if p.at(token.KwInt) {
 				p.next()
 				scope.Bitwidth = n
@@ -502,19 +510,18 @@ func (p *parser) parseScope() (ast.Scope, error) {
 			if err != nil {
 				return err
 			}
-			name = nt.Lit
 			if exact {
-				scope.Exact[name] = n
+				scope.Exact[nt.Lit] = n
 			} else {
-				scope.PerSig[name] = n
+				scope.PerSig[nt.Lit] = n
 			}
 			if !p.accept(token.Comma) {
 				return nil
 			}
 		}
 	}
-	if p.at(token.Number) && (p.peek().Kind == token.KwBut || p.peek().Kind == token.EOF ||
-		p.peek().Kind != token.Ident && p.peek().Kind != token.KwInt) {
+	// A number followed by neither a sig name nor Int is the default scope.
+	if p.at(token.Number) && p.peek().Kind != token.Ident && p.peek().Kind != token.KwInt {
 		t := p.next()
 		n, err := strconv.Atoi(t.Lit)
 		if err != nil {
@@ -528,10 +535,7 @@ func (p *parser) parseScope() (ast.Scope, error) {
 		}
 		return scope, nil
 	}
-	if err := parseTyped(); err != nil {
-		return scope, err
-	}
-	return scope, nil
+	return scope, parseTyped()
 }
 
 // ---------------------------------------------------------------------------
@@ -558,254 +562,131 @@ func (p *parser) parseBlock() (ast.Expr, error) {
 	return blk, nil
 }
 
-// expr parses at the loosest precedence level.
+// expr parses an expression at the loosest level, where a quantified formula
+// or let is the whole expression.
 func (p *parser) expr() (ast.Expr, error) {
-	switch p.cur().Kind {
-	case token.KwLet:
-		return p.letExpr()
-	case token.KwAll:
-		return p.quantExpr(ast.QuantAll)
-	case token.KwNo, token.KwSome, token.KwLone, token.KwOne:
-		// Quantifier only if followed by decls ("q x: e | ..."); otherwise it
-		// is a formula prefix handled at the mult level.
-		if p.isQuantDecl() {
-			var q ast.Quant
-			switch p.cur().Kind {
-			case token.KwNo:
-				q = ast.QuantNo
-			case token.KwSome:
-				q = ast.QuantSome
-			case token.KwLone:
-				q = ast.QuantLone
-			case token.KwOne:
-				q = ast.QuantOne
-			}
-			return p.quantExpr(q)
-		}
+	if p.atQuantified() {
+		return p.quantified()
 	}
-	return p.orExpr()
+	return p.exprAt(ast.PrecOr)
 }
 
-// isQuantDecl reports whether the current position starts quantifier
-// declarations: "q [disj] x [, y]* :".
-func (p *parser) isQuantDecl() bool {
-	j := p.i + 1 // skip the quantifier keyword
-	if j < len(p.toks) && p.toks[j].Kind == token.KwDisj {
-		j++
+// exprAt parses an expression whose operators all bind at level min or
+// tighter, by precedence climbing. The operand built so far caps the level
+// of the next operator: a primary caps nothing, a left-associative operator
+// caps at its own level (a + b - c), and a prefix operator, a comparison or
+// an implies one level looser, so "a = b = c" stops after b.
+func (p *parser) exprAt(min ast.Prec) (ast.Expr, error) {
+	left, ceil, err := p.prefix(min)
+	if err != nil {
+		return nil, err
 	}
-	if j >= len(p.toks) || p.toks[j].Kind != token.Ident {
-		return false
-	}
-	j++
-	for j+1 < len(p.toks) && p.toks[j].Kind == token.Comma && p.toks[j+1].Kind == token.Ident {
-		j += 2
-	}
-	return j < len(p.toks) && p.toks[j].Kind == token.Colon
-}
-
-func (p *parser) letExpr() (ast.Expr, error) {
-	pos := p.next().Pos // let
-	le := &ast.Let{LetPos: pos}
 	for {
-		t, err := p.expect(token.Ident)
+		lvl, ok := p.infixLevel()
+		if !ok || lvl < min || lvl > ceil {
+			return left, nil
+		}
+		ceil = lvl
+		switch {
+		case lvl == ast.PrecImplies:
+			left, err = p.implies(left)
+			ceil = lvl - 1
+		case lvl == ast.PrecCompare:
+			left, err = p.compare(left)
+			ceil = lvl - 1
+		case lvl == ast.PrecArrow:
+			left, err = p.arrow(left)
+		case p.at(token.LBrack):
+			left, err = p.boxJoin(left)
+		default:
+			op := lookup(binOps[:], p.next().Kind)
+			var right ast.Expr
+			right, err = p.exprAt(lvl + 1)
+			left = &ast.Binary{Op: op, Left: left, Right: right}
+		}
 		if err != nil {
 			return nil, err
-		}
-		if _, err := p.expect(token.Eq); err != nil {
-			return nil, err
-		}
-		v, err := p.unionExpr()
-		if err != nil {
-			return nil, err
-		}
-		le.Names = append(le.Names, t.Lit)
-		le.Values = append(le.Values, v)
-		if !p.accept(token.Comma) {
-			break
 		}
 	}
-	body, err := p.quantBody()
+}
+
+// prefix parses the start of an expression at level min: a quantified
+// formula or let where min admits the not level, a prefix operator binding
+// at min or tighter applied to its operand, or a primary. It also returns
+// the ceiling for the operators that may follow (see exprAt).
+func (p *parser) prefix(min ast.Prec) (ast.Expr, ast.Prec, error) {
+	if min <= ast.PrecNot && p.atQuantified() {
+		// As an operand a quantified formula binds like not, though its
+		// body still extends as far right as it can.
+		e, err := p.quantified()
+		return e, ast.PrecNot - 1, err
+	}
+	op := lookup(unOps[:], p.cur().Kind)
+	if op == 0 || op.Prec() < min {
+		e, err := p.primaryExpr()
+		return e, ast.PrecAtom, err
+	}
+	lvl := op.Prec()
+	pos := p.next().Pos
+	operand := lvl // not, # and ~ ^ * nest: "not not p", "#~r"
+	if lvl == ast.PrecMultForm {
+		operand++ // "no some x" is not a formula
+	}
+	sub, err := p.exprAt(operand)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &ast.Unary{Op: op, Sub: sub, OpPos: pos}, lvl - 1, nil
+}
+
+// infixLevel reports the level of the infix operator at the current token,
+// if there is one.
+func (p *parser) infixLevel() (ast.Prec, bool) {
+	k := p.cur().Kind
+	switch {
+	case k == token.LBrack: // box join
+		return ast.PrecJoin, true
+	case (k == token.KwNot || k == token.Bang) && p.peekIsCompareOp(): // negated comparison
+		return ast.PrecCompare, true
+	case lookup(mults[:], k) != 0 && p.peek().Kind == token.Arrow: // "A lone -> B"
+		return ast.PrecArrow, true
+	}
+	op := lookup(binOps[:], k)
+	return op.Prec(), op != 0
+}
+
+// peekIsCompareOp reports whether the next token is a comparison that a not
+// or ! may negate: any but !=.
+func (p *parser) peekIsCompareOp() bool {
+	op := lookup(binOps[:], p.peek().Kind)
+	return op.Prec() == ast.PrecCompare && op != ast.BinNotEq
+}
+
+// implies parses the rest of "cond implies then [else els]". It is right
+// associative: then and els are themselves implications.
+func (p *parser) implies(cond ast.Expr) (ast.Expr, error) {
+	p.next() // implies
+	then, err := p.exprAt(ast.PrecImplies)
 	if err != nil {
 		return nil, err
 	}
-	le.Body = body
-	return le, nil
-}
-
-func (p *parser) quantExpr(q ast.Quant) (ast.Expr, error) {
-	pos := p.next().Pos // quantifier keyword
-	qe := &ast.Quantified{Quant: q, QuantPos: pos}
-	for {
-		d, err := p.parseDecl(false)
-		if err != nil {
-			return nil, err
-		}
-		qe.Decls = append(qe.Decls, d)
-		if !p.accept(token.Comma) {
-			break
-		}
+	if !p.accept(token.KwElse) {
+		return &ast.Binary{Op: ast.BinImplies, Left: cond, Right: then}, nil
 	}
-	body, err := p.quantBody()
+	els, err := p.exprAt(ast.PrecImplies)
 	if err != nil {
 		return nil, err
 	}
-	qe.Body = body
-	return qe, nil
+	return &ast.IfElse{Cond: cond, Then: then, Else: els}, nil
 }
 
-// quantBody parses "| formula" or "{ block }".
-func (p *parser) quantBody() (ast.Expr, error) {
-	if p.accept(token.Bar) {
-		return p.expr()
-	}
-	if p.at(token.LBrace) {
-		return p.parseBlock()
-	}
-	return nil, p.errorf("expected | or { after declarations, found %s", p.cur())
-}
-
-func (p *parser) orExpr() (ast.Expr, error) {
-	left, err := p.iffExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(token.KwOr) || p.at(token.BarBar) {
-		p.next()
-		right, err := p.iffExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &ast.Binary{Op: ast.BinOr, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) iffExpr() (ast.Expr, error) {
-	left, err := p.impliesExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(token.KwIff) || p.at(token.IffOp) {
-		p.next()
-		right, err := p.impliesExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &ast.Binary{Op: ast.BinIff, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) impliesExpr() (ast.Expr, error) {
-	left, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.at(token.KwImplies) || p.at(token.ImpliesOp) {
-		p.next()
-		then, err := p.impliesExpr() // right associative
-		if err != nil {
-			return nil, err
-		}
-		if p.accept(token.KwElse) {
-			els, err := p.impliesExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &ast.IfElse{Cond: left, Then: then, Else: els}, nil
-		}
-		return &ast.Binary{Op: ast.BinImplies, Left: left, Right: then}, nil
-	}
-	return left, nil
-}
-
-func (p *parser) andExpr() (ast.Expr, error) {
-	left, err := p.notExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(token.KwAnd) || p.at(token.AmpAmp) {
-		p.next()
-		right, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &ast.Binary{Op: ast.BinAnd, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) notExpr() (ast.Expr, error) {
-	// Quantified formulas and lets may start in any operand position; their
-	// bodies extend maximally to the right, per Alloy's grammar.
-	switch p.cur().Kind {
-	case token.KwLet:
-		return p.letExpr()
-	case token.KwAll:
-		return p.quantExpr(ast.QuantAll)
-	case token.KwNo, token.KwSome, token.KwLone, token.KwOne:
-		if p.isQuantDecl() {
-			var q ast.Quant
-			switch p.cur().Kind {
-			case token.KwNo:
-				q = ast.QuantNo
-			case token.KwSome:
-				q = ast.QuantSome
-			case token.KwLone:
-				q = ast.QuantLone
-			case token.KwOne:
-				q = ast.QuantOne
-			}
-			return p.quantExpr(q)
-		}
-	}
-	if p.at(token.KwNot) || p.at(token.Bang) {
-		pos := p.next().Pos
-		// "not in" / "!=" style negated comparisons are handled at the
-		// comparison level; a bare not here negates a formula.
-		sub, err := p.notExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Unary{Op: ast.UnNot, Sub: sub, OpPos: pos}, nil
-	}
-	return p.compareExpr()
-}
-
-func (p *parser) compareExpr() (ast.Expr, error) {
-	left, err := p.multFormula()
-	if err != nil {
-		return nil, err
-	}
-	neg := false
-	if (p.at(token.KwNot) || p.at(token.Bang)) && p.peekIsCompareOp() {
-		p.next()
-		neg = true
-	}
-	var op ast.BinOp
-	switch p.cur().Kind {
-	case token.KwIn:
-		op = ast.BinIn
-	case token.Eq:
-		op = ast.BinEq
-	case token.NotEq:
-		op = ast.BinNotEq
-	case token.Lt:
-		op = ast.BinLt
-	case token.Gt:
-		op = ast.BinGt
-	case token.LtEq:
-		op = ast.BinLtEq
-	case token.GtEq:
-		op = ast.BinGtEq
-	default:
-		if neg {
-			return nil, p.errorf("expected comparison operator after not")
-		}
-		return left, nil
-	}
-	p.next()
-	right, err := p.multFormula()
+// compare parses the rest of "left [not|!] op right". A negated in or =
+// becomes not in or !=; any other negated comparison becomes not (left op
+// right).
+func (p *parser) compare(left ast.Expr) (ast.Expr, error) {
+	neg := p.accept(token.KwNot) || p.accept(token.Bang)
+	op := lookup(binOps[:], p.next().Kind)
+	right, err := p.exprAt(ast.PrecCompare + 1)
 	if err != nil {
 		return nil, err
 	}
@@ -823,245 +704,124 @@ func (p *parser) compareExpr() (ast.Expr, error) {
 	return &ast.Binary{Op: op, Left: left, Right: right}, nil
 }
 
-func (p *parser) peekIsCompareOp() bool {
-	switch p.peek().Kind {
-	case token.KwIn, token.Eq, token.Lt, token.Gt, token.LtEq, token.GtEq:
+// arrow parses the rest of a product with optional arrow multiplicities:
+// "Room -> lone RoomKey", "A some -> some B".
+func (p *parser) arrow(left ast.Expr) (ast.Expr, error) {
+	lm := p.mult()
+	p.next() // ->
+	rm := p.mult()
+	right, err := p.exprAt(ast.PrecArrow + 1)
+	if err != nil {
+		return nil, err
+	}
+	return &ast.Binary{Op: ast.BinProduct, Left: left, Right: right, LeftMult: lm, RightMult: rm}, nil
+}
+
+// boxJoin parses the bracketed arguments of "target[a, b]".
+func (p *parser) boxJoin(target ast.Expr) (ast.Expr, error) {
+	p.next() // [
+	bj := &ast.BoxJoin{Target: target}
+	for !p.at(token.RBrack) {
+		arg, err := p.exprAt(ast.PrecUnion)
+		if err != nil {
+			return nil, err
+		}
+		bj.Args = append(bj.Args, arg)
+		if !p.accept(token.Comma) {
+			break
+		}
+	}
+	if _, err := p.expect(token.RBrack); err != nil {
+		return nil, err
+	}
+	return bj, nil
+}
+
+// atQuantified reports whether a let or a quantified formula starts here.
+// no, some, lone and one quantify only when declarations follow; otherwise
+// they are formula prefixes.
+func (p *parser) atQuantified() bool {
+	switch k := p.cur().Kind; {
+	case k == token.KwLet || k == token.KwAll:
 		return true
-	default:
+	case lookup(quants[:], k) != 0:
+		return p.declsFollow()
+	}
+	return false
+}
+
+// declsFollow reports whether declarations "[disj] x [, y]* :" follow the
+// current token.
+func (p *parser) declsFollow() bool {
+	j := p.i + 1
+	if j < len(p.toks) && p.toks[j].Kind == token.KwDisj {
+		j++
+	}
+	if j >= len(p.toks) || p.toks[j].Kind != token.Ident {
 		return false
 	}
+	j++
+	for j+1 < len(p.toks) && p.toks[j].Kind == token.Comma && p.toks[j+1].Kind == token.Ident {
+		j += 2
+	}
+	return j < len(p.toks) && p.toks[j].Kind == token.Colon
 }
 
-// multFormula parses the no/some/lone/one/set formula prefixes:
-// "no g.keys" means g.keys is empty.
-func (p *parser) multFormula() (ast.Expr, error) {
-	var op ast.UnOp
-	switch p.cur().Kind {
-	case token.KwNo:
-		op = ast.UnNo
-	case token.KwSome:
-		op = ast.UnSome
-	case token.KwLone:
-		op = ast.UnLone
-	case token.KwOne:
-		op = ast.UnOne
-	case token.KwSet:
-		op = ast.UnSet
-	default:
-		return p.unionExpr()
+// quantified parses the let or quantified formula atQuantified found.
+func (p *parser) quantified() (ast.Expr, error) {
+	if p.at(token.KwLet) {
+		return p.letExpr()
 	}
-	pos := p.next().Pos
-	sub, err := p.unionExpr()
-	if err != nil {
+	t := p.next() // quantifier keyword
+	qe := &ast.Quantified{Quant: lookup(quants[:], t.Kind), QuantPos: t.Pos}
+	var err error
+	if qe.Decls, err = p.decls(0); err != nil {
 		return nil, err
 	}
-	return &ast.Unary{Op: op, Sub: sub, OpPos: pos}, nil
-}
-
-func (p *parser) unionExpr() (ast.Expr, error) {
-	left, err := p.cardExpr()
-	if err != nil {
+	if qe.Body, err = p.quantBody(); err != nil {
 		return nil, err
 	}
-	for p.at(token.Plus) || p.at(token.Minus) {
-		op := ast.BinUnion
-		if p.at(token.Minus) {
-			op = ast.BinDiff
-		}
-		p.next()
-		right, err := p.cardExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &ast.Binary{Op: op, Left: left, Right: right}
-	}
-	return left, nil
+	return qe, nil
 }
 
-func (p *parser) cardExpr() (ast.Expr, error) {
-	if p.at(token.Hash) {
-		pos := p.next().Pos
-		sub, err := p.cardExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Unary{Op: ast.UnCard, Sub: sub, OpPos: pos}, nil
-	}
-	return p.overrideExpr()
-}
-
-func (p *parser) overrideExpr() (ast.Expr, error) {
-	left, err := p.intersectExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(token.PlusPlus) {
-		p.next()
-		right, err := p.intersectExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &ast.Binary{Op: ast.BinOverride, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) intersectExpr() (ast.Expr, error) {
-	left, err := p.arrowExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(token.Amp) {
-		p.next()
-		right, err := p.arrowExpr()
-		if err != nil {
-			return nil, err
-		}
-		left = &ast.Binary{Op: ast.BinIntersect, Left: left, Right: right}
-	}
-	return left, nil
-}
-
-// arrowExpr parses products with optional arrow multiplicities:
-// "Room -> lone RoomKey", "A some -> some B".
-func (p *parser) arrowExpr() (ast.Expr, error) {
-	left, err := p.restrExpr()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) letExpr() (ast.Expr, error) {
+	pos := p.next().Pos // let
+	le := &ast.Let{LetPos: pos}
 	for {
-		lm := ast.Mult(0)
-		save := p.i
-		switch p.cur().Kind {
-		case token.KwOne, token.KwLone, token.KwSome, token.KwSet:
-			if p.peek().Kind == token.Arrow {
-				lm = multOf(p.cur().Kind)
-				p.next()
-			}
-		}
-		if !p.at(token.Arrow) {
-			p.i = save
-			return left, nil
-		}
-		p.next()
-		rm := ast.Mult(0)
-		switch p.cur().Kind {
-		case token.KwOne, token.KwLone, token.KwSome, token.KwSet:
-			rm = multOf(p.cur().Kind)
-			p.next()
-		}
-		right, err := p.restrExpr()
+		t, err := p.expect(token.Ident)
 		if err != nil {
 			return nil, err
 		}
-		left = &ast.Binary{Op: ast.BinProduct, Left: left, Right: right, LeftMult: lm, RightMult: rm}
+		if _, err := p.expect(token.Eq); err != nil {
+			return nil, err
+		}
+		v, err := p.exprAt(ast.PrecUnion)
+		if err != nil {
+			return nil, err
+		}
+		le.Names = append(le.Names, t.Lit)
+		le.Values = append(le.Values, v)
+		if !p.accept(token.Comma) {
+			break
+		}
 	}
-}
-
-func multOf(k token.Kind) ast.Mult {
-	switch k {
-	case token.KwOne:
-		return ast.MultOne
-	case token.KwLone:
-		return ast.MultLone
-	case token.KwSome:
-		return ast.MultSome
-	case token.KwSet:
-		return ast.MultSet
-	default:
-		return ast.MultDefault
-	}
-}
-
-func (p *parser) restrExpr() (ast.Expr, error) {
-	left, err := p.joinExpr()
+	body, err := p.quantBody()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch p.cur().Kind {
-		case token.DomRestr:
-			p.next()
-			right, err := p.joinExpr()
-			if err != nil {
-				return nil, err
-			}
-			left = &ast.Binary{Op: ast.BinDomRestr, Left: left, Right: right}
-		case token.RanRestr:
-			p.next()
-			right, err := p.joinExpr()
-			if err != nil {
-				return nil, err
-			}
-			left = &ast.Binary{Op: ast.BinRanRestr, Left: left, Right: right}
-		default:
-			return left, nil
-		}
-	}
+	le.Body = body
+	return le, nil
 }
 
-func (p *parser) joinExpr() (ast.Expr, error) {
-	left, err := p.unaryExpr()
-	if err != nil {
-		return nil, err
+// quantBody parses "| formula" or "{ block }".
+func (p *parser) quantBody() (ast.Expr, error) {
+	if p.accept(token.Bar) {
+		return p.expr()
 	}
-	for {
-		switch p.cur().Kind {
-		case token.Dot:
-			p.next()
-			right, err := p.unaryExpr()
-			if err != nil {
-				return nil, err
-			}
-			left = &ast.Binary{Op: ast.BinJoin, Left: left, Right: right}
-		case token.LBrack:
-			p.next()
-			bj := &ast.BoxJoin{Target: left}
-			for !p.at(token.RBrack) {
-				arg, err := p.unionExpr()
-				if err != nil {
-					return nil, err
-				}
-				bj.Args = append(bj.Args, arg)
-				if !p.accept(token.Comma) {
-					break
-				}
-			}
-			if _, err := p.expect(token.RBrack); err != nil {
-				return nil, err
-			}
-			left = bj
-		default:
-			return left, nil
-		}
+	if p.at(token.LBrace) {
+		return p.parseBlock()
 	}
-}
-
-func (p *parser) unaryExpr() (ast.Expr, error) {
-	switch p.cur().Kind {
-	case token.Tilde:
-		pos := p.next().Pos
-		sub, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Unary{Op: ast.UnTranspose, Sub: sub, OpPos: pos}, nil
-	case token.Caret:
-		pos := p.next().Pos
-		sub, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Unary{Op: ast.UnClosure, Sub: sub, OpPos: pos}, nil
-	case token.Star:
-		pos := p.next().Pos
-		sub, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &ast.Unary{Op: ast.UnReflClose, Sub: sub, OpPos: pos}, nil
-	}
-	return p.primaryExpr()
+	return nil, p.errorf("expected | or { after declarations, found %s", p.cur())
 }
 
 func (p *parser) primaryExpr() (ast.Expr, error) {
@@ -1112,37 +872,9 @@ func (p *parser) primaryExpr() (ast.Expr, error) {
 		e = inner
 	case token.LBrace:
 		// Comprehension "{x: S | body}" or grouped block "{formulas}".
-		if p.isComprehension() {
-			open := p.next().Pos
-			ce := &ast.Comprehension{OpenPos: open}
-			for {
-				d, err := p.parseDecl(false)
-				if err != nil {
-					return nil, err
-				}
-				ce.Decls = append(ce.Decls, d)
-				if !p.accept(token.Comma) {
-					break
-				}
-			}
-			if _, err := p.expect(token.Bar); err != nil {
-				return nil, err
-			}
-			body, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			ce.Body = body
-			if _, err := p.expect(token.RBrace); err != nil {
-				return nil, err
-			}
-			e = ce
-		} else {
-			blk, err := p.parseBlock()
-			if err != nil {
-				return nil, err
-			}
-			e = blk
+		var err error
+		if e, err = p.braces(); err != nil {
+			return nil, err
 		}
 	case token.At:
 		p.next()
@@ -1163,18 +895,25 @@ func (p *parser) primaryExpr() (ast.Expr, error) {
 	return e, nil
 }
 
-// isComprehension looks ahead after "{" for "[disj] x[, y]* :".
-func (p *parser) isComprehension() bool {
-	j := p.i + 1
-	if j < len(p.toks) && p.toks[j].Kind == token.KwDisj {
-		j++
+// braces parses a comprehension "{decls | body}", or a block when no
+// declarations follow the brace.
+func (p *parser) braces() (ast.Expr, error) {
+	if !p.declsFollow() {
+		return p.parseBlock()
 	}
-	if j >= len(p.toks) || p.toks[j].Kind != token.Ident {
-		return false
+	ce := &ast.Comprehension{OpenPos: p.next().Pos}
+	var err error
+	if ce.Decls, err = p.decls(0); err != nil {
+		return nil, err
 	}
-	j++
-	for j+1 < len(p.toks) && p.toks[j].Kind == token.Comma && p.toks[j+1].Kind == token.Ident {
-		j += 2
+	if _, err := p.expect(token.Bar); err != nil {
+		return nil, err
 	}
-	return j < len(p.toks) && p.toks[j].Kind == token.Colon
+	if ce.Body, err = p.expr(); err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(token.RBrace); err != nil {
+		return nil, err
+	}
+	return ce, nil
 }

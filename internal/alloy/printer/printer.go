@@ -6,9 +6,9 @@
 // output, so canonical form matters more than preserving source layout.
 //
 // Every entry point streams its whole rendering into one strings.Builder:
-// a node's precedence is known before its children are written (precOf),
-// so parentheses are decided up front and no subtree is rendered into a
-// string of its own.
+// a node's precedence level is known before its children are written
+// (ast.PrecOf, the table the parser climbs), so parentheses are decided up
+// front and no subtree is rendered into a string of its own.
 package printer
 
 import (
@@ -46,9 +46,9 @@ func Module(m *ast.Module) string {
 		put(&b, "fun ", fn.Name, "[")
 		writeDecls(&b, fn.Params)
 		b.WriteString("]: ")
-		writeExpr(&b, fn.Result, precQuant)
+		writeExpr(&b, fn.Result, ast.PrecQuant)
 		b.WriteString(" {\n  ")
-		writeExpr(&b, fn.Body, precQuant)
+		writeExpr(&b, fn.Body, ast.PrecQuant)
 		b.WriteString("\n}\n\n")
 	}
 	for _, p := range m.Preds {
@@ -129,7 +129,7 @@ func Command(c *ast.Command) string {
 	writeCommand(&b, c)
 	if c.Target != "" && c.Block != nil {
 		b.WriteString(" {")
-		writeExpr(&b, c.Block, 0)
+		writeExpr(&b, c.Block, ast.PrecQuant)
 		b.WriteString("}")
 	}
 	return b.String()
@@ -145,7 +145,7 @@ func writeCommand(b *strings.Builder, c *ast.Command) {
 	if c.Target != "" {
 		b.WriteString(c.Target)
 	} else if c.Block != nil {
-		writeExpr(b, c.Block, 0)
+		writeExpr(b, c.Block, ast.PrecQuant)
 	}
 	writeScope(b, c.Scope)
 	if c.Expect >= 0 {
@@ -238,7 +238,7 @@ func writeDecl(b *strings.Builder, d *ast.Decl) {
 	if d.Mult != ast.MultDefault && d.Mult.String() != "" {
 		put(b, d.Mult.String(), " ")
 	}
-	writeExpr(b, d.Expr, precUnion)
+	writeExpr(b, d.Expr, ast.PrecUnion)
 }
 
 // writeBody writes a paragraph body indented one level, a block one formula
@@ -247,110 +247,26 @@ func writeBody(b *strings.Builder, e ast.Expr) {
 	if blk, ok := e.(*ast.Block); ok {
 		for _, x := range blk.Exprs {
 			b.WriteString("  ")
-			writeExpr(b, x, precQuant)
+			writeExpr(b, x, ast.PrecQuant)
 			b.WriteString("\n")
 		}
 		return
 	}
 	b.WriteString("  ")
-	writeExpr(b, e, precQuant)
+	writeExpr(b, e, ast.PrecQuant)
 	b.WriteString("\n")
-}
-
-// Precedence levels, loosest to tightest. A child is parenthesized when its
-// level is strictly lower than its context requires.
-const (
-	precQuant = iota // quantified, let, comprehension body position
-	precOr
-	precIff
-	precImplies
-	precAnd
-	precNot
-	precCompare
-	precMultForm
-	precUnion
-	precCard
-	precOverride
-	precIntersect
-	precArrow
-	precRestr
-	precJoin
-	precUnary
-	precAtom
-)
-
-func binPrec(op ast.BinOp) int {
-	switch op {
-	case ast.BinOr:
-		return precOr
-	case ast.BinIff:
-		return precIff
-	case ast.BinImplies:
-		return precImplies
-	case ast.BinAnd:
-		return precAnd
-	case ast.BinIn, ast.BinNotIn, ast.BinEq, ast.BinNotEq, ast.BinLt, ast.BinGt, ast.BinLtEq, ast.BinGtEq:
-		return precCompare
-	case ast.BinUnion, ast.BinDiff:
-		return precUnion
-	case ast.BinOverride:
-		return precOverride
-	case ast.BinIntersect:
-		return precIntersect
-	case ast.BinProduct:
-		return precArrow
-	case ast.BinDomRestr, ast.BinRanRestr:
-		return precRestr
-	case ast.BinJoin:
-		return precJoin
-	default:
-		return precAtom
-	}
-}
-
-func unPrec(op ast.UnOp) int {
-	switch op {
-	case ast.UnNot:
-		return precNot
-	case ast.UnNo, ast.UnSome, ast.UnLone, ast.UnOne, ast.UnSet:
-		return precMultForm
-	case ast.UnCard:
-		return precCard
-	case ast.UnTranspose, ast.UnClosure, ast.UnReflClose:
-		return precUnary
-	default:
-		return precAtom
-	}
-}
-
-// precOf returns the precedence level at which e renders.
-func precOf(e ast.Expr) int {
-	switch x := e.(type) {
-	case *ast.Unary:
-		return unPrec(x.Op)
-	case *ast.Binary:
-		return binPrec(x.Op)
-	case *ast.BoxJoin:
-		return precJoin
-	case *ast.Quantified, *ast.Let:
-		return precQuant
-	case *ast.IfElse:
-		return precImplies
-	default:
-		return precAtom
-	}
 }
 
 // Expr renders an expression with minimal parentheses.
 func Expr(e ast.Expr) string {
 	var b strings.Builder
-	writeExpr(&b, e, precQuant)
+	writeExpr(&b, e, ast.PrecQuant)
 	return b.String()
 }
 
 // writeExpr writes e, parenthesized when its level is below ctx.
-func writeExpr(b *strings.Builder, e ast.Expr, ctx int) {
-	if precOf(e) < ctx {
+func writeExpr(b *strings.Builder, e ast.Expr, ctx ast.Prec) {
+	if ast.PrecOf(e) < ctx {
 		b.WriteString("(")
 		writeBare(b, e)
 		b.WriteString(")")
@@ -372,7 +288,7 @@ func writeBare(b *strings.Builder, e ast.Expr) {
 	case *ast.IntLit:
 		writeInt(b, x.Value)
 	case *ast.Prime:
-		writeExpr(b, x.Sub, precAtom)
+		writeExpr(b, x.Sub, ast.PrecAtom)
 		b.WriteString("'")
 	case *ast.Unary:
 		b.WriteString(x.Op.String())
@@ -382,9 +298,9 @@ func writeBare(b *strings.Builder, e ast.Expr) {
 			b.WriteString(" ")
 		}
 		// not binds looser than its operand level; keep children at same level.
-		writeExpr(b, x.Sub, unPrec(x.Op)+1)
+		writeExpr(b, x.Sub, x.Op.Prec()+1)
 	case *ast.Binary:
-		p := binPrec(x.Op)
+		p := x.Op.Prec()
 		if x.Op == ast.BinJoin {
 			writeExpr(b, x.Left, p)
 			b.WriteString(".")
@@ -409,7 +325,7 @@ func writeBare(b *strings.Builder, e ast.Expr) {
 		b.WriteString(" ")
 		writeExpr(b, x.Right, rctx)
 	case *ast.BoxJoin:
-		writeExpr(b, x.Target, precJoin)
+		writeExpr(b, x.Target, ast.PrecJoin)
 		writeArgs(b, x.Args)
 	case *ast.Call:
 		b.WriteString(x.Name)
@@ -418,12 +334,12 @@ func writeBare(b *strings.Builder, e ast.Expr) {
 		put(b, x.Quant.String(), " ")
 		writeDecls(b, x.Decls)
 		b.WriteString(" | ")
-		writeExpr(b, x.Body, precQuant)
+		writeExpr(b, x.Body, ast.PrecQuant)
 	case *ast.Comprehension:
 		b.WriteString("{")
 		writeDecls(b, x.Decls)
 		b.WriteString(" | ")
-		writeExpr(b, x.Body, precQuant)
+		writeExpr(b, x.Body, ast.PrecQuant)
 		b.WriteString("}")
 	case *ast.Let:
 		b.WriteString("let ")
@@ -432,23 +348,23 @@ func writeBare(b *strings.Builder, e ast.Expr) {
 				b.WriteString(", ")
 			}
 			put(b, n, " = ")
-			writeExpr(b, x.Values[i], precUnion)
+			writeExpr(b, x.Values[i], ast.PrecUnion)
 		}
 		b.WriteString(" | ")
-		writeExpr(b, x.Body, precQuant)
+		writeExpr(b, x.Body, ast.PrecQuant)
 	case *ast.IfElse:
-		writeExpr(b, x.Cond, precImplies+1)
+		writeExpr(b, x.Cond, ast.PrecImplies+1)
 		b.WriteString(" implies ")
-		writeExpr(b, x.Then, precImplies+1)
+		writeExpr(b, x.Then, ast.PrecImplies+1)
 		b.WriteString(" else ")
-		writeExpr(b, x.Else, precImplies)
+		writeExpr(b, x.Else, ast.PrecImplies)
 	case *ast.Block:
 		b.WriteString("{ ")
 		for i, sub := range x.Exprs {
 			if i > 0 {
 				b.WriteString(" ")
 			}
-			writeExpr(b, sub, precQuant)
+			writeExpr(b, sub, ast.PrecQuant)
 		}
 		b.WriteString(" }")
 	default:
@@ -463,7 +379,7 @@ func writeArgs(b *strings.Builder, args []ast.Expr) {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		writeExpr(b, a, precUnion)
+		writeExpr(b, a, ast.PrecUnion)
 	}
 	b.WriteString("]")
 }

@@ -94,7 +94,9 @@ const (
 	Slash     // /
 )
 
-var kindNames = map[Kind]string{
+// kindNames spells each kind; the keyword kinds, KwAbstract through
+// KwExpect, are spelled as written in source.
+var kindNames = [...]string{
 	Invalid:    "invalid",
 	EOF:        "EOF",
 	Comment:    "comment",
@@ -173,49 +175,20 @@ var kindNames = map[Kind]string{
 
 // String returns the human-readable spelling of the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k > 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Keywords maps keyword spellings to their token kinds.
-var Keywords = map[string]Kind{
-	"abstract": KwAbstract,
-	"sig":      KwSig,
-	"extends":  KwExtends,
-	"in":       KwIn,
-	"fact":     KwFact,
-	"pred":     KwPred,
-	"fun":      KwFun,
-	"assert":   KwAssert,
-	"check":    KwCheck,
-	"run":      KwRun,
-	"all":      KwAll,
-	"some":     KwSome,
-	"no":       KwNo,
-	"lone":     KwLone,
-	"one":      KwOne,
-	"set":      KwSet,
-	"let":      KwLet,
-	"not":      KwNot,
-	"and":      KwAnd,
-	"or":       KwOr,
-	"implies":  KwImplies,
-	"iff":      KwIff,
-	"else":     KwElse,
-	"for":      KwFor,
-	"but":      KwBut,
-	"exactly":  KwExactly,
-	"none":     KwNone,
-	"univ":     KwUniv,
-	"iden":     KwIden,
-	"Int":      KwInt,
-	"disj":     KwDisj,
-	"module":   KwModule,
-	"open":     KwOpen,
-	"expect":   KwExpect,
-}
+var Keywords = func() map[string]Kind {
+	kws := make(map[string]Kind, KwExpect-KwAbstract+1)
+	for k := KwAbstract; k <= KwExpect; k++ {
+		kws[kindNames[k]] = k
+	}
+	return kws
+}()
 
 // Pos is a source position expressed as 1-based line and column.
 type Pos struct {

@@ -230,13 +230,3 @@ func encodeWeightedAtMost(s *Solver, lits []Lit, weights []int, bound int) {
 		s.AddClause(prevGE[capSum].Not())
 	}
 }
-
-// EncodeAtMost adds clauses to s enforcing that at most k of lits are true
-// (unweighted cardinality, sequential counter).
-func EncodeAtMost(s *Solver, lits []Lit, k int) {
-	weights := make([]int, len(lits))
-	for i := range weights {
-		weights[i] = 1
-	}
-	encodeWeightedAtMost(s, lits, weights, k)
-}

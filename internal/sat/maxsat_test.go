@@ -136,6 +136,8 @@ func countTrue(model []Tribool, vars []int) int {
 	return n
 }
 
+// TestEncodeAtMost checks the counter encoding as a plain cardinality
+// constraint: every weight one.
 func TestEncodeAtMost(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		for k := 0; k <= n; k++ {
@@ -146,7 +148,11 @@ func TestEncodeAtMost(t *testing.T) {
 				vars[i] = s.NewVar()
 				lits[i] = PosLit(vars[i])
 			}
-			EncodeAtMost(s, lits, k)
+			weights := make([]int, n)
+			for i := range weights {
+				weights[i] = 1
+			}
+			encodeWeightedAtMost(s, lits, weights, k)
 			// Force k+1 of them true: must be UNSAT (when k < n).
 			if k < n {
 				var assume []Lit

@@ -173,30 +173,6 @@ func (c *Circuit) Ite(cond, t, e Node) Node {
 	return c.Or(c.And(cond, t), c.And(Not(cond), e))
 }
 
-// CountNodes returns the number of distinct nodes reachable from n, a node
-// and its negation counted apart.
-func (c *Circuit) CountNodes(n Node) int {
-	seen := map[Node]bool{}
-	var rec func(Node)
-	rec = func(x Node) {
-		if seen[x] {
-			return
-		}
-		seen[x] = true
-		if x&negBit != 0 {
-			rec(x ^ negBit)
-			return
-		}
-		if g, ok := gateOf(x); ok {
-			for _, s := range c.inputs(g) {
-				rec(s)
-			}
-		}
-	}
-	rec(n)
-	return len(seen)
-}
-
 // ClauseSink receives Tseitin clauses. *sat.Solver implements it directly;
 // MaxSAT front-ends adapt it to hard clauses.
 type ClauseSink interface {

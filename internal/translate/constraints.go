@@ -220,6 +220,9 @@ func (tr *Translator) fieldMultiplicity(d *ast.Decl, owner, fm Matrix) (Node, er
 	prod, isProd := d.Expr.(*ast.Binary)
 	if !isProd || prod.Op != ast.BinProduct {
 		// Unary (or otherwise non-product) range: multiplicity over the row.
+		// The parser keeps an omitted multiplicity as MultDefault; this is
+		// where a field applies Alloy's default: one for a unary range, set
+		// otherwise.
 		mult := d.Mult
 		if mult == ast.MultDefault {
 			if fm.Arity() == 2 {

@@ -211,13 +211,3 @@ func TestIteMatrix(t *testing.T) {
 		t.Errorf("ite false = %v", got.Tuples())
 	}
 }
-
-func TestCountNodes(t *testing.T) {
-	a, b := Var(0), Var(1)
-	shared := And(a, b)
-	n := Or(shared, Not(shared))
-	// The or gate, the shared and gate, its negation, a and b.
-	if got := testCircuit.CountNodes(n); got != 5 {
-		t.Errorf("CountNodes = %d, want 5", got)
-	}
-}
