@@ -78,7 +78,17 @@ type Info struct {
 	// Primed lists the names of relations that appear primed anywhere in
 	// the module; the analyzer allocates shadow relations for them.
 	Primed map[string]bool
+
+	// tables is the Info whose Sigs, SigOrder, Fields, FieldOrder and
+	// Primed this one holds: itself, or a Base's (see SharesTables).
+	tables *Info
 }
+
+// SharesTables reports whether i and j hold the same signature and field
+// tables and primed names, the same maps and slices: anything derived from
+// those alone, such as the arity of every relation, is the same for both.
+// Only the Infos of one Base's candidates share them with one another.
+func (i *Info) SharesTables(j *Info) bool { return i.tables == j.tables }
 
 // CheckError is a type-check error with a position.
 type CheckError struct {
@@ -98,6 +108,9 @@ type checker struct {
 	mod  *ast.Module
 	info *Info
 	errs []error
+	// primes lists the relation names found primed, in the order met and
+	// with repeats; finish turns them into Info.Primed.
+	primes []string
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
@@ -120,24 +133,35 @@ func CheckTyped(mod *ast.Module) (*Info, error) {
 
 // check runs the checker; a non-nil typeOf switches on per-node recording.
 func check(mod *ast.Module, typeOf map[ast.Expr]Type) (*Info, error) {
-	c := &checker{
-		mod: mod,
-		info: &Info{
-			Module: mod,
-			Sigs:   map[string]*ast.Sig{},
-			Fields: map[string]*Field{},
-			TypeOf: typeOf,
-			Primed: map[string]bool{},
-		},
-	}
+	c := newChecker(mod, typeOf)
 	c.collectSigs()
 	c.collectFields()
 	if len(c.errs) > 0 {
 		// Desugaring walks extends chains, which may be cyclic here.
-		return c.info, errors.Join(c.errs...)
+		return c.finish()
 	}
 	c.desugarSigFacts()
 	c.checkParagraphs()
+	return c.finish()
+}
+
+func newChecker(mod *ast.Module, typeOf map[ast.Expr]Type) *checker {
+	info := &Info{
+		Module: mod,
+		Sigs:   map[string]*ast.Sig{},
+		Fields: map[string]*Field{},
+		TypeOf: typeOf,
+		Primed: map[string]bool{},
+	}
+	info.tables = info
+	return &checker{mod: mod, info: info}
+}
+
+// finish records the primed names in Info.Primed and returns the result.
+func (c *checker) finish() (*Info, error) {
+	for _, name := range c.primes {
+		c.info.Primed[name] = true
+	}
 	if len(c.errs) > 0 {
 		return c.info, errors.Join(c.errs...)
 	}
@@ -330,40 +354,65 @@ func copyTree(e ast.Expr) ast.Expr {
 	})
 }
 
+// checkParagraphs checks every paragraph after the signatures, in the
+// order errors are reported: facts, predicates, functions, assertions,
+// commands. Each paragraph's check reads only the paragraph, the signature
+// and field tables, and the names and headers of the module's predicates,
+// functions and assertions.
 func (c *checker) checkParagraphs() {
 	for _, f := range c.mod.Facts {
-		c.requireFormula(f.Body, nil, "fact body")
+		c.checkFact(f)
 	}
 	for _, p := range c.mod.Preds {
-		env := c.paramEnv(p.Params)
-		c.requireFormula(p.Body, env, "predicate body")
+		c.checkPred(p)
 	}
 	for _, f := range c.mod.Funs {
-		env := c.paramEnv(f.Params)
-		rt := c.checkExpr(f.Result, nil)
-		bt := c.checkExpr(f.Body, env)
-		if !rt.Formula && !bt.Formula && !rt.Int && !bt.Int && rt.Arity != bt.Arity {
-			c.errorf(f.Pos(), "function %s body arity %d does not match declared result arity %d",
-				f.Name, bt.Arity, rt.Arity)
-		}
+		c.checkFun(f)
 	}
 	for _, a := range c.mod.Asserts {
-		c.requireFormula(a.Body, nil, "assertion body")
+		c.checkAssert(a)
 	}
 	for _, cmd := range c.mod.Commands {
-		switch cmd.Kind {
-		case ast.CmdRun:
-			if cmd.Target != "" && c.mod.LookupPred(cmd.Target) == nil {
-				c.errorf(cmd.Pos(), "run target %q is not a predicate", cmd.Target)
-			}
-		case ast.CmdCheck:
-			if cmd.Target != "" && c.mod.LookupAssert(cmd.Target) == nil {
-				c.errorf(cmd.Pos(), "check target %q is not an assertion", cmd.Target)
-			}
+		c.checkCommand(cmd)
+	}
+}
+
+func (c *checker) checkFact(f *ast.Fact) {
+	c.requireFormula(f.Body, nil, "fact body")
+}
+
+func (c *checker) checkPred(p *ast.Pred) {
+	env := c.paramEnv(p.Params)
+	c.requireFormula(p.Body, env, "predicate body")
+}
+
+func (c *checker) checkFun(f *ast.Fun) {
+	env := c.paramEnv(f.Params)
+	rt := c.checkExpr(f.Result, nil)
+	bt := c.checkExpr(f.Body, env)
+	if !rt.Formula && !bt.Formula && !rt.Int && !bt.Int && rt.Arity != bt.Arity {
+		c.errorf(f.Pos(), "function %s body arity %d does not match declared result arity %d",
+			f.Name, bt.Arity, rt.Arity)
+	}
+}
+
+func (c *checker) checkAssert(a *ast.Assert) {
+	c.requireFormula(a.Body, nil, "assertion body")
+}
+
+func (c *checker) checkCommand(cmd *ast.Command) {
+	switch cmd.Kind {
+	case ast.CmdRun:
+		if cmd.Target != "" && c.mod.LookupPred(cmd.Target) == nil {
+			c.errorf(cmd.Pos(), "run target %q is not a predicate", cmd.Target)
 		}
-		if cmd.Block != nil {
-			c.requireFormula(cmd.Block, nil, "command block")
+	case ast.CmdCheck:
+		if cmd.Target != "" && c.mod.LookupAssert(cmd.Target) == nil {
+			c.errorf(cmd.Pos(), "check target %q is not an assertion", cmd.Target)
 		}
+	}
+	if cmd.Block != nil {
+		c.requireFormula(cmd.Block, nil, "command block")
 	}
 }
 
@@ -444,7 +493,7 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 		_, isSig := c.info.Sigs[id.Name]
 		_, isField := c.info.Fields[id.Name]
 		if !isVar && (isSig || isField) {
-			c.info.Primed[id.Name] = true
+			c.primes = append(c.primes, id.Name)
 		} else {
 			c.errorf(x.Pos(), "prime (') applies only to signatures and fields, not %q", id.Name)
 		}
@@ -612,40 +661,65 @@ func RewriteCalls(mod *ast.Module, expr ast.Expr) ast.Expr {
 // when its body holds a call or it is a signature with a fact, and every
 // other paragraph of the lowered module is mod's own, by pointer.
 func Lower(mod *ast.Module) (*ast.Module, *Info, error) {
-	low := *mod
-	low.Sigs = lowerEach(mod, mod.Sigs, func(s *ast.Sig) *ast.Expr { return &s.Fact })
-	low.Facts = lowerEach(mod, mod.Facts, func(f *ast.Fact) *ast.Expr { return &f.Body })
-	low.Preds = lowerEach(mod, mod.Preds, func(p *ast.Pred) *ast.Expr { return &p.Body })
-	low.Funs = lowerEach(mod, mod.Funs, func(fn *ast.Fun) *ast.Expr { return &fn.Body })
-	low.Asserts = lowerEach(mod, mod.Asserts, func(a *ast.Assert) *ast.Expr { return &a.Body })
-	low.Commands = lowerEach(mod, mod.Commands, func(cmd *ast.Command) *ast.Expr { return &cmd.Block })
-	info, err := Check(&low)
+	info, err := Check(lowerCalls(mod))
 	if err != nil {
 		return nil, nil, err
 	}
 	return info.Module, info, nil
 }
 
+// lowerCalls returns a copy of mod with the calls of every paragraph
+// rewritten, the first half of Lower.
+func lowerCalls(mod *ast.Module) *ast.Module {
+	low := *mod
+	low.Sigs = lowerEach(mod, mod.Sigs, sigFact)
+	low.Facts = lowerEach(mod, mod.Facts, factBody)
+	low.Preds = lowerEach(mod, mod.Preds, predBody)
+	low.Funs = lowerEach(mod, mod.Funs, funBody)
+	low.Asserts = lowerEach(mod, mod.Asserts, assertBody)
+	low.Commands = lowerEach(mod, mod.Commands, commandBlock)
+	return &low
+}
+
+// The bodies Lower rewrites, one accessor per paragraph kind.
+func sigFact(s *ast.Sig) *ast.Expr          { return &s.Fact }
+func factBody(f *ast.Fact) *ast.Expr        { return &f.Body }
+func predBody(p *ast.Pred) *ast.Expr        { return &p.Body }
+func funBody(fn *ast.Fun) *ast.Expr         { return &fn.Body }
+func assertBody(a *ast.Assert) *ast.Expr    { return &a.Body }
+func commandBlock(c *ast.Command) *ast.Expr { return &c.Block }
+
 // lowerEach returns list with every paragraph whose body (the field that
-// body points into) holds a call replaced by a copy with the calls
-// rewritten. The list is copied on the first replacement; neither it nor
-// its paragraphs are written.
+// body points into) holds a call replaced by lowerOne's copy. The list is
+// copied on the first replacement; neither it nor its paragraphs are
+// written.
 func lowerEach[T any](mod *ast.Module, list []*T, body func(*T) *ast.Expr) []*T {
 	out, copied := list, false
 	for i, p := range list {
-		old := *body(p)
-		rewritten := RewriteCalls(mod, old)
-		if rewritten == old {
+		np := lowerOne(mod, p, body)
+		if np == p {
 			continue
 		}
 		if !copied {
 			out, copied = append([]*T(nil), list...), true
 		}
-		np := *p
-		*body(&np) = rewritten
-		out[i] = &np
+		out[i] = np
 	}
 	return out
+}
+
+// lowerOne returns p itself when its body holds no call of mod's
+// predicates or functions, and otherwise a copy of it with the calls
+// rewritten.
+func lowerOne[T any](mod *ast.Module, p *T, body func(*T) *ast.Expr) *T {
+	old := *body(p)
+	rewritten := RewriteCalls(mod, old)
+	if rewritten == old {
+		return p
+	}
+	np := *p
+	*body(&np) = rewritten
+	return &np
 }
 
 // checkUnary and checkBinary are split out to keep check readable.

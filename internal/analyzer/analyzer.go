@@ -165,7 +165,7 @@ func (a *Analyzer) RunCommand(mod *ast.Module, cmd *ast.Command) (*Result, error
 		return cr.materialize(cmd), true
 	}
 	return lookup(a, telemetry.EPCommand, a.commandKey(mod, cmd), accept, func() (*Result, any, error) {
-		s, err := a.newSession(mod)
+		s, err := a.newSession(mod, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -265,8 +265,10 @@ func (s *session) release() {
 	}
 }
 
-func (a *Analyzer) newSession(mod *ast.Module) (*session, error) {
-	low, info, err := types.Lower(mod)
+// newSession lowers mod, against lower when it is not nil (see
+// types.Base), and starts a session on it.
+func (a *Analyzer) newSession(mod *ast.Module, lower *types.Base) (*session, error) {
+	low, info, err := lower.Lower(mod)
 	if err != nil {
 		return nil, fmt.Errorf("analyzing: %w", err)
 	}
@@ -432,7 +434,7 @@ func (a *Analyzer) ExecuteAll(mod *ast.Module) ([]*Result, error) {
 		return rec.materializeAll(mod.Commands), true
 	}
 	return lookup(a, telemetry.EPExecuteAll, a.runRecordKey(mod), accept, func() ([]*Result, any, error) {
-		out, err := a.runFresh(mod, "analyzer.execute_all", false)
+		out, err := a.runFresh(mod, nil, "analyzer.execute_all", false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -444,17 +446,22 @@ func (a *Analyzer) ExecuteAll(mod *ast.Module) ([]*Result, error) {
 // at the first command that misses its expectation. It is the fast path
 // for oracle checks in repair search loops.
 func (a *Analyzer) PassesAll(mod *ast.Module) (bool, error) {
+	return a.passesAll(mod, nil)
+}
+
+// passesAll is PassesAll, lowering mod against lower when it is not nil.
+func (a *Analyzer) passesAll(mod *ast.Module, lower *types.Base) (bool, error) {
 	return lookup(a, telemetry.EPPassesAll, a.runRecordKey(mod), acceptPasses(mod.Commands), func() (bool, any, error) {
-		return a.passesAllFresh(mod)
+		return a.passesAllFresh(mod, lower)
 	})
 }
 
 // passesAllFresh answers PassesAll in a fresh session, with the run record
 // to store: complete when every command executed, else the prefix up to the
 // failing command, which still answers later PassesAll queries (ExecuteAll
-// upgrades it on demand).
-func (a *Analyzer) passesAllFresh(mod *ast.Module) (bool, any, error) {
-	results, err := a.runFresh(mod, "analyzer.passes_all", true)
+// upgrades it on demand). A non-nil lower lowers mod (see newSession).
+func (a *Analyzer) passesAllFresh(mod *ast.Module, lower *types.Base) (bool, any, error) {
+	results, err := a.runFresh(mod, lower, "analyzer.passes_all", true)
 	if err != nil {
 		return false, nil, err
 	}
@@ -464,9 +471,10 @@ func (a *Analyzer) passesAllFresh(mod *ast.Module) (bool, any, error) {
 
 // runFresh executes the module's commands in declaration order in a fresh
 // session under a span of the given kind, stopping after the first command
-// that misses its expectation when stopOnFail is set.
-func (a *Analyzer) runFresh(mod *ast.Module, kind string, stopOnFail bool) ([]*Result, error) {
-	s, err := a.newSession(mod)
+// that misses its expectation when stopOnFail is set. A non-nil lower
+// lowers mod (see newSession).
+func (a *Analyzer) runFresh(mod *ast.Module, lower *types.Base, kind string, stopOnFail bool) ([]*Result, error) {
+	s, err := a.newSession(mod, lower)
 	if err != nil {
 		return nil, err
 	}
@@ -518,7 +526,7 @@ func (a *Analyzer) EquisatBaseline(gtCommands []*ast.Command, verdicts []bool, c
 }
 
 func (a *Analyzer) equisatFresh(gtCommands []*ast.Command, verdicts []bool, candidate *ast.Module) (bool, error) {
-	s, err := a.newSession(candidate)
+	s, err := a.newSession(candidate, nil)
 	if err != nil {
 		return false, nil // malformed candidate: not a repair
 	}

@@ -498,7 +498,7 @@ assert NoSelf { no n: Node | n in n.next }
 check NoSelf for 5
 check NoSelf for 5
 `
-	s, err := New(Options{}).newSession(mustParse(t, src))
+	s, err := New(Options{}).newSession(mustParse(t, src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

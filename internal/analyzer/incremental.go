@@ -65,6 +65,9 @@ import (
 type Evaluator struct {
 	an  *Analyzer
 	inc *incSession
+	// lower lowers the candidates, on either path: a base of the stream's
+	// base module unless SetBase replaced it.
+	lower *types.Base
 	// span parents the per-candidate "candidate.eval" spans; defaults to the
 	// analyzer's span, techniques re-point it at their round spans.
 	span *telemetry.Span
@@ -82,6 +85,12 @@ func (e *Evaluator) SetSpan(sp *telemetry.Span) {
 	}
 	e.span = e.an.span
 }
+
+// SetBase makes the evaluator lower candidates against b, which the
+// candidates of the stream derive from (see types.Base), instead of against
+// a base of its own. A technique passes the base its screen lowers
+// candidates with, so each candidate is lowered once.
+func (e *Evaluator) SetBase(b *types.Base) { e.lower = b }
 
 // EvaluatorStats reports how an evaluator answered its queries so far.
 type EvaluatorStats struct {
@@ -102,7 +111,7 @@ func (e *Evaluator) Stats() EvaluatorStats { return e.stats }
 // Options.DisableIncremental is set, every query takes the fresh path;
 // results are identical either way.
 func (a *Analyzer) Evaluator(base *ast.Module) *Evaluator {
-	e := &Evaluator{an: a, span: a.span}
+	e := &Evaluator{an: a, span: a.span, lower: types.NewBase(base)}
 	if a.opts.DisableIncremental {
 		return e
 	}
@@ -126,12 +135,12 @@ func (e *Evaluator) PassesAll(mod *ast.Module) (bool, error) {
 	defer sp.End()
 	if e.inc == nil {
 		sp.SetAttr("path", "fresh")
-		return e.an.WithSpan(sp).PassesAll(mod)
+		return e.an.WithSpan(sp).passesAll(mod, e.lower)
 	}
 	// path stays "cache" unless lookup has to compute the answer.
 	col, path := e.an.opts.Telemetry, "cache"
 	pass, err := lookup(e.an, telemetry.EPPassesAll, e.an.runRecordKey(mod), acceptPasses(mod.Commands), func() (bool, any, error) {
-		if pass, ok := e.inc.passesAll(mod, sp); ok {
+		if pass, ok := e.inc.passesAll(mod, e.lower, sp); ok {
 			e.stats.Queries++
 			col.RecordIncrementalQuery()
 			path = "incremental"
@@ -140,7 +149,7 @@ func (e *Evaluator) PassesAll(mod *ast.Module) (bool, error) {
 		e.stats.Fallbacks++
 		col.RecordIncrementalFallback()
 		path = "fallback"
-		return e.an.WithSpan(sp).passesAllFresh(mod)
+		return e.an.WithSpan(sp).passesAllFresh(mod, e.lower)
 	})
 	if path == "cache" {
 		e.stats.CacheHits++
@@ -178,11 +187,13 @@ var gateWindow = 64
 type incScope struct {
 	*scope
 	gates map[string]sat.Lit
-	// hasCall memoizes exprHasCall by body pointer, which is exact because
-	// a body is never written after it is built. Lowering gives a
-	// candidate's call-holding bodies fresh pointers that never hit again,
-	// so the memo is emptied once it outgrows the gate memo by a window.
-	hasCall map[ast.Expr]bool
+	// bodies memoizes, by body pointer, what gate reads of a formula before
+	// it looks the gate up: its printed form and whether it calls a pred or
+	// fun. That is exact because a body is never written after it is built,
+	// and a body a candidate shares with its base is printed once per
+	// scope. The edited bodies of candidates never hit again, so the memo
+	// is emptied once it outgrows the gate memo by a window.
+	bodies map[ast.Expr]gateBody
 
 	// baseGates is the gate count right after the first command served by
 	// this solver — the resident set of base-module formulas. -1 until
@@ -233,22 +244,22 @@ func (s *incSession) state(sc ast.Scope) *incScope {
 	st := &incScope{
 		scope:     s.an.newScope(s.info, sc, nil, nil, reuse),
 		gates:     map[string]sat.Lit{},
-		hasCall:   map[ast.Expr]bool{},
+		bodies:    map[ast.Expr]gateBody{},
 		baseGates: -1,
 	}
 	s.byScope[key] = st
 	return st
 }
 
-// passesAll answers PassesAll for one candidate on the session, parenting
-// solver trace spans to sp. ok=false means the candidate cannot be evaluated
+// passesAll answers PassesAll for one candidate on the session, lowering it
+// against lower and parenting solver trace spans to sp. ok=false means the candidate cannot be evaluated
 // incrementally and the caller must fall back to fresh solving; pass is then
 // meaningless.
-func (s *incSession) passesAll(mod *ast.Module, sp *telemetry.Span) (pass, ok bool) {
+func (s *incSession) passesAll(mod *ast.Module, lower *types.Base, sp *telemetry.Span) (pass, ok bool) {
 	if sigFingerprint(mod) != s.sigFP {
 		return false, false
 	}
-	low, _, err := types.Lower(mod)
+	low, _, err := lower.Lower(mod)
 	if err != nil {
 		return false, false
 	}
@@ -313,11 +324,12 @@ func (s *incSession) passesAll(mod *ast.Module, sp *telemetry.Span) (pass, ok bo
 // called bodies and those may differ between candidates with identical
 // paragraph text.
 func (st *incScope) gate(low *ast.Module, body ast.Expr, neg bool, callFP *string) (sat.Lit, error) {
-	key := printer.Expr(body)
+	b := st.body(body)
+	key := b.printed
 	if neg {
 		key = "-" + key
 	}
-	if st.callsIn(body) {
+	if b.hasCall {
 		if *callFP == "" {
 			*callFP = callEnvFingerprint(low)
 		}
@@ -337,18 +349,23 @@ func (st *incScope) gate(low *ast.Module, body ast.Expr, neg bool, callFP *strin
 	return g, nil
 }
 
-// callsIn reports whether body contains a pred/fun call, through the
-// scope's memo.
-func (st *incScope) callsIn(body ast.Expr) bool {
-	has, ok := st.hasCall[body]
+// gateBody is what the gate key of a formula is made from.
+type gateBody struct {
+	printed string
+	hasCall bool
+}
+
+// body returns the formula's gateBody through the scope's memo.
+func (st *incScope) body(e ast.Expr) gateBody {
+	b, ok := st.bodies[e]
 	if !ok {
-		if len(st.hasCall) >= len(st.gates)+gateWindow {
-			clear(st.hasCall)
+		if len(st.bodies) >= len(st.gates)+gateWindow {
+			clear(st.bodies)
 		}
-		has = exprHasCall(body)
-		st.hasCall[body] = has
+		b = gateBody{printed: printer.Expr(e), hasCall: exprHasCall(e)}
+		st.bodies[e] = b
 	}
-	return has
+	return b
 }
 
 // exprHasCall reports whether the expression contains a pred/fun call.

@@ -168,15 +168,51 @@ type Model struct {
 // yields a Model: every test run against it fails with that error.
 func Prepare(mod *ast.Module) *Model {
 	low, info, err := types.Lower(mod)
+	return newModel(low, info, err, relationDefaults)
+}
+
+func newModel(low *ast.Module, info *types.Info, err error, defaults func(*types.Info) map[string]bounds.TupleSet) *Model {
 	m := &Model{low: low, info: info, err: err}
 	if err == nil {
-		m.defaults = relationDefaults(info)
+		m.defaults = defaults(info)
 		m.facts = &ast.Block{}
 		for _, f := range low.Facts {
 			m.facts.Exprs = append(m.facts.Exprs, f.Body)
 		}
 	}
 	return m
+}
+
+// Base prepares the candidates of one module, such as its mutation
+// candidates, for test runs. It lowers them against a types.Base, and the
+// Models of candidates that share their tables (types.Info.SharesTables)
+// share one map of relation defaults. It is not safe for concurrent use.
+type Base struct {
+	lower *types.Base
+	// defaults are the relation defaults of tables, the Info of the last
+	// prepared candidate that had to build its own.
+	tables   *types.Info
+	defaults map[string]bounds.TupleSet
+}
+
+// NewBase returns the preparer for candidates of tb's module.
+func NewBase(tb *types.Base) *Base { return &Base{lower: tb} }
+
+// Prepare is Prepare(cand), lowering cand against the base. A nil Base
+// prepares cand cold.
+func (b *Base) Prepare(cand *ast.Module) *Model {
+	if b == nil {
+		return Prepare(cand)
+	}
+	low, info, err := b.lower.Lower(cand)
+	return newModel(low, info, err, b.relationDefaults)
+}
+
+func (b *Base) relationDefaults(info *types.Info) map[string]bounds.TupleSet {
+	if b.tables == nil || !info.SharesTables(b.tables) {
+		b.tables, b.defaults = info, relationDefaults(info)
+	}
+	return b.defaults
 }
 
 // relationDefaults binds every relation of a checked module, primed ones

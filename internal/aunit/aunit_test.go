@@ -1,6 +1,7 @@
 package aunit
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,8 @@ import (
 	"specrepair/internal/alloy/parser"
 	"specrepair/internal/alloy/printer"
 	"specrepair/internal/analyzer"
+	"specrepair/internal/bounds"
+	"specrepair/internal/mutation"
 )
 
 const model = `
@@ -239,4 +242,74 @@ func errText(err error) string {
 		return ""
 	}
 	return err.Error()
+}
+
+// TestBasePreparesLikePrepare runs a suite against every template-budget
+// candidate of a model prepared cold and through a Base: the results match
+// test for test, and the candidates whose tables are the base's share one
+// map of relation defaults.
+func TestBasePreparesLikePrepare(t *testing.T) {
+	mod := mustParse(t, `
+sig Node { next: set Node, prev: set Node }
+fact Inverse { prev = ~next }
+fact NoSelf { all n: Node | n not in n.next }
+pred linked[n: Node] { some n.next and some n.prev }
+run { some n: Node | linked[n] } for 3
+`)
+	suite := &Suite{}
+	for i, formula := range []string{FactsFormula, "all n: Node | linked[n]", "some next"} {
+		suite.Add(&Test{
+			Name: "t" + string(rune('0'+i)),
+			Valuation: map[string][][]string{
+				"Node": {{"N0"}, {"N1"}},
+				"next": {{"N0", "N1"}, {"N1", "N0"}},
+				"prev": {{"N1", "N0"}, {"N0", "N1"}},
+			},
+			Formula: formula,
+			Expect:  true,
+		})
+	}
+	eng, err := mutation.NewEngine(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBase(eng.Base())
+	_, baseInfo, err := eng.Base().Lower(eng.Mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared map[string]bounds.TupleSet
+	n, sharing := 0, 0
+	for _, s := range eng.Sites() {
+		for _, c := range eng.Candidates(s, mutation.BudgetTemplates) {
+			cand, err := eng.Apply(s.Site, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, relative := Prepare(cand), b.Prepare(cand)
+			want, wantPassed := cold.RunAll(suite)
+			got, gotPassed := relative.RunAll(suite)
+			if gotPassed != wantPassed || errText(relative.Err()) != errText(cold.Err()) {
+				t.Fatalf("%s: %d passed (err %v) against a base, %d cold (err %v)", printer.Module(cand), gotPassed, relative.Err(), wantPassed, cold.Err())
+			}
+			for i := range want {
+				if got[i].Passed != want[i].Passed || errText(got[i].Err) != errText(want[i].Err) {
+					t.Fatalf("%s: test %s: %+v against a base, %+v cold", printer.Module(cand), want[i].Test.Name, got[i], want[i])
+				}
+			}
+			n++
+			if relative.Err() != nil || !relative.Info().SharesTables(baseInfo) {
+				continue
+			}
+			if shared == nil {
+				shared = relative.defaults
+			} else if reflect.ValueOf(relative.defaults).UnsafePointer() != reflect.ValueOf(shared).UnsafePointer() {
+				t.Fatalf("%s: a candidate sharing the base's tables has relation defaults of its own", printer.Module(cand))
+			}
+			sharing++
+		}
+	}
+	if n == 0 || sharing < n/2 {
+		t.Fatalf("%d of %d candidates share the base's relation defaults", sharing, n)
+	}
 }

@@ -11,8 +11,10 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/printer"
 	"specrepair/internal/anacache"
 	"specrepair/internal/analyzer"
@@ -385,6 +387,15 @@ func (r *Runner) runPool(ctx context.Context, workers int, pending []execJob) <-
 	jobs := make(chan execJob)
 	results := make(chan execResult, workers)
 	var wg sync.WaitGroup
+	// Scoring a job reads what its spec and its ground truth, which specs
+	// of one domain share, prepared for it; the maps are complete before
+	// any worker reads them.
+	faulty := map[*bench.Spec]*prepared[string]{}
+	refs := map[*ast.Module]*prepared[*metrics.Reference]{}
+	for _, j := range pending {
+		use(faulty, j.spec)
+		use(refs, j.spec.GroundTruth)
+	}
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -405,7 +416,7 @@ func (r *Runner) runPool(ctx context.Context, workers int, pending []execJob) <-
 				res := &Result{Spec: j.spec, Technique: j.factory.Name}
 				job := Job{Technique: j.factory.Name, Spec: j.suite + "/" + j.spec.Name, Lane: w + 1, Timeout: r.Timeout}
 				RunJob(ctx, col, job, res, func(ctx context.Context, res *Result) {
-					evaluateOne(ctx, an, tool, res)
+					evaluateOne(ctx, an, tool, res, faulty[j.spec], refs[j.spec.GroundTruth])
 				})
 				results <- execResult{suite: j.suite, res: res}
 			}
@@ -503,16 +514,22 @@ func checkDuplicateSpecs(suite *bench.Suite) error {
 
 // evaluateOne runs res's technique on res's spec and scores the outcome,
 // filling res in place so a panic mid-scoring leaves the fields scored so
-// far.
-func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Technique, res *Result) {
+// far. faulty and ref hold the spec's faulty module printed, which a job
+// that produced no candidate is scored as, and its ground truth prepared for
+// TM and SM.
+func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Technique, res *Result, faulty *prepared[string], ref *prepared[*metrics.Reference]) {
 	spec := res.Spec
 	an = an.WithContext(ctx)
 	out, err := tool.Repair(ctx, spec.Problem())
 	res.Outcome = out
 	res.Err = err
 	candidate := out.Candidate
-	gtSrc := printer.Module(spec.GroundTruth)
-	candSrc := printer.Module(spec.Faulty)
+	defer faulty.release()
+	defer ref.release()
+	gt := ref.get(func() *metrics.Reference {
+		return metrics.NewReference(printer.Module(spec.GroundTruth), spec.GroundTruth)
+	})
+	var candSrc string
 	if candidate != nil {
 		candSrc = printer.Module(candidate)
 		rep, repErr := metrics.REP(an, spec.GroundTruth, candidate)
@@ -523,9 +540,45 @@ func evaluateOne(ctx context.Context, an *analyzer.Analyzer, tool repair.Techniq
 			// metric error (this used to silently drop the latter).
 			res.Err = errors.Join(res.Err, fmt.Errorf("REP metric: %w", repErr))
 		}
+	} else {
+		candSrc = faulty.get(func() string { return printer.Module(spec.Faulty) })
 	}
-	res.TM = metrics.TokenMatch(gtSrc, candSrc)
-	res.SM = metrics.SyntaxMatch(gtSrc, candSrc)
+	res.TM = gt.TokenMatch(candSrc)
+	res.SM = gt.SyntaxMatch(candSrc)
+}
+
+// prepared is a value that a known number of jobs read: the first one to
+// need it builds it, and the last one to finish releases it, so it lives
+// no longer than the jobs that use it.
+type prepared[T any] struct {
+	once sync.Once
+	v    T
+	// left counts the jobs that have not finished with it.
+	left atomic.Int32
+}
+
+// use counts one more job that reads m's value for key.
+func use[K comparable, T any](m map[K]*prepared[T], key K) {
+	p := m[key]
+	if p == nil {
+		p = &prepared[T]{}
+		m[key] = p
+	}
+	p.left.Add(1)
+}
+
+// get returns the value, building it with build on first use.
+func (p *prepared[T]) get(build func() T) T {
+	p.once.Do(func() { p.v = build() })
+	return p.v
+}
+
+// release marks one job done with the value, dropping it after the last.
+func (p *prepared[T]) release() {
+	if p.left.Add(-1) == 0 {
+		var zero T
+		p.v = zero
+	}
 }
 
 // Hybrid describes one traditional+LLM pairing of RQ3.

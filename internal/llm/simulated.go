@@ -165,6 +165,9 @@ type conversationMemo struct {
 	printed string      // mod printed, the normalized original
 	eng     *mutation.Engine
 	sites   []memoSite // parallel to eng.Sites()
+	// tests prepares edits for judging against counterexamples, lowering
+	// each against eng's base.
+	tests *aunit.Base
 
 	normalized map[string]string // prior proposal -> normalizeSpec of it
 	edits      map[editKey]*builtEdit
@@ -222,6 +225,7 @@ func newConversationMemo(spec string) *conversationMemo {
 	c.printed = printer.Module(mod)
 	if eng, err := mutation.NewEngine(mod); err == nil {
 		c.eng = eng
+		c.tests = aunit.NewBase(eng.Base())
 		c.sites = make([]memoSite, len(eng.Sites()))
 	}
 	return c
@@ -548,7 +552,7 @@ func (c *conversationMemo) cexAdjustment(k editKey, b *builtEdit, v conversation
 		d, ok := c.verdicts[vk]
 		if !ok {
 			if model == nil {
-				model = aunit.Prepare(b.mod)
+				model = c.tests.Prepare(b.mod)
 			}
 			p, ok := c.probes[cex.text]
 			if !ok {

@@ -7,7 +7,9 @@ package metrics
 
 import (
 	"encoding/binary"
+	"maps"
 	"math"
+	"slices"
 
 	"specrepair/internal/alloy/ast"
 	"specrepair/internal/alloy/lexer"
@@ -37,9 +39,57 @@ func REP(an *analyzer.Analyzer, groundTruth, candidate *ast.Module) (int, error)
 // lexer (the paper separates on whitespace; lexical tokenization is the
 // equivalent over canonically printed specs). Scores range in [0, 1].
 func TokenMatch(groundTruth, candidate string) float64 {
-	ref := lexer.Tokenize(groundTruth)
-	hyp := lexer.Tokenize(candidate)
-	return BLEU(ref, hyp, 4)
+	return (&Reference{tokens: lexer.Tokenize(groundTruth)}).TokenMatch(candidate)
+}
+
+// Reference is a ground truth prepared once for scoring any number of
+// candidates against it with TM and SM: its tokens and its parse. It is
+// only read after NewReference, so goroutines may share one.
+type Reference struct {
+	tokens []string
+	mod    *ast.Module // nil when the ground truth does not parse
+}
+
+// NewReference prepares the ground-truth source for scoring. printedFrom,
+// when not nil, is the module the source was printed from: when its
+// complete subtrees are those of the source's parse, in the same order, SM
+// reads it in place of the parse, and the Reference holds no tree of its
+// own.
+func NewReference(groundTruth string, printedFrom *ast.Module) *Reference {
+	r := &Reference{tokens: lexer.Tokenize(groundTruth)}
+	if mod, err := parser.Parse(groundTruth); err == nil {
+		r.mod = mod
+		if printedFrom != nil && sameSubtrees(mod, printedFrom) {
+			r.mod = printedFrom
+		}
+	}
+	return r
+}
+
+// sameSubtrees reports whether counting a's subtrees and counting b's from
+// an empty table give the same table and counts, so that
+// TreeKernelSimilarity gives the same score for a as for b against any
+// module.
+func sameSubtrees(a, b *ast.Module) bool {
+	sa, sb := &subtrees{ids: map[string]int32{}}, &subtrees{ids: map[string]int32{}}
+	return slices.Equal(sa.count(a), sb.count(b)) && maps.Equal(sa.ids, sb.ids)
+}
+
+// TokenMatch is TokenMatch(groundTruth, candidate) for r's ground truth.
+func (r *Reference) TokenMatch(candidate string) float64 {
+	return BLEU(r.tokens, lexer.Tokenize(candidate), 4)
+}
+
+// SyntaxMatch is SyntaxMatch(groundTruth, candidate) for r's ground truth.
+func (r *Reference) SyntaxMatch(candidate string) float64 {
+	if r.mod == nil {
+		return 0
+	}
+	cand, err := parser.Parse(candidate)
+	if err != nil {
+		return 0
+	}
+	return TreeKernelSimilarity(r.mod, cand)
 }
 
 // BLEU computes sentence-level BLEU with uniform n-gram weights up to
@@ -178,11 +228,7 @@ func SyntaxMatch(groundTruth, candidate string) float64 {
 	if err != nil {
 		return 0
 	}
-	cand, err := parser.Parse(candidate)
-	if err != nil {
-		return 0
-	}
-	return TreeKernelSimilarity(gt, cand)
+	return (&Reference{mod: gt}).SyntaxMatch(candidate)
 }
 
 // TreeKernelSimilarity computes the normalized subtree kernel between two

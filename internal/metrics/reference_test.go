@@ -259,6 +259,34 @@ func TestMetricsMatchReference(t *testing.T) {
 	}
 }
 
+// TestPreparedReferenceMatches checks that scoring against a Reference
+// gives TokenMatch's and SyntaxMatch's floats, on the pairs
+// TestMetricsMatchReference compares, and that a Reference prepared with
+// the module a ground truth was printed from holds no tree of its own.
+func TestPreparedReferenceMatches(t *testing.T) {
+	for _, sp := range corpusSpecs(t) {
+		gt := printer.Module(sp.GroundTruth)
+		refs := []*Reference{NewReference(gt, sp.GroundTruth), NewReference(gt, nil)}
+		if refs[0].mod != sp.GroundTruth {
+			t.Fatalf("%s: the prepared ground truth holds a parse of its own", sp.Name)
+		}
+		if NewReference(gt, sp.Faulty).mod == sp.Faulty {
+			t.Fatalf("%s: a module the ground truth was not printed from stands for its parse", sp.Name)
+		}
+		cands := append(firstCandidates(t, sp.Faulty, 5), printer.Module(sp.Faulty), gt, "")
+		for _, cand := range cands {
+			for _, ref := range refs {
+				if got, want := ref.TokenMatch(cand), TokenMatch(gt, cand); got != want {
+					t.Fatalf("%s: prepared TM = %v, TokenMatch %v", sp.Name, got, want)
+				}
+				if got, want := ref.SyntaxMatch(cand), SyntaxMatch(gt, cand); got != want {
+					t.Fatalf("%s: prepared SM = %v, SyntaxMatch %v", sp.Name, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestBLEUMatchesReferenceOrders covers n-gram orders past the texts'
 // lengths and repeated n-grams, where clipping matters.
 func TestBLEUMatchesReferenceOrders(t *testing.T) {

@@ -18,6 +18,7 @@ type Engine struct {
 	Info *types.Info
 	// sites caches the enumeration.
 	sites []ScopedSite
+	base  *types.Base
 }
 
 // ScopedSite is a site plus the quantified variables visible at it.
@@ -39,10 +40,16 @@ func NewEngine(mod *ast.Module) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{Mod: info.Module, Info: info}
+	e := &Engine{Mod: info.Module, Info: info, base: types.NewBase(info.Module)}
 	e.enumerate()
 	return e, nil
 }
+
+// Base returns the type-checking base of Mod: every candidate the engine
+// applies, and every module derived from those by further edits of their
+// facts, predicates and functions, checks and lowers against it, re-doing
+// only the paragraphs it edited. Like the engine, it is for one goroutine.
+func (e *Engine) Base() *types.Base { return e.base }
 
 func (e *Engine) enumerate() {
 	collect := func(c Container, body ast.Expr, baseScope map[string]int) {

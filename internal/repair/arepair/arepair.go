@@ -113,7 +113,7 @@ func (t *Tool) improveOnce(ctx context.Context, mod *ast.Module, suite *aunit.Su
 	if err != nil {
 		return false, nil, 0, err
 	}
-	g := &gate{suite: suite, best: best}
+	g := &gate{suite: suite, best: best, tests: aunit.NewBase(eng.Base())}
 
 	sites := 0
 	for _, r := range ranked {
@@ -164,13 +164,16 @@ type gate struct {
 	suite *aunit.Suite
 	best  int // passing tests of the current model
 	tried int // candidates judged so far
+	// tests prepares each candidate against the round engine's base; nil
+	// prepares candidates cold.
+	tests *aunit.Base
 }
 
 // improves counts cand as tried and reports whether it passes more than
 // best tests. A candidate that does not type-check is never accepted.
 func (g *gate) improves(cand *ast.Module) bool {
 	g.tried++
-	model := aunit.Prepare(cand)
+	model := g.tests.Prepare(cand)
 	if model.Err() != nil {
 		return false
 	}

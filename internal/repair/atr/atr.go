@@ -135,8 +135,12 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 
 	// One incremental evaluation session spans the whole candidate stream
 	// (templates never touch signature paragraphs, so the shared bounds and
-	// learned clauses apply to every candidate).
+	// learned clauses apply to every candidate). Candidates are lowered
+	// against the engine's base, once each: the screen's lowering is the
+	// one the session uses.
 	oracle := an.Evaluator(p.Faulty)
+	tb := eng.Base()
+	oracle.SetBase(tb)
 
 	// The enumerate span groups every template validation; candidate.eval
 	// spans nest under it via the oracle.
@@ -149,10 +153,15 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	}()
 
 	val := repair.NewValidator(ctx, oracle, p.Faulty, t.opts.MaxCandidates, &out.Stats)
-	survives := func(m *ast.Module) bool { return t.survivesPruning(m, pairs) }
+	// A template must type-check, a dropped conjunct is screened only when
+	// there are pairs to screen it against; the lowering's error is the
+	// type gate.
 	typedAndSurvives := func(m *ast.Module) bool {
-		_, err := types.Check(m)
-		return err == nil && survives(m)
+		low, _, err := tb.Lower(m)
+		return err == nil && survivesPruning(low, pairs)
+	}
+	survives := func(m *ast.Module) bool {
+		return len(pairs) == 0 || typedAndSurvives(m)
 	}
 	for _, s := range sites {
 		if err := ctx.Err(); err != nil {
@@ -355,16 +364,12 @@ func mentionsAny(e ast.Expr, names map[string]bool) bool {
 	return found
 }
 
-// survivesPruning screens a candidate against every (cex, sat) pair: the
-// candidate's facts must reject each counterexample and keep accepting each
-// nearest satisfying instance.
-func (t *Tool) survivesPruning(cand *ast.Module, pairs []instancePair) bool {
+// survivesPruning screens a lowered candidate against every (cex, sat)
+// pair: the candidate's facts must reject each counterexample and keep
+// accepting each nearest satisfying instance.
+func survivesPruning(low *ast.Module, pairs []instancePair) bool {
 	if len(pairs) == 0 {
 		return true
-	}
-	low, _, err := types.Lower(cand)
-	if err != nil {
-		return false
 	}
 	ev := &instance.Evaluator{Mod: low}
 	factsHold := func(inst *instance.Instance) (bool, bool) {

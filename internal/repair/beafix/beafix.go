@@ -155,6 +155,10 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 			if err != nil {
 				continue
 			}
+			// The screen lowers each candidate against the engine's base,
+			// and the session reuses that lowering.
+			tb := eng.Base()
+			oracle.SetBase(tb)
 			for _, s := range eng.Sites() {
 				if err := ctx.Err(); err != nil {
 					return out, err
@@ -171,11 +175,13 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 						continue
 					}
 					verdict, err := val.Validate(cand, func(m *ast.Module) bool {
-						if _, err := types.Check(m); err != nil {
+						// The lowering's error is the type gate.
+						candLow, _, err := tb.Lower(m)
+						if err != nil {
 							return false
 						}
 						// Counterexample screening.
-						return !pruning || t.changesOnInstances(low, m, s, c, failing)
+						return !pruning || changesOnInstances(low, candLow, s, failing)
 					})
 					if err != nil {
 						return out, err
@@ -230,15 +236,11 @@ func (t *Tool) siteAllowed(s mutation.ScopedSite, suspicious map[string]bool) bo
 	return false
 }
 
-// changesOnInstances reports whether replacing site s with candidate c
-// changes the truth value of the enclosing container's body on at least one
-// failing instance — the cheap screen before full analysis.
-func (t *Tool) changesOnInstances(low *ast.Module, cand *ast.Module, s mutation.ScopedSite, c ast.Expr, failing []faultloc.Observation) bool {
+// changesOnInstances reports whether the candidate's edit at site s, given
+// its lowering, changes the truth value of the enclosing container's body
+// on at least one failing instance — the cheap screen before full analysis.
+func changesOnInstances(low, candLow *ast.Module, s mutation.ScopedSite, failing []faultloc.Observation) bool {
 	if len(failing) == 0 {
-		return true
-	}
-	candLow, _, err := types.Lower(cand)
-	if err != nil {
 		return true
 	}
 	origBody, candBody := containerBodies(low, candLow, s.Container)

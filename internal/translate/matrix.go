@@ -231,42 +231,68 @@ func (m Matrix) Product(o Matrix) Matrix {
 	return out
 }
 
-// byFirstLane returns the indices of o's entries grouped by their first
+// byFirstLane returns the indices of m's entries grouped by their first
 // atom lane, ascending within each group, and the start of each lane's
-// group: lane l's entries are idx[start[l]:start[l+1]].
-func (m Matrix) byFirstLane() (idx []int32, start [257]int32) {
+// group: lane l's entries are idx[start[l]:start[l+1]]. start reaches only
+// the highest lane m uses; no entry has a lane from len(start)-1 up. Both
+// are built in buf when it has room, so a caller's stack array spares the
+// allocation for small operands.
+func (m Matrix) byFirstLane(buf []int32) (idx, start []int32) {
+	top := 0
 	for _, k := range m.keys {
-		start[k&0xff+1]++
+		top = max(top, int(k&0xff))
 	}
-	for l := 1; l < len(start); l++ {
+	if n := len(m.keys) + top + 3; cap(buf) >= n {
+		buf = buf[:n]
+		clear(buf)
+	} else {
+		buf = make([]int32, n)
+	}
+	idx, start = buf[:len(m.keys)], buf[len(m.keys):]
+	// Lane l is counted at start[l+2], so after the prefix sums start[l+1]
+	// is its group's first slot; placing its entries advances that to the
+	// next group's first slot, which leaves start[l] at lane l's.
+	for _, k := range m.keys {
+		start[k&0xff+2]++
+	}
+	for l := 3; l < len(start); l++ {
 		start[l] += start[l-1]
 	}
-	next := start
-	idx = make([]int32, len(m.keys))
 	for i, k := range m.keys {
-		idx[next[k&0xff]] = int32(i)
-		next[k&0xff]++
+		l := k&0xff + 1
+		idx[start[l]] = int32(i)
+		start[l]++
 	}
-	return idx, start
+	return idx, start[:top+2]
+}
+
+// laneBuf sizes the stack buffer Join and Override index their operand in.
+const laneBuf = 64
+
+// laneGroup returns the entries of lane l from byFirstLane's result.
+func laneGroup(idx, start []int32, l uint64) []int32 {
+	if l >= uint64(len(start)-1) {
+		return nil
+	}
+	return idx[start[l]:start[l+1]]
 }
 
 // Join returns the relational join m.o: (a1..an-1, b2..bm) with node
 // m[a] AND o[b] for every a in m and b in o with an == b1, ORed over the
 // pairs that meet at the same tuple in the order m's then o's keys ascend.
 func (m Matrix) Join(o Matrix) Matrix {
-	idx, start := o.byFirstLane()
+	var buf [laneBuf]int32
+	idx, start := o.byFirstLane(buf[:0])
 	total := 0
 	for _, a := range m.keys {
-		last := lastLane(a)
-		total += int(start[last+1] - start[last])
+		total += len(laneGroup(idx, start, lastLane(a)))
 	}
 	c := m.c
 	es := make([]entry, 0, total)
 	for i, a := range m.keys {
 		an := keyArity(a)
-		last := lastLane(a)
 		prefix := a & lanes(an-1)
-		for _, j := range idx[start[last]:start[last+1]] {
+		for _, j := range laneGroup(idx, start, lastLane(a)) {
 			b := o.keys[j]
 			bn := keyArity(b)
 			es = append(es, entry{
@@ -323,11 +349,12 @@ func (m Matrix) ReflClosure(univAtoms []int) Matrix {
 // NOT (the OR of o's entries sharing its first atom).
 func (m Matrix) Override(o Matrix) Matrix {
 	c := m.c
-	idx, start := o.byFirstLane()
+	var buf [laneBuf]int32
+	idx, start := o.byFirstLane(buf[:0])
 	// dom is FalseNode where o has no entry with that first atom: an OR of
 	// o's entries, which are never definitely false, is not FalseNode.
 	var dom [256]Node
-	for l := range dom {
+	for l := range len(start) - 1 {
 		if start[l] == start[l+1] {
 			continue
 		}
