@@ -553,3 +553,60 @@ func TestResumeAfterTornJournalTail(t *testing.T) {
 		}
 	}
 }
+
+// untypedSpecs parse but do not type-check: the first names a field the
+// spec lacks, the third calls a predicate with too many arguments, which
+// type checking reports and lowering, which inlines the call, does not, and
+// the second does both.
+var untypedSpecs = []string{`
+sig Node { next: lone Node }
+fact Links { all n: Node | n in n.nxt }
+assert NoSelf { no n: Node | n in n.next }
+check NoSelf for 3
+`, `
+sig Node { next: lone Node }
+pred self[n: Node] { n in n.next }
+fact Links { all n: Node | self[n, n] and n in n.nxt }
+assert NoSelf { no n: Node | n in n.next }
+check NoSelf for 3
+`, `
+sig Node { next: lone Node }
+pred self[n: Node] { n in n.next }
+fact Links { all n: Node | self[n, n] }
+assert NoSelf { no n: Node | n in n.next }
+check NoSelf for 3
+`}
+
+// A spec that does not type-check is admitted and fails in the technique,
+// and the job reports the technique's error text.
+func TestUntypedSpecFailsWithCheckError(t *testing.T) {
+	svc := newService(t, Options{})
+	tests := []*aunit.Test{formulaTest("no Node")}
+	for i, want := range []map[string]string{{
+		"ARepair": "3:35: unresolved name \"nxt\"\n3:33: join of arity 1 and 1 underflows",
+		"ICEBAR":  "analyzing: 3:35: unresolved name \"nxt\"\n3:33: join of arity 1 and 1 underflows",
+		"BeAFix":  "analyzing: 3:35: unresolved name \"nxt\"\n3:33: join of arity 1 and 1 underflows",
+		"ATR":     "analyzing: 3:35: unresolved name \"nxt\"\n3:33: join of arity 1 and 1 underflows",
+	}, {
+		"ARepair": "4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+		"ICEBAR":  "analyzing: 4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+		"BeAFix":  "analyzing: 4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+		"ATR":     "analyzing: 4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+	}, {
+		"ARepair": "4:28: self expects 1 arguments, got 2",
+		"ICEBAR":  "check NoSelf: translating fact Links: 4:28: self expects 1 args, got 2",
+		"BeAFix":  "check NoSelf: translating fact Links: 4:28: self expects 1 args, got 2",
+		"ATR":     "check NoSelf: translating fact Links: 4:28: self expects 1 args, got 2",
+	}} {
+		for _, technique := range []string{"ARepair", "ICEBAR", "BeAFix", "ATR"} {
+			snap, _, err := svc.Submit(Submission{Spec: untypedSpecs[i], Technique: technique, Tests: tests})
+			if err != nil {
+				t.Fatalf("spec %d, %s: %v", i, technique, err)
+			}
+			snap = waitDone(t, svc, snap.ID)
+			if snap.State != StateFailed || snap.Error != want[technique] {
+				t.Errorf("spec %d, %s: job ended %s with error %q, want failed with %q", i, technique, snap.State, snap.Error, want[technique])
+			}
+		}
+	}
+}
