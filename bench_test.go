@@ -31,6 +31,7 @@ import (
 	"specrepair/internal/faultloc"
 	"specrepair/internal/llm"
 	"specrepair/internal/metrics"
+	"specrepair/internal/mutation"
 	"specrepair/internal/repair"
 	"specrepair/internal/repair/beafix"
 	"specrepair/internal/repair/multiround"
@@ -278,9 +279,13 @@ func BenchmarkAblationFaultLoc(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	eng, err := mutation.NewEngine(mod)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("localized", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ranked, err := faultloc.Localize(mod, failing, passing)
+			ranked, err := faultloc.Localize(eng, failing, passing)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +298,7 @@ func BenchmarkAblationFaultLoc(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The scoring-free baseline still enumerates sites but assigns
 			// uniform suspicion (what repair degrades to without faultloc).
-			ranked, err := faultloc.Localize(mod, nil, nil)
+			ranked, err := faultloc.Localize(eng, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

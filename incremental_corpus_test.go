@@ -89,7 +89,7 @@ func TestIncrementalCorpusDifferential(t *testing.T) {
 		for _, spec := range suite.Specs {
 			specs++
 			inc := analyzer.New(analyzer.Options{})
-			ev := inc.Evaluator(spec.Faulty)
+			ev := inc.Evaluator(types.NewBase(spec.Faulty))
 			for i, cand := range candidateStream(spec.Faulty, perSpec) {
 				got, gotErr := ev.PassesAll(cand)
 				want, wantErr := fresh.PassesAll(cand)
@@ -161,7 +161,7 @@ func BenchmarkIncrementalCandidates(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			an := analyzer.New(analyzer.Options{})
 			for _, s := range streams {
-				ev := an.Evaluator(s.base)
+				ev := an.Evaluator(types.NewBase(s.base))
 				for _, cand := range s.cands {
 					if _, err := ev.PassesAll(cand); err != nil {
 						b.Fatal(err)

@@ -45,6 +45,9 @@ type Base struct {
 // the first Check or Lower.
 func NewBase(mod *ast.Module) *Base { return &Base{mod: mod} }
 
+// Module returns the module the base checks candidates against.
+func (b *Base) Module() *ast.Module { return b.mod }
+
 // Check is types.Check(cand), reusing what cand shares with the base.
 func (b *Base) Check(cand *ast.Module) (*Info, error) {
 	if b.check == nil {

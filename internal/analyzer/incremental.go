@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"slices"
 	"strings"
 
 	"specrepair/internal/alloy/ast"
@@ -46,8 +47,10 @@ import (
 // fresh solve would. It falls back to the fresh path whenever it cannot
 // guarantee equivalence:
 //
-//   - the candidate's signature paragraphs differ from the base's
-//     (bounds-affecting difference: scopes, atoms, or field arity changed);
+//   - the candidate's signatures are not the root module's, element by
+//     element by pointer (the candidates of the stream's engine share them,
+//     and types.Base reuses its tables under the same rule; any other
+//     module may have other bounds, even when it prints the same);
 //   - lowering or translating the candidate fails (e.g. a formula primes a
 //     relation the base never primed);
 //   - a solve returns StatusUnknown (budget semantics must match fresh).
@@ -65,9 +68,9 @@ import (
 type Evaluator struct {
 	an  *Analyzer
 	inc *incSession
-	// lower lowers the candidates, on either path: a base of the stream's
-	// base module unless SetBase replaced it.
-	lower *types.Base
+	// base is the root of the candidate stream; every candidate is lowered
+	// against it, on either path.
+	base *types.Base
 	// span parents the per-candidate "candidate.eval" spans; defaults to the
 	// analyzer's span, techniques re-point it at their round spans.
 	span *telemetry.Span
@@ -86,12 +89,6 @@ func (e *Evaluator) SetSpan(sp *telemetry.Span) {
 	e.span = e.an.span
 }
 
-// SetBase makes the evaluator lower candidates against b, which the
-// candidates of the stream derive from (see types.Base), instead of against
-// a base of its own. A technique passes the base its screen lowers
-// candidates with, so each candidate is lowered once.
-func (e *Evaluator) SetBase(b *types.Base) { e.lower = b }
-
 // EvaluatorStats reports how an evaluator answered its queries so far.
 type EvaluatorStats struct {
 	// Queries counts candidate evaluations answered incrementally.
@@ -107,11 +104,15 @@ type EvaluatorStats struct {
 func (e *Evaluator) Stats() EvaluatorStats { return e.stats }
 
 // Evaluator returns a PassesAll oracle for the candidate stream of one
-// repair search rooted at base. When the base module is not analyzable, or
+// repair search rooted at base: the types.Base of the mutation engine that
+// generates the stream (mutation.Engine.Base), or types.NewBase of the
+// stream's module for a caller without an engine. A technique's screen
+// lowers candidates against the same base, so each candidate is lowered
+// once. When the base module is not analyzable, or
 // Options.DisableIncremental is set, every query takes the fresh path;
 // results are identical either way.
-func (a *Analyzer) Evaluator(base *ast.Module) *Evaluator {
-	e := &Evaluator{an: a, span: a.span, lower: types.NewBase(base)}
+func (a *Analyzer) Evaluator(base *types.Base) *Evaluator {
+	e := &Evaluator{an: a, span: a.span, base: base}
 	if a.opts.DisableIncremental {
 		return e
 	}
@@ -135,12 +136,12 @@ func (e *Evaluator) PassesAll(mod *ast.Module) (bool, error) {
 	defer sp.End()
 	if e.inc == nil {
 		sp.SetAttr("path", "fresh")
-		return e.an.WithSpan(sp).passesAll(mod, e.lower)
+		return e.an.WithSpan(sp).passesAll(mod, e.base)
 	}
 	// path stays "cache" unless lookup has to compute the answer.
 	col, path := e.an.opts.Telemetry, "cache"
 	pass, err := lookup(e.an, telemetry.EPPassesAll, e.an.runRecordKey(mod), acceptPasses(mod.Commands), func() (bool, any, error) {
-		if pass, ok := e.inc.passesAll(mod, e.lower, sp); ok {
+		if pass, ok := e.inc.passesAll(mod, e.base, sp); ok {
 			e.stats.Queries++
 			col.RecordIncrementalQuery()
 			path = "incremental"
@@ -149,7 +150,7 @@ func (e *Evaluator) PassesAll(mod *ast.Module) (bool, error) {
 		e.stats.Fallbacks++
 		col.RecordIncrementalFallback()
 		path = "fallback"
-		return e.an.WithSpan(sp).passesAllFresh(mod, e.lower)
+		return e.an.WithSpan(sp).passesAllFresh(mod, e.base)
 	})
 	if path == "cache" {
 		e.stats.CacheHits++
@@ -158,13 +159,13 @@ func (e *Evaluator) PassesAll(mod *ast.Module) (bool, error) {
 	return pass, err
 }
 
-// incSession is the long-lived state shared by a candidate stream: the base
-// module's lowered info (bounds and relation variables derive from it) and
-// one solver per scope.
+// incSession is the long-lived state shared by a candidate stream: the root
+// module's signatures and lowered info (bounds and relation variables
+// derive from it) and one solver per scope.
 type incSession struct {
 	an      *Analyzer
+	sigs    []*ast.Sig
 	info    *types.Info
-	sigFP   string
 	byScope map[string]*incScope
 }
 
@@ -203,29 +204,13 @@ type incScope struct {
 	baseGates int
 }
 
-func newIncSession(a *Analyzer, base *ast.Module) (*incSession, error) {
-	_, info, err := types.Lower(base)
+func newIncSession(a *Analyzer, base *types.Base) (*incSession, error) {
+	root := base.Module()
+	_, info, err := base.Lower(root)
 	if err != nil {
 		return nil, err
 	}
-	return &incSession{
-		an:      a,
-		info:    info,
-		sigFP:   sigFingerprint(base),
-		byScope: map[string]*incScope{},
-	}, nil
-}
-
-// sigFingerprint renders the bounds-affecting paragraphs of a module: its
-// signature declarations (hierarchy, multiplicities, fields, appended
-// facts). Candidates sharing the fingerprint share bounds and relation
-// variable layout with the base.
-func sigFingerprint(mod *ast.Module) string {
-	var b strings.Builder
-	for _, s := range mod.Sigs {
-		b.WriteString(printer.Sig(s))
-	}
-	return b.String()
+	return &incSession{an: a, sigs: root.Sigs, info: info, byScope: map[string]*incScope{}}, nil
 }
 
 // state returns the scope's long-lived solver, building it on first use and
@@ -252,14 +237,14 @@ func (s *incSession) state(sc ast.Scope) *incScope {
 }
 
 // passesAll answers PassesAll for one candidate on the session, lowering it
-// against lower and parenting solver trace spans to sp. ok=false means the candidate cannot be evaluated
-// incrementally and the caller must fall back to fresh solving; pass is then
-// meaningless.
-func (s *incSession) passesAll(mod *ast.Module, lower *types.Base, sp *telemetry.Span) (pass, ok bool) {
-	if sigFingerprint(mod) != s.sigFP {
+// against base and parenting solver trace spans to sp. ok=false means the
+// candidate cannot be evaluated incrementally and the caller must fall back
+// to fresh solving; pass is then meaningless.
+func (s *incSession) passesAll(mod *ast.Module, base *types.Base, sp *telemetry.Span) (pass, ok bool) {
+	if !slices.Equal(mod.Sigs, s.sigs) {
 		return false, false
 	}
-	low, _, err := lower.Lower(mod)
+	low, _, err := base.Lower(mod)
 	if err != nil {
 		return false, false
 	}

@@ -26,7 +26,7 @@ func TestEvaluatorMatchesFreshOnMutants(t *testing.T) {
 	inc := New(Options{})
 	fresh := New(Options{DisableIncremental: true})
 
-	ev := inc.Evaluator(base)
+	ev := inc.Evaluator(types.NewBase(base))
 	if ev.inc == nil {
 		t.Fatal("evaluator did not build an incremental session for an analyzable base")
 	}
@@ -82,7 +82,7 @@ func TestEvaluatorMatchesFreshOnMutants(t *testing.T) {
 func TestEvaluatorFallsBackOnSigChange(t *testing.T) {
 	base := mustParse(t, evalSrc)
 	an := New(Options{})
-	ev := an.Evaluator(base)
+	ev := an.Evaluator(types.NewBase(base))
 
 	cand := mustParse(t, `
 sig Node { next: lone Node, prev: lone Node }
@@ -122,13 +122,20 @@ run {} for 3
 	base := mustParse(t, src("no next"))
 	an := New(Options{})
 	fresh := New(Options{DisableIncremental: true})
-	ev := an.Evaluator(base)
+	ev := an.Evaluator(types.NewBase(base))
 
-	// Candidate A keeps the base's pred: satisfiable (empty next).
+	// Candidate A keeps the base's pred text: satisfiable (empty next).
 	// Candidate B's pred is contradictory, so the run command fails —
-	// with identical fact text ("ok") in both candidates.
-	candA := mustParse(t, src("no next"))
-	candB := mustParse(t, src("some next and no next"))
+	// with identical fact text ("ok") in both candidates. Each is a copy
+	// of the base's header with its own pred swapped in, as mutation.Apply
+	// builds a candidate, so both share the base's signatures.
+	withPreds := func(from *ast.Module) *ast.Module {
+		m := *base
+		m.Preds = from.Preds
+		return &m
+	}
+	candA := withPreds(mustParse(t, src("no next")))
+	candB := withPreds(mustParse(t, src("some next and no next")))
 
 	for i, cand := range []*ast.Module{candA, candB} {
 		got, gotErr := ev.PassesAll(cand)
@@ -139,6 +146,11 @@ run {} for 3
 		if got != want {
 			t.Fatalf("candidate %d: incremental=%v fresh=%v (stale pred inlining?)", i, got, want)
 		}
+	}
+	// Both were answered by the session, whose gate keys then carry the
+	// call environment.
+	if st := ev.Stats(); st.Queries != 2 {
+		t.Errorf("candidates sharing the base's signatures should be answered incrementally, got %+v", st)
 	}
 	gotA, _ := ev.PassesAll(candA)
 	gotB, _ := ev.PassesAll(candB)
@@ -158,7 +170,7 @@ func TestEvaluatorRebuildWindow(t *testing.T) {
 	base := mustParse(t, evalSrc)
 	inc := New(Options{})
 	fresh := New(Options{DisableIncremental: true})
-	ev := inc.Evaluator(base)
+	ev := inc.Evaluator(types.NewBase(base))
 
 	eng, err := mutation.NewEngine(base)
 	if err != nil {
@@ -204,7 +216,7 @@ func TestEvaluatorRebuildWindow(t *testing.T) {
 func TestEvaluatorDisabled(t *testing.T) {
 	base := mustParse(t, evalSrc)
 	an := New(Options{DisableIncremental: true})
-	ev := an.Evaluator(base)
+	ev := an.Evaluator(types.NewBase(base))
 	if ev.inc != nil {
 		t.Fatal("DisableIncremental evaluator built an incremental session")
 	}
@@ -221,5 +233,46 @@ func TestEvaluatorDisabled(t *testing.T) {
 	}
 	if st := ev.Stats(); st.Queries != 0 {
 		t.Errorf("disabled evaluator recorded incremental queries: %+v", st)
+	}
+}
+
+// TestEvaluatorSignatureFacts pins the one-root rule on a spec with an
+// appended signature fact: the engine's candidates carry its desugared
+// signatures, which are the root module's when the evaluator is rooted at
+// the engine's base, so the session answers every one of them, each with
+// the fresh analyzer's verdict.
+func TestEvaluatorSignatureFacts(t *testing.T) {
+	mod := mustParse(t, `
+sig Node { next: lone Node } { this not in next }
+fact Links { all n: Node | n in n.next }
+assert NoSelf { no n: Node | n in n.next }
+check NoSelf for 3
+`)
+	eng, err := mutation.NewEngine(mod)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	ev := New(Options{}).Evaluator(eng.Base())
+	fresh := New(Options{})
+	n := 0
+	for _, s := range eng.Sites() {
+		for _, c := range eng.Candidates(s, mutation.BudgetRelations) {
+			cand, err := eng.Apply(s.Site, c)
+			if err != nil {
+				continue
+			}
+			got, gotErr := ev.PassesAll(cand)
+			want, wantErr := fresh.PassesAll(cand)
+			if gotErr != nil || wantErr != nil {
+				t.Fatalf("candidate %d: incremental error %v, fresh error %v", n, gotErr, wantErr)
+			}
+			if got != want {
+				t.Fatalf("candidate %d: incremental=%v fresh=%v", n, got, want)
+			}
+			n++
+		}
+	}
+	if st := ev.Stats(); n != 28 || st != (EvaluatorStats{Queries: 28}) {
+		t.Errorf("%d candidates gave %+v, want 28 candidates all answered incrementally", n, st)
 	}
 }

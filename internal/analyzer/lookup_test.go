@@ -3,14 +3,18 @@ package analyzer
 import (
 	"testing"
 
+	"specrepair/internal/alloy/ast"
+	"specrepair/internal/alloy/types"
 	"specrepair/internal/anacache"
 	"specrepair/internal/telemetry"
 )
 
-// Modules for TestLookupAccounting, all over the same signatures so the
-// evaluator's incremental session can answer them. lookupPassSrc passes
-// both commands, lookupFailSrc fails its first one, and the two candidates
-// differ from both in their fact only; lookupWiderSrc adds a field.
+// Modules for TestLookupAccounting. lookupPassSrc passes both commands,
+// lookupFailSrc fails its first one, and the two candidates differ from
+// both in their fact only: the test builds them from lookupPassSrc's module
+// with the candidate source's fact swapped in, as mutation.Apply builds a
+// candidate, so they share its signatures and the evaluator's incremental
+// session can answer them. lookupWiderSrc adds a field.
 const (
 	lookupPassSrc = `
 sig Node { next: lone Node }
@@ -49,6 +53,14 @@ run {} for 3
 `
 )
 
+// withFacts returns a copy of base's header with from's facts swapped in,
+// sharing every other paragraph with base.
+func withFacts(base, from *ast.Module) *ast.Module {
+	m := *base
+	m.Facts = from.Facts
+	return &m
+}
+
 // lookups is the hit/miss split one step leaves on an entry point.
 type lookups struct{ hits, misses int64 }
 
@@ -62,8 +74,8 @@ type lookups struct{ hits, misses int64 }
 func TestLookupAccounting(t *testing.T) {
 	pass := mustParse(t, lookupPassSrc)
 	fail := mustParse(t, lookupFailSrc)
-	cand := mustParse(t, lookupCandSrc)
-	cand2 := mustParse(t, lookupCand2Src)
+	cand := withFacts(pass, mustParse(t, lookupCandSrc))
+	cand2 := withFacts(pass, mustParse(t, lookupCand2Src))
 	wider := mustParse(t, lookupWiderSrc)
 	verdicts, err := New(Options{}).Verdicts(pass)
 	if err != nil {
@@ -131,7 +143,7 @@ func TestLookupAccounting(t *testing.T) {
 		{
 			name: "Evaluator answers incrementally and stores nothing", ep: telemetry.EPPassesAll,
 			do: func(opts Options) (*Evaluator, error) {
-				ev := New(opts).Evaluator(pass)
+				ev := New(opts).Evaluator(types.NewBase(pass))
 				return ev, twice(func() error { _, err := ev.PassesAll(cand); return err })
 			},
 			cached: lookups{0, 2}, uncached: lookups{0, 2},
@@ -143,7 +155,7 @@ func TestLookupAccounting(t *testing.T) {
 				if _, err := New(opts).PassesAll(cand); err != nil {
 					return nil, err
 				}
-				ev := New(opts).Evaluator(pass)
+				ev := New(opts).Evaluator(types.NewBase(pass))
 				_, err := ev.PassesAll(cand)
 				return ev, err
 			},
@@ -153,7 +165,7 @@ func TestLookupAccounting(t *testing.T) {
 		{
 			name: "Evaluator falls back and stores the fresh answer", ep: telemetry.EPPassesAll,
 			do: func(opts Options) (*Evaluator, error) {
-				ev := New(opts).Evaluator(pass)
+				ev := New(opts).Evaluator(types.NewBase(pass))
 				return ev, twice(func() error { _, err := ev.PassesAll(wider); return err })
 			},
 			cached: lookups{1, 1}, uncached: lookups{0, 2},
@@ -163,7 +175,7 @@ func TestLookupAccounting(t *testing.T) {
 			name: "Evaluator without a session counts nothing itself", ep: telemetry.EPPassesAll,
 			do: func(opts Options) (*Evaluator, error) {
 				opts.DisableIncremental = true
-				ev := New(opts).Evaluator(pass)
+				ev := New(opts).Evaluator(types.NewBase(pass))
 				return ev, twice(func() error { _, err := ev.PassesAll(cand2); return err })
 			},
 			cached: lookups{1, 1}, uncached: lookups{0, 2},

@@ -52,18 +52,17 @@ type RankedSite struct {
 	PassGuilty int
 }
 
-// Localize scores the closed formula sites of mod against failing and
-// passing observations using the Tarantula formula. Sites whose formulas
-// cannot be evaluated on some instance are scored on the rest.
+// Localize scores the closed formula sites of the engine's module against
+// failing and passing observations using the Tarantula formula. The sites
+// are the engine's, and formulas are evaluated over its base's lowering of
+// the module, so a caller that goes on to mutate the module builds one
+// engine for both. Sites whose formulas cannot be evaluated on some
+// instance are scored on the rest.
 //
 // The returned ranking is descending by score with deterministic
 // tie-breaking (site enumeration order).
-func Localize(mod *ast.Module, failing, passing []Observation) ([]RankedSite, error) {
-	eng, err := mutation.NewEngine(mod)
-	if err != nil {
-		return nil, err
-	}
-	low, _, err := types.Lower(mod)
+func Localize(eng *mutation.Engine, failing, passing []Observation) ([]RankedSite, error) {
+	low, _, err := eng.Base().Lower(eng.Mod)
 	if err != nil {
 		return nil, err
 	}
@@ -108,13 +107,6 @@ func Localize(mod *ast.Module, failing, passing []Observation) ([]RankedSite, er
 	}
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Score > ranked[j].Score })
 	return ranked, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CollectInstances gathers labeled observations for a module from its own

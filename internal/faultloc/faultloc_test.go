@@ -10,6 +10,7 @@ import (
 	"specrepair/internal/analyzer"
 	"specrepair/internal/bounds"
 	"specrepair/internal/instance"
+	"specrepair/internal/mutation"
 )
 
 // buggyModel has an overly-restrictive conjunct: "no n.prev" forbids any
@@ -23,6 +24,16 @@ fact Wiring {
 assert ChainsExist { no disj a, b: Node | b in a.next }
 check ChainsExist for 3
 `
+
+// engine is the mutation engine of mod, whose sites Localize ranks.
+func engine(t *testing.T, mod *ast.Module) *mutation.Engine {
+	t.Helper()
+	eng, err := mutation.NewEngine(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
 
 var relArity = map[string]int{"Node": 1, "next": 2, "prev": 2}
 
@@ -61,7 +72,7 @@ func TestLocalizeRanksViolatedConjunct(t *testing.T) {
 		"next": {},
 		"prev": {},
 	})
-	ranked, err := Localize(mod, []Observation{Accept(failing)}, []Observation{Accept(passing)})
+	ranked, err := Localize(engine(t, mod), []Observation{Accept(failing)}, []Observation{Accept(passing)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +100,7 @@ func TestLocalizeAllPassingGivesZeroScores(t *testing.T) {
 	passing := mkInstance(t, []string{"N0"}, map[string][][]int{
 		"Node": {{0}},
 	})
-	ranked, err := Localize(mod, nil, []Observation{Accept(passing)})
+	ranked, err := Localize(engine(t, mod), nil, []Observation{Accept(passing)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +188,7 @@ check NoSelf for 3
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := Localize(mod, failing, passing)
+	ranked, err := Localize(engine(t, mod), failing, passing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +204,7 @@ check NoSelf for 3
 	}
 	_ = bugScore // counterexamples satisfy the buggy fact, so it scores low;
 	// what matters is that localization runs end to end and is deterministic.
-	again, err := Localize(mod, failing, passing)
+	again, err := Localize(engine(t, mod), failing, passing)
 	if err != nil {
 		t.Fatal(err)
 	}

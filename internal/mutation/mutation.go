@@ -114,34 +114,6 @@ func Resolve(mod *ast.Module, s Site) (ast.Expr, error) {
 	return cur, nil
 }
 
-// Sites enumerates every expression node in the repairable paragraphs
-// (facts, predicates, and functions) of mod, in deterministic order.
-// Assertion bodies are excluded by default: the study's repair tools treat
-// assertions and commands as the oracle, not the patch surface.
-func Sites(mod *ast.Module) []Site {
-	var out []Site
-	collect := func(c Container, body ast.Expr) {
-		var rec func(e ast.Expr, path []int)
-		rec = func(e ast.Expr, path []int) {
-			out = append(out, Site{Container: c, Path: append([]int(nil), path...), Node: e})
-			for i := range ast.NumChildren(e) {
-				rec(ast.Child(e, i), append(path, i))
-			}
-		}
-		rec(body, nil)
-	}
-	for i, f := range mod.Facts {
-		collect(Container{Kind: InFact, Index: i, Name: f.Name}, f.Body)
-	}
-	for i, p := range mod.Preds {
-		collect(Container{Kind: InPred, Index: i, Name: p.Name}, p.Body)
-	}
-	for i, fn := range mod.Funs {
-		collect(Container{Kind: InFun, Index: i, Name: fn.Name}, fn.Body)
-	}
-	return out
-}
-
 // Apply returns a module with the node at the site replaced by repl. The
 // input module is not modified.
 //

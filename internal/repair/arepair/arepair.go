@@ -105,15 +105,23 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 // improveOnce scans suspicious sites for a single mutation that strictly
 // increases the number of passing tests (greedy hill climbing).
 func (t *Tool) improveOnce(ctx context.Context, mod *ast.Module, suite *aunit.Suite, best int) (bool, *ast.Module, int, error) {
-	ranked, err := t.localize(mod, suite)
-	if err != nil {
-		return false, nil, 0, err
-	}
+	// One engine and one test preparer serve the round: localization and
+	// the gate prepare the module and its candidates against its base.
 	eng, err := mutation.NewEngine(mod)
 	if err != nil {
+		// A module that does not lower reports that error, as its test
+		// runs do.
+		if lerr := aunit.Prepare(mod).Err(); lerr != nil {
+			err = lerr
+		}
 		return false, nil, 0, err
 	}
-	g := &gate{suite: suite, best: best, tests: aunit.NewBase(eng.Base())}
+	tests := aunit.NewBase(eng.Base())
+	ranked, err := localize(eng, tests, suite)
+	if err != nil {
+		return false, nil, 0, err
+	}
+	g := &gate{suite: suite, best: best, tests: tests}
 
 	sites := 0
 	for _, r := range ranked {
@@ -198,11 +206,11 @@ func within(outer, inner mutation.Site) bool {
 }
 
 // localize derives labeled observations from the suite and ranks the
-// module's constraint sites. A test's expectation is the intent label: the
+// engine's constraint sites. A test's expectation is the intent label: the
 // valuation of an expect-true test should be accepted by the intended
 // specification, an expect-false one rejected.
-func (t *Tool) localize(mod *ast.Module, suite *aunit.Suite) ([]faultloc.RankedSite, error) {
-	model := aunit.Prepare(mod)
+func localize(eng *mutation.Engine, tests *aunit.Base, suite *aunit.Suite) ([]faultloc.RankedSite, error) {
+	model := tests.Prepare(eng.Mod)
 	if err := model.Err(); err != nil {
 		return nil, err
 	}
@@ -222,5 +230,5 @@ func (t *Tool) localize(mod *ast.Module, suite *aunit.Suite) ([]faultloc.RankedS
 			failing = append(failing, obs)
 		}
 	}
-	return faultloc.Localize(mod, failing, passing)
+	return faultloc.Localize(eng, failing, passing)
 }

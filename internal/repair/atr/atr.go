@@ -97,11 +97,19 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		return out, nil
 	}
 
+	// One engine roots the search: the instance pairs, the template screen
+	// and the oracle all lower through its base.
+	eng, err := mutation.NewEngine(p.Faulty)
+	if err != nil {
+		return out, err
+	}
+	tb := eng.Base()
+
 	// Collect (counterexample, nearest satisfying instance) pairs per
 	// failing check. The localize span groups the counterexample reruns and
 	// the PMaxSAT nearest-instance solves.
 	locSpan := telemetry.SpanFromContext(ctx).Child("atr.localize")
-	pairs, err := t.instancePairs(telemetry.ContextWithSpan(ctx, locSpan), an.WithSpan(locSpan), p.Faulty)
+	pairs, err := t.instancePairs(telemetry.ContextWithSpan(ctx, locSpan), an.WithSpan(locSpan), eng)
 	locSpan.SetMetric("pairs", int64(len(pairs)))
 	locSpan.End()
 	if err != nil {
@@ -114,11 +122,6 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		for _, rel := range diffRelations(pr.cex, pr.sat) {
 			suspiciousRels[rel] = true
 		}
-	}
-
-	eng, err := mutation.NewEngine(p.Faulty)
-	if err != nil {
-		return out, err
 	}
 
 	// Candidate sites: those mentioning a suspicious relation first, the
@@ -138,9 +141,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	// learned clauses apply to every candidate). Candidates are lowered
 	// against the engine's base, once each: the screen's lowering is the
 	// one the session uses.
-	oracle := an.Evaluator(p.Faulty)
-	tb := eng.Base()
-	oracle.SetBase(tb)
+	oracle := an.Evaluator(tb)
 
 	// The enumerate span groups every template validation; candidate.eval
 	// spans nest under it via the oracle.
@@ -213,10 +214,11 @@ type instancePair struct {
 	sat *instance.Instance
 }
 
-// instancePairs finds, for each failing check command, the counterexample
-// and the PMaxSAT-nearest satisfying instance.
-func (t *Tool) instancePairs(ctx context.Context, an *analyzer.Analyzer, mod *ast.Module) ([]instancePair, error) {
-	low, info, err := types.Lower(mod)
+// instancePairs finds, for each failing check command of the engine's
+// module, the counterexample and the PMaxSAT-nearest satisfying instance.
+func (t *Tool) instancePairs(ctx context.Context, an *analyzer.Analyzer, eng *mutation.Engine) ([]instancePair, error) {
+	mod := eng.Mod
+	low, info, err := eng.Base().Lower(mod)
 	if err != nil {
 		return nil, err
 	}

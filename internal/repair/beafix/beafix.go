@@ -19,7 +19,6 @@ import (
 	"context"
 
 	"specrepair/internal/alloy/ast"
-	"specrepair/internal/alloy/types"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/faultloc"
 	"specrepair/internal/instance"
@@ -100,14 +99,28 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		return out, err
 	}
 
+	// One engine roots the search: localization ranks its sites, depth 1
+	// mutates them, and every depth's candidates are screened and judged
+	// against its base, so each candidate is lowered once.
+	pruning := !t.opts.DisablePruning
+	root, err := mutation.NewEngine(p.Faulty)
+	if err != nil {
+		// Nothing can be mutated soundly: the search fails with the reason
+		// when it would localize, and otherwise ends without a repair.
+		if pruning {
+			return out, err
+		}
+		return out, nil
+	}
+	tb := root.Base()
+
 	// Suspicious sites (or all formula sites when pruning is off). The
 	// no-signal fallback to exhaustive search is job-local: mutating the
 	// shared options here would disable pruning for every later job on this
 	// worker, making results depend on job-to-worker scheduling.
-	pruning := !t.opts.DisablePruning
 	suspicious := map[string]bool{}
 	if pruning {
-		ranked, err := faultloc.Localize(p.Faulty, failing, passing)
+		ranked, err := faultloc.Localize(root, failing, passing)
 		if err != nil {
 			return out, err
 		}
@@ -122,19 +135,21 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		}
 	}
 
-	low, _, err := types.Lower(p.Faulty)
+	low, _, err := tb.Lower(root.Mod)
 	if err != nil {
 		return out, err
 	}
 
 	// One incremental evaluation session spans the whole candidate stream:
-	// every mutant shares the base's signatures, so bounds, relation
+	// every mutant shares the root's signatures, so bounds, relation
 	// variables, and learned clauses carry over between validations.
-	oracle := an.Evaluator(p.Faulty)
+	oracle := an.Evaluator(tb)
 	val := repair.NewValidator(ctx, oracle, p.Faulty, t.opts.MaxCandidates, &out.Stats)
 
-	// Breadth-first over mutation depth: each frontier entry is a module.
-	frontier := []*ast.Module{p.Faulty}
+	// Breadth-first over mutation depth: each frontier entry is a module,
+	// mutated by the root engine at depth 1 and by an engine of its own
+	// after that.
+	frontier := []*ast.Module{root.Mod}
 
 	// One trace span per BFS depth; candidate evaluations nest under the
 	// active one. The deferred End closes whichever span an early return
@@ -151,14 +166,12 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		oracle.SetSpan(depthSpan)
 		var next []*ast.Module
 		for _, base := range frontier {
-			eng, err := mutation.NewEngine(base)
-			if err != nil {
-				continue
+			eng := root
+			if depth > 1 {
+				if eng, err = mutation.NewEngine(base); err != nil {
+					continue
+				}
 			}
-			// The screen lowers each candidate against the engine's base,
-			// and the session reuses that lowering.
-			tb := eng.Base()
-			oracle.SetBase(tb)
 			for _, s := range eng.Sites() {
 				if err := ctx.Err(); err != nil {
 					return out, err

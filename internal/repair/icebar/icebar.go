@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"specrepair/internal/alloy/ast"
+	"specrepair/internal/alloy/types"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/aunit"
 	"specrepair/internal/repair"
@@ -107,7 +108,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 	// formula paragraphs, so translation and learned clauses carry over.
 	// Suite refinement (refineSuite) stays on the fresh path — it needs the
 	// concrete instances the fresh analyzer would produce.
-	oracle := an.Evaluator(p.Faulty)
+	oracle := an.Evaluator(types.NewBase(p.Faulty))
 
 	current := p.Faulty
 	for iter := 0; iter < t.opts.MaxIterations; iter++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"specrepair/internal/alloy/ast"
+	"specrepair/internal/alloy/types"
 	"specrepair/internal/analyzer"
 	"specrepair/internal/repair"
 )
@@ -21,7 +22,7 @@ func TestValidatorCountsAndVerdicts(t *testing.T) {
 	base := mustParse(t, faultySrc)
 	an := analyzer.New(analyzer.Options{}).WithContext(ctx)
 	var stats repair.Stats
-	val := repair.NewValidator(ctx, an.Evaluator(base), base, 3, &stats)
+	val := repair.NewValidator(ctx, an.Evaluator(types.NewBase(base)), base, 3, &stats)
 
 	check := func(step string, got repair.Verdict, err error, want repair.Verdict, tried int) {
 		t.Helper()
@@ -63,7 +64,7 @@ func TestValidatorStopsOnContextError(t *testing.T) {
 	base := mustParse(t, faultySrc)
 	an := analyzer.New(analyzer.Options{}).WithContext(ctx)
 	var stats repair.Stats
-	val := repair.NewValidator(ctx, an.Evaluator(base), base, 10, &stats)
+	val := repair.NewValidator(ctx, an.Evaluator(types.NewBase(base)), base, 10, &stats)
 	cancel()
 	v, err := val.Validate(mustParse(t, groundTruthSrc), nil)
 	if !errors.Is(err, context.Canceled) || v != repair.Skipped {

@@ -89,14 +89,16 @@ func (s Submission) parse() (*ast.Module, string, error) {
 // empty tuple, a relation whose tuples differ in length, and a tuple whose
 // length is not the arity of the sig or field of mod that it names. Such a
 // valuation would make the job's technique fail on every run, restarts
-// included, since the submission is journaled.
+// included, since the submission is journaled. When mod type-checks, it
+// also reports every relation, primed or not, that names no sig or field
+// of mod.
 func (s Submission) checkTests(mod *ast.Module) error {
 	if len(s.Tests) == 0 {
 		return nil
 	}
 	// A module that does not check still yields the sigs and fields it
 	// resolved; a relation without a known arity gets the shape checks only.
-	info, _ := types.Check(mod)
+	info, err := types.Check(mod)
 	arity := func(name string) (int, bool) {
 		name = strings.TrimSuffix(name, "'")
 		if _, ok := info.Sigs[name]; ok {
@@ -117,6 +119,9 @@ func (s Submission) checkTests(mod *ast.Module) error {
 		for _, name := range names {
 			tuples := t.Valuation[name]
 			want, known := arity(name)
+			if !known && err == nil {
+				problems = append(problems, fmt.Sprintf("test %d: %s names no sig or field", i, name))
+			}
 			shape := fmt.Sprintf("%s has arity %d", name, want)
 			for k := 0; !known && k < len(tuples); k++ {
 				if n := len(tuples[k]); n > 0 {

@@ -108,6 +108,7 @@ var malformedValuations = []struct {
 	{map[string][][]string{"next'": {{"N0", "N1", "N0"}}}, []string{"next' tuple 0 has 3 atoms, but next' has arity 2"}},
 	{map[string][][]string{"$x": {{}, {"N0", "N1"}, {"N0"}}}, []string{"$x tuple 0 is empty", "$x tuple 2 has 1 atoms, but tuple 1 has 2"}},
 	{map[string][][]string{"Node": {{"N0"}, {}}, "next": {{"N0", "N0"}, {"N0"}}}, []string{"Node tuple 1 is empty", "next tuple 1 has 1 atoms"}},
+	{map[string][][]string{"Node": {{"N0"}}, "$y": {{"N0", "N1"}}, "prev'": {}}, []string{"$y names no sig or field", "prev' names no sig or field"}},
 }
 
 // unrunnableFormulas cannot run against faultySrc: the first does not
@@ -125,11 +126,12 @@ func formulaTest(formula string) *aunit.Test {
 	return &aunit.Test{Name: "f", Formula: formula, Expect: true, Valuation: map[string][][]string{"Node": {{"N0"}}}}
 }
 
-// admittedSubmission holds well-formed valuations, empty relations included.
+// admittedSubmission holds well-formed valuations, empty and primed
+// relations included.
 func admittedSubmission() Submission {
 	return Submission{Spec: faultySrc, Technique: "ARepair", Tests: []*aunit.Test{
 		valuationTest(map[string][][]string{"Node": {{"N0"}, {"N1"}}, "next": {{"N0", "N1"}}}),
-		valuationTest(map[string][][]string{"Node": {}, "next": nil, "$y": {{"N0", "N1"}, {"N1", "N0"}}}),
+		valuationTest(map[string][][]string{"Node": {}, "next": nil, "next'": {{"N0", "N1"}, {"N1", "N0"}}}),
 	}}
 }
 
