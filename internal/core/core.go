@@ -85,6 +85,12 @@ type FactoryOptions struct {
 // loops re-check near-identical intermediate specs — is solved once instead
 // of once per technique per worker.
 func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
+	return studyFactories(o, func() llm.Client { return llm.NewSimulatedModel(seed) })
+}
+
+// studyFactories is StudyFactoriesWith with each LLM tool conversing with
+// its own client from newClient.
+func studyFactories(o FactoryOptions, newClient func() llm.Client) []Factory {
 	newAnalyzer := func(col *telemetry.Collector) *analyzer.Analyzer {
 		return analyzer.New(analyzer.Options{
 			Cache:              o.Cache,
@@ -122,7 +128,7 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 			NewWith: func(col *telemetry.Collector) repair.Technique {
 				return singleround.New(singleround.Options{
 					Setting:  setting,
-					Client:   llm.NewSimulatedModel(seed),
+					Client:   newClient(),
 					Analyzer: newAnalyzer(col),
 				})
 			},
@@ -135,7 +141,7 @@ func StudyFactoriesWith(seed int64, o FactoryOptions) []Factory {
 			NewWith: func(col *telemetry.Collector) repair.Technique {
 				return multiround.New(multiround.Options{
 					Feedback: fb,
-					Client:   llm.NewSimulatedModel(seed),
+					Client:   newClient(),
 					Analyzer: newAnalyzer(col),
 				})
 			},
