@@ -34,7 +34,7 @@ import (
 	"specrepair/internal/mutation"
 	"specrepair/internal/repair"
 	"specrepair/internal/repair/beafix"
-	"specrepair/internal/repair/multiround"
+	"specrepair/internal/repair/llmrepair"
 	"specrepair/internal/sat"
 )
 
@@ -325,9 +325,7 @@ func BenchmarkAblationRounds(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				repaired := 0
 				for _, spec := range suite.Specs {
-					tool := multiround.New(multiround.Options{
-						Feedback: llm.FeedbackNone,
-						Rounds:   rounds,
+					tool := llmrepair.NewMultiRound(llm.FeedbackNone, rounds, llmrepair.Options{
 						Client:   llm.NewSimulatedModel(1),
 						Analyzer: an,
 					})

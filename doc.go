@@ -6,7 +6,8 @@
 // Alloy-subset language front end, a Kodkod-style bounded analyzer over a
 // native CDCL SAT solver, the four traditional repair tools (ARepair,
 // ICEBAR, BeAFix, ATR), the Single-Round and Multi-Round LLM repair
-// frameworks over a deterministic simulated model, both benchmark suites,
+// frameworks as one repair loop over a deterministic simulated model, both
+// benchmark suites,
 // the REP/TM/SM metrics, and the experiment harness regenerating every
 // table and figure of the paper's evaluation.
 //

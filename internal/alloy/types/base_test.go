@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -396,4 +397,66 @@ func BenchmarkLowerCandidates(b *testing.B) {
 			b.ReportMetric(float64(n), "cands/op")
 		})
 	}
+}
+
+// TestLowerChecksCallArity holds Lower and Base.Lower to Check's error text
+// on a predicate or function applied to too many or too few arguments, in
+// each kind of paragraph that holds a formula, alone and followed by a
+// second error. The base-relative Lower runs both on the module itself and
+// on it as a candidate of the well-typed module it differs from in one
+// paragraph.
+func TestLowerChecksCallArity(t *testing.T) {
+	const tmpl = `sig Node { next: lone Node }
+pred p[a, b: Node] { a in b.next }
+fun f[a, b: Node]: set Node { a.next + b }
+fact F { %s }
+pred q { %s }
+assert A { %s }
+check A for 3
+run { %s } for 3
+`
+	const ok = "all n: Node | p[n, n] and some f[n, n]"
+	good := mustParseBase(t, fmt.Sprintf(tmpl, ok, ok, ok, ok))
+	places := []string{"fact", "pred", "assert", "command"}
+	for _, call := range []string{"p[n, n, n]", "p[n]", "some f[n, n, n]", "some f[n]"} {
+		for _, second := range []string{"", " and n in Missing"} {
+			for i, place := range places {
+				bodies := []any{ok, ok, ok, ok}
+				bodies[i] = "all n: Node | " + call + second
+				bad := mustParseBase(t, fmt.Sprintf(tmpl, bodies...))
+				_, cerr := types.Check(bad)
+				if cerr == nil || !strings.Contains(cerr.Error(), "expects 2 arguments") {
+					t.Fatalf("%s in %s: Check error %v, want an argument count", call+second, place, cerr)
+				}
+				cand := *good
+				switch place {
+				case "fact":
+					cand.Facts = bad.Facts
+				case "pred":
+					cand.Preds = bad.Preds
+				case "assert":
+					cand.Asserts = bad.Asserts
+				case "command":
+					cand.Commands = bad.Commands
+				}
+				_, _, lerr := types.Lower(bad)
+				_, _, serr := types.NewBase(bad).Lower(bad)
+				_, _, rerr := types.NewBase(good).Lower(&cand)
+				for what, err := range map[string]error{"Lower": lerr, "Base.Lower": serr, "Base.Lower of a candidate": rerr} {
+					if err == nil || err.Error() != cerr.Error() {
+						t.Errorf("%s in %s: %s error %v, want Check's %q", call+second, place, what, err, cerr)
+					}
+				}
+			}
+		}
+	}
+}
+
+func mustParseBase(t *testing.T, src string) *ast.Module {
+	t.Helper()
+	mod, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("Parse: %v\n%s", err, src)
+	}
+	return mod
 }

@@ -506,12 +506,8 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 		// Pred/fun application?
 		if id, ok := x.Target.(*ast.Ident); ok {
 			if _, isVar := env[id.Name]; !isVar {
-				if p := c.mod.LookupPred(id.Name); p != nil {
-					return c.checkApply(id, x.Args, len(flatParams(p.Params)), env, FormulaType)
-				}
-				if f := c.mod.LookupFun(id.Name); f != nil {
-					rt := c.checkExpr(f.Result, nil)
-					return c.checkApply(id, x.Args, len(flatParams(f.Params)), env, rt)
+				if t, ok := c.checkApply(id.Name, id.Pos(), x.Args, env); ok {
+					return t
 				}
 			}
 		}
@@ -535,18 +531,9 @@ func (c *checker) check(e ast.Expr, env map[string]Type) Type {
 		}
 		return t
 	case *ast.Call:
-		// Already rewritten; re-check args.
-		if p := c.mod.LookupPred(x.Name); p != nil {
-			for _, a := range x.Args {
-				c.checkExpr(a, env)
-			}
-			return FormulaType
-		}
-		if f := c.mod.LookupFun(x.Name); f != nil {
-			for _, a := range x.Args {
-				c.checkExpr(a, env)
-			}
-			return c.checkExpr(f.Result, nil)
+		// Lower's rewrite of a bracket application: checked as that was.
+		if t, ok := c.checkApply(x.Name, x.NamePos, x.Args, env); ok {
+			return t
 		}
 		c.errorf(x.Pos(), "unresolved call target %q", x.Name)
 		return FormulaType
@@ -620,20 +607,31 @@ func flatParams(params []*ast.Decl) []string {
 	return names
 }
 
-// checkApply validates a bracket application of a predicate or function and
-// returns its result type. The BoxJoin node itself stays; Lower's
-// RewriteCalls turns it into a Call.
-func (c *checker) checkApply(id *ast.Ident, args []ast.Expr, want int, env map[string]Type, result Type) Type {
+// checkApply validates an application of the predicate or function name at
+// pos — a bracket application, or the Call node Lower's RewriteCalls turns
+// it into — and returns its result type. It reports false, checking
+// nothing, when name is neither.
+func (c *checker) checkApply(name string, pos token.Pos, args []ast.Expr, env map[string]Type) (Type, bool) {
+	var want int
+	result := FormulaType
+	if p := c.mod.LookupPred(name); p != nil {
+		want = len(flatParams(p.Params))
+	} else if f := c.mod.LookupFun(name); f != nil {
+		want = len(flatParams(f.Params))
+		result = c.checkExpr(f.Result, nil)
+	} else {
+		return Type{}, false
+	}
 	if len(args) != want {
-		c.errorf(id.Pos(), "%s expects %d arguments, got %d", id.Name, want, len(args))
+		c.errorf(pos, "%s expects %d arguments, got %d", name, want, len(args))
 	}
 	for _, a := range args {
 		at := c.checkExpr(a, env)
 		if at.Formula {
-			c.errorf(a.Pos(), "argument to %s must be an expression", id.Name)
+			c.errorf(a.Pos(), "argument to %s must be an expression", name)
 		}
 	}
-	return result
+	return result, true
 }
 
 // RewriteCalls returns a copy of expr with every bracket application whose

@@ -26,8 +26,7 @@ import (
 	"specrepair/internal/repair/atr"
 	"specrepair/internal/repair/beafix"
 	"specrepair/internal/repair/icebar"
-	"specrepair/internal/repair/multiround"
-	"specrepair/internal/repair/singleround"
+	"specrepair/internal/repair/llmrepair"
 	"specrepair/internal/telemetry"
 )
 
@@ -121,16 +120,12 @@ func studyFactories(o FactoryOptions, newClient func() llm.Client) []Factory {
 			return atr.New(opts)
 		}},
 	}
-	for _, setting := range singleround.Settings {
+	for _, setting := range llmrepair.Settings {
 		setting := setting
 		fs = append(fs, Factory{
 			Name: "Single-Round_" + setting.String(),
 			NewWith: func(col *telemetry.Collector) repair.Technique {
-				return singleround.New(singleround.Options{
-					Setting:  setting,
-					Client:   newClient(),
-					Analyzer: newAnalyzer(col),
-				})
+				return llmrepair.NewSingleRound(setting, llmrepair.Options{Client: newClient(), Analyzer: newAnalyzer(col)})
 			},
 		})
 	}
@@ -139,11 +134,7 @@ func studyFactories(o FactoryOptions, newClient func() llm.Client) []Factory {
 		fs = append(fs, Factory{
 			Name: "Multi-Round_" + fb.String(),
 			NewWith: func(col *telemetry.Collector) repair.Technique {
-				return multiround.New(multiround.Options{
-					Feedback: fb,
-					Client:   newClient(),
-					Analyzer: newAnalyzer(col),
-				})
+				return llmrepair.NewMultiRound(fb, 0, llmrepair.Options{Client: newClient(), Analyzer: newAnalyzer(col)})
 			},
 		})
 	}

@@ -1,8 +1,9 @@
 // Package llm provides the language-model layer of the LLM-based repair
-// techniques: a chat Client interface, the prompt formats of the
-// Single-Round and Multi-Round studies, response parsing (the "specialized
-// parser" the paper describes for extracting specifications from model
-// output), and a deterministic simulated model.
+// techniques (the one repair loop of internal/repair/llmrepair): a chat
+// Client interface, the prompt formats of the Single-Round and Multi-Round
+// studies, response parsing (the "specialized parser" the paper describes
+// for extracting specifications from model output), and a deterministic
+// simulated model.
 //
 // The simulated model replaces the paper's GPT-4 API calls (documented
 // substitution in DESIGN.md). It is not a lookup table: given a prompt it
@@ -13,8 +14,6 @@
 // realistic formatting noise. All randomness is seeded from the prompt
 // content, so every experiment is reproducible bit-for-bit.
 package llm
-
-import "fmt"
 
 // Role identifies a chat message author.
 type Role string
@@ -38,12 +37,6 @@ type Client interface {
 	Complete(messages []Message) (string, error)
 }
 
-// Usage tracks how many completions a client served (exposed by the
-// simulator for experiment accounting).
-type Usage struct {
-	Completions int
-}
-
 // System prompts, mirroring the two studies' setups.
 const (
 	RepairSystemPrompt = "You are an expert in the Alloy specification language. " +
@@ -53,6 +46,3 @@ const (
 		"report and a candidate specification, produce one short, targeted " +
 		"instruction for the Repair Agent. Start your reply with FOCUS:."
 )
-
-// ErrNoCompletion is returned when the model produces no usable output.
-var ErrNoCompletion = fmt.Errorf("llm: no completion produced")

@@ -137,7 +137,7 @@ check NoSelf for 3
 		{Role: RoleSystem, Content: RepairSystemPrompt},
 		{Role: RoleUser, Content: BuildRepairPrompt(spec, PromptOptions{})},
 	}
-	m1 := NewSimulatedModel(42)
+	m1 := &countingClient{Client: NewSimulatedModel(42)}
 	m2 := NewSimulatedModel(42)
 	r1, err1 := m1.Complete(msgs)
 	r2, err2 := m2.Complete(msgs)
@@ -153,8 +153,8 @@ check NoSelf for 3
 		t.Fatal(err)
 	}
 	_ = r3 // may or may not differ; determinism per seed is what matters
-	if m1.Usage().Completions != 1 {
-		t.Errorf("usage = %+v", m1.Usage())
+	if m1.completions != 1 {
+		t.Errorf("completions = %d, want 1", m1.completions)
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 	"specrepair/internal/instance"
 )
 
-// dialog drives one Multi-Round conversation the way the multiround
-// technique does: a repair completion, an analyzer verdict, and feedback —
-// for Auto, guidance from a Prompt-Agent completion on the same model.
+// dialog drives one Multi-Round conversation as the llmrepair loop does: a
+// repair completion, an analyzer verdict, and feedback — for Auto, guidance
+// from a Prompt-Agent completion on the same model. Unlike the loop, it
+// decodes every verdict with ExecuteAll and gives feedback after every
+// round; the repair requests are the same.
 type dialog struct {
 	an       *analyzer.Analyzer
 	feedback FeedbackKind

@@ -78,14 +78,34 @@ func TestLaterRoundsExploreFurther(t *testing.T) {
 	}
 }
 
+// countingClient is a recording Client: it counts the completions it
+// passes on to its model.
+type countingClient struct {
+	Client
+	completions int
+}
+
+func (c *countingClient) Complete(msgs []Message) (string, error) {
+	c.completions++
+	return c.Client.Complete(msgs)
+}
+
+// TestUsageCountsCompletions: every request is one completion, and a
+// repeated request gets the same reply.
 func TestUsageCountsCompletions(t *testing.T) {
-	m := NewSimulatedModel(1)
+	c := &countingClient{Client: NewSimulatedModel(1)}
+	var replies []string
 	for i := 0; i < 3; i++ {
-		if _, err := m.Complete(repairMsgs()); err != nil {
+		reply, err := c.Complete(repairMsgs())
+		if err != nil {
 			t.Fatal(err)
 		}
+		replies = append(replies, reply)
 	}
-	if got := m.Usage().Completions; got != 3 {
-		t.Errorf("completions = %d, want 3", got)
+	if c.completions != 3 {
+		t.Errorf("completions = %d, want 3", c.completions)
+	}
+	if replies[1] != replies[0] || replies[2] != replies[0] {
+		t.Errorf("a repeated request got different replies: %q", replies)
 	}
 }

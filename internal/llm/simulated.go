@@ -31,7 +31,6 @@ type SimulatedModel struct {
 	// extractable specification.
 	GarbageNoise float64
 
-	usage Usage
 	// memo caches the candidate space of the conversation in progress; see
 	// conversationMemo. EndConversation releases it.
 	memo *conversationMemo
@@ -50,12 +49,8 @@ var _ Client = (*SimulatedModel)(nil)
 // that serves many problems holds no memo between them.
 func (m *SimulatedModel) EndConversation() { m.memo = nil }
 
-// Usage returns completion statistics.
-func (m *SimulatedModel) Usage() Usage { return m.usage }
-
 // Complete implements Client.
 func (m *SimulatedModel) Complete(msgs []Message) (string, error) {
-	m.usage.Completions++
 	v := parseConversation(msgs)
 	h := fnv.New64a()
 	h.Write([]byte(v.originalSpec))

@@ -103,14 +103,29 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		return out, nil
 	}
 
-	// One incremental evaluation session validates every iteration's ARepair
-	// candidate: candidates differ from the faulty spec only in repaired
-	// formula paragraphs, so translation and learned clauses carry over.
-	// Suite refinement (refineSuite) stays on the fresh path — it needs the
-	// concrete instances the fresh analyzer would produce.
-	oracle := an.Evaluator(types.NewBase(p.Faulty))
+	// ARepair's candidates carry its engine's checked signatures, with any
+	// signature facts desugared, so the loop starts from the checked faulty
+	// spec: p.Faulty itself when it has no signature facts. Where ICEBAR
+	// would return that root unchanged it reports p.Faulty.
+	root := p.Faulty
+	if info, err := types.Check(p.Faulty); err == nil {
+		root = info.Module
+	}
+	report := func(m *ast.Module) *ast.Module {
+		if m == root {
+			return p.Faulty
+		}
+		return m
+	}
 
-	current := p.Faulty
+	// One incremental evaluation session validates every iteration's ARepair
+	// candidate: candidates differ from the root only in repaired formula
+	// paragraphs, so translation and learned clauses carry over. Suite
+	// refinement (refineSuite) stays on the fresh path — it needs the
+	// concrete instances the fresh analyzer would produce.
+	oracle := an.Evaluator(types.NewBase(root))
+
+	current := root
 	for iter := 0; iter < t.opts.MaxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return out, err
@@ -147,7 +162,7 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		if pass {
 			iterSpan.End()
 			out.Repaired = true
-			out.Candidate = cand
+			out.Candidate = report(cand)
 			return out, nil
 		}
 
@@ -160,12 +175,12 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		if !added {
 			// No new counterexamples to learn from; give up with the best
 			// candidate so far.
-			out.Candidate = cand
+			out.Candidate = report(cand)
 			return out, nil
 		}
 		current = cand
 	}
-	out.Candidate = current
+	out.Candidate = report(current)
 	return out, nil
 }
 

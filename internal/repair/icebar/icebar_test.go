@@ -7,9 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"specrepair/internal/alloy/parser"
 	"specrepair/internal/alloy/printer"
+	"specrepair/internal/analyzer"
 	"specrepair/internal/bench"
+	"specrepair/internal/repair"
 	"specrepair/internal/repair/icebar"
+	"specrepair/internal/telemetry"
 )
 
 // scale40Spec returns the named entry of the scale-40 A4F, ARepair or SYN
@@ -98,4 +102,66 @@ func candidateDiff(faulty, cand string) (string, string) {
 		}
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(cand)))[:16], strings.Join(edit, "\n")
+}
+
+// TestRepairSignatureFactRunsIncrementally: ICEBAR roots its evaluator at
+// the checked faulty spec, which carries the same desugared signatures as
+// ARepair's candidates, so a spec with a signature fact validates every
+// candidate on the incremental session, as the same constraint written as
+// a fact does, with an unchanged outcome.
+func TestRepairSignatureFactRunsIncrementally(t *testing.T) {
+	const wantCand = `sig Node {
+  next: lone Node
+}
+
+fact Links {
+  lone n: Node | lone n.next
+}
+
+fact Node$fact {
+  all this: Node | { this not in this.next }
+}
+
+assert Lone {
+  lone Node
+}
+
+check Lone for 3
+`
+	run := func(src string) (repair.Outcome, telemetry.JobEffort) {
+		t.Helper()
+		mod, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := telemetry.NewCollector(telemetry.New())
+		opts := icebar.DefaultOptions()
+		opts.Analyzer = analyzer.New(analyzer.Options{Telemetry: col})
+		out, err := icebar.New(opts).Repair(context.Background(), repair.Problem{Name: "lone", Faulty: mod})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, col.TakeJobEffort()
+	}
+	out, eff := run(`
+sig Node { next: lone Node } { this not in next }
+fact Links { all n: Node | some n.next }
+assert Lone { lone Node }
+check Lone for 3
+`)
+	_, factEff := run(`
+sig Node { next: lone Node }
+fact Links { all n: Node | some n.next }
+fact { all n: Node | n not in n.next }
+assert Lone { lone Node }
+check Lone for 3
+`)
+	if eff.IncFallbacks != 0 || eff.IncQueries != factEff.IncQueries || eff.IncQueries == 0 {
+		t.Errorf("signature fact: %d queries, %d fallbacks; want %d queries (as written as a fact), no fallback",
+			eff.IncQueries, eff.IncFallbacks, factEff.IncQueries)
+	}
+	want := repair.Stats{CandidatesTried: 7, AnalyzerCalls: 2, TestRuns: 11, Iterations: 2}
+	if !out.Repaired || out.Stats != want || out.Candidate == nil || printer.Module(out.Candidate) != wantCand {
+		t.Errorf("outcome: repaired %v, stats %+v, candidate\n%v\nwant repaired, %+v,\n%s", out.Repaired, out.Stats, out.Candidate, want, wantCand)
+	}
 }

@@ -7,8 +7,7 @@ import (
 
 	"specrepair/internal/llm"
 	"specrepair/internal/repair"
-	"specrepair/internal/repair/multiround"
-	"specrepair/internal/repair/singleround"
+	"specrepair/internal/repair/llmrepair"
 )
 
 func llmProblem(t *testing.T) repair.Problem {
@@ -27,7 +26,7 @@ func TestSingleRoundWithLocFixHints(t *testing.T) {
 	model := llm.NewSimulatedModel(101)
 	model.GarbageNoise = 0
 	model.WildNoise = 0
-	tool := singleround.New(singleround.Options{Setting: singleround.SettingLocFix, Client: model})
+	tool := llmrepair.NewSingleRound(llmrepair.SettingLocFix, llmrepair.Options{Client: model})
 	out, err := tool.Repair(context.Background(), llmProblem(t))
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +42,8 @@ func TestSingleRoundWithLocFixHints(t *testing.T) {
 func TestSingleRoundSettingsNames(t *testing.T) {
 	wants := []string{"Single-Round_Loc+Fix", "Single-Round_Loc", "Single-Round_Pass",
 		"Single-Round_None", "Single-Round_Loc+Pass"}
-	for i, s := range singleround.Settings {
-		tool := singleround.New(singleround.Options{Setting: s, Client: llm.NewSimulatedModel(1)})
+	for i, s := range llmrepair.Settings {
+		tool := llmrepair.NewSingleRound(s, llmrepair.Options{Client: llm.NewSimulatedModel(1)})
 		if tool.Name() != wants[i] {
 			t.Errorf("name = %q, want %q", tool.Name(), wants[i])
 		}
@@ -52,7 +51,7 @@ func TestSingleRoundSettingsNames(t *testing.T) {
 }
 
 func TestSingleRoundRequiresClient(t *testing.T) {
-	tool := singleround.New(singleround.Options{Setting: singleround.SettingNone})
+	tool := llmrepair.NewSingleRound(llmrepair.SettingNone, llmrepair.Options{})
 	if _, err := tool.Repair(context.Background(), llmProblem(t)); err == nil {
 		t.Error("expected error without a client")
 	}
@@ -62,7 +61,7 @@ func TestMultiRoundRepairs(t *testing.T) {
 	for _, fb := range []llm.FeedbackKind{llm.FeedbackNone, llm.FeedbackGeneric, llm.FeedbackAuto} {
 		model := llm.NewSimulatedModel(202)
 		model.GarbageNoise = 0
-		tool := multiround.New(multiround.Options{Feedback: fb, Client: model, Rounds: 6})
+		tool := llmrepair.NewMultiRound(fb, 6, llmrepair.Options{Client: model})
 		out, err := tool.Repair(context.Background(), llmProblem(t))
 		if err != nil {
 			t.Fatalf("%s: %v", tool.Name(), err)
@@ -81,7 +80,7 @@ func TestMultiRoundNames(t *testing.T) {
 		llm.FeedbackGeneric: "Multi-Round_Generic",
 		llm.FeedbackAuto:    "Multi-Round_Auto",
 	} {
-		tool := multiround.New(multiround.Options{Feedback: fb, Client: llm.NewSimulatedModel(1)})
+		tool := llmrepair.NewMultiRound(fb, 0, llmrepair.Options{Client: llm.NewSimulatedModel(1)})
 		if got := tool.Name(); got != want {
 			t.Errorf("name = %q, want %q", got, want)
 		}
@@ -91,11 +90,7 @@ func TestMultiRoundNames(t *testing.T) {
 func TestMultiRoundIterationBudget(t *testing.T) {
 	// A garbage-only model: every round fails to produce a spec; the tool
 	// must stop at the round budget.
-	tool := multiround.New(multiround.Options{
-		Feedback: llm.FeedbackNone,
-		Rounds:   3,
-		Client:   garbageClient{},
-	})
+	tool := llmrepair.NewMultiRound(llm.FeedbackNone, 3, llmrepair.Options{Client: garbageClient{}})
 	out, err := tool.Repair(context.Background(), llmProblem(t))
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +124,7 @@ func TestMultiRoundAutoInvokesPromptAgent(t *testing.T) {
 	model.GarbageNoise = 0
 	model.WildNoise = 1.0 // force bad first picks so feedback rounds happen
 	rec := &transcriptClient{inner: model}
-	tool := multiround.New(multiround.Options{Feedback: llm.FeedbackAuto, Client: rec, Rounds: 3})
+	tool := llmrepair.NewMultiRound(llm.FeedbackAuto, 3, llmrepair.Options{Client: rec})
 	if _, err := tool.Repair(context.Background(), llmProblem(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +144,7 @@ func TestMultiRoundGenericFeedbackCarriesCounterexample(t *testing.T) {
 	model.GarbageNoise = 0
 	model.WildNoise = 1.0
 	rec := &transcriptClient{inner: model}
-	tool := multiround.New(multiround.Options{Feedback: llm.FeedbackGeneric, Client: rec, Rounds: 3})
+	tool := llmrepair.NewMultiRound(llm.FeedbackGeneric, 3, llmrepair.Options{Client: rec})
 	if _, err := tool.Repair(context.Background(), llmProblem(t)); err != nil {
 		t.Fatal(err)
 	}

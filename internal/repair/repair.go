@@ -1,6 +1,7 @@
 // Package repair defines the common contract implemented by every repair
 // technique in the study — the four traditional tools (ARepair, ICEBAR,
-// BeAFix, ATR) and the LLM-based ones (Single-Round, Multi-Round).
+// BeAFix, ATR) and the LLM-based ones (Single-Round, Multi-Round), which
+// share one repair loop, internal/repair/llmrepair.
 package repair
 
 import (

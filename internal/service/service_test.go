@@ -557,9 +557,8 @@ func TestResumeAfterTornJournalTail(t *testing.T) {
 }
 
 // untypedSpecs parse but do not type-check: the first names a field the
-// spec lacks, the third calls a predicate with too many arguments, which
-// type checking reports and lowering, which inlines the call, does not, and
-// the second does both.
+// spec lacks, the third calls a predicate with too many arguments, and the
+// second does both.
 var untypedSpecs = []string{`
 sig Node { next: lone Node }
 fact Links { all n: Node | n in n.nxt }
@@ -590,15 +589,15 @@ func TestUntypedSpecFailsWithCheckError(t *testing.T) {
 		"BeAFix":  "analyzing: 3:35: unresolved name \"nxt\"\n3:33: join of arity 1 and 1 underflows",
 		"ATR":     "analyzing: 3:35: unresolved name \"nxt\"\n3:33: join of arity 1 and 1 underflows",
 	}, {
-		"ARepair": "4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
-		"ICEBAR":  "analyzing: 4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
-		"BeAFix":  "analyzing: 4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
-		"ATR":     "analyzing: 4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+		"ARepair": "4:28: self expects 1 arguments, got 2\n4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+		"ICEBAR":  "analyzing: 4:28: self expects 1 arguments, got 2\n4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+		"BeAFix":  "analyzing: 4:28: self expects 1 arguments, got 2\n4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
+		"ATR":     "analyzing: 4:28: self expects 1 arguments, got 2\n4:50: unresolved name \"nxt\"\n4:48: join of arity 1 and 1 underflows",
 	}, {
 		"ARepair": "4:28: self expects 1 arguments, got 2",
-		"ICEBAR":  "check NoSelf: translating fact Links: 4:28: self expects 1 args, got 2",
-		"BeAFix":  "check NoSelf: translating fact Links: 4:28: self expects 1 args, got 2",
-		"ATR":     "check NoSelf: translating fact Links: 4:28: self expects 1 args, got 2",
+		"ICEBAR":  "analyzing: 4:28: self expects 1 arguments, got 2",
+		"BeAFix":  "analyzing: 4:28: self expects 1 arguments, got 2",
+		"ATR":     "analyzing: 4:28: self expects 1 arguments, got 2",
 	}} {
 		for _, technique := range []string{"ARepair", "ICEBAR", "BeAFix", "ATR"} {
 			snap, _, err := svc.Submit(Submission{Spec: untypedSpecs[i], Technique: technique, Tests: tests})
