@@ -194,17 +194,16 @@ func (t *Tool) Repair(ctx context.Context, p repair.Problem) (repair.Outcome, er
 		var cex *instance.Instance
 		if cand != nil {
 			out.Candidate = cand
+			roundAn := an.WithSpan(roundSpan)
 			var pass bool
 			if report {
-				failed, cex, pass, err = validate(an.WithSpan(roundSpan), cand)
+				failed, cex, pass, err = validate(roundAn, cand)
 			} else {
-				pass, err = an.WithSpan(roundSpan).PassesAll(cand)
+				pass, err = roundAn.PassesAll(cand)
 			}
 			out.Stats.AnalyzerCalls++
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return out, cerr
-				}
+			if err != nil && ctx.Err() != nil {
+				return out, ctx.Err()
 			}
 			if err == nil && pass {
 				out.Repaired = true
